@@ -48,6 +48,7 @@ from .evt_univariate import (
 from .extremal_dep import (
     ChiEstimate,
     ChiMatrix,
+    chi_matrices,
     chi_matrix,
     chi_u,
     uniform_scores,
@@ -123,6 +124,7 @@ __all__ = [
     "uniform_scores",
     "chi_u",
     "chi_matrix",
+    "chi_matrices",
     # conditional extremes
     "MarginalTransform",
     "HtFit",

@@ -320,24 +320,28 @@ def _chi_rows(cm: ed.ChiMatrix) -> list[dict]:
     return rows
 
 
+def _write_chi(
+    view, levels, n_boot: int, seed: int, prefix: Path, title_suffix: str
+) -> list[Path]:
+    """Chi at every level from one bootstrap: ``<prefix>.u<u>.svg`` per
+    level, then all levels' rows in ``<prefix>.csv``."""
+    rows = []
+    paths = []
+    for cm in ed.chi_matrices(view, levels, n_boot=n_boot, seed=seed):
+        rows.extend(_chi_rows(cm))
+        svg = heatmap_svg(cm.chi_values, cm.channels, f"chi(u={cm.u:g}){title_suffix}")
+        paths.append(_emit(prefix.with_name(f"{prefix.name}.u{cm.u:g}.svg"), svg))
+    paths.append(_emit(prefix.with_name(f"{prefix.name}.csv"), _csv(rows, _CHI_COLUMNS)))
+    return paths
+
+
 def cmd_chi(args) -> int:
     rec = _load_input(args)
     view = _epoch_view(rec, args.epoch)
-    outdir = Path(args.outdir)
-    stem = _stem(args)
     tag = "" if args.epoch == "all" else f".{args.epoch}"
     levels = args.u or list(ed.DEFAULT_U_GRID)
-    all_rows = []
-    for u in levels:
-        cm = ed.chi_matrix(view, u, n_boot=args.n_boot, seed=args.seed)
-        all_rows.extend(_chi_rows(cm))
-        svg = heatmap_svg(
-            cm.chi_values,
-            cm.channels,
-            f"chi(u={u:g}){tag or ''}",
-        )
-        _emit(outdir / f"{stem}.chi{tag}.u{u:g}.svg", svg)
-    _emit(outdir / f"{stem}.chi{tag}.csv", _csv(all_rows, _CHI_COLUMNS))
+    prefix = Path(args.outdir) / f"{_stem(args)}.chi{tag}"
+    _write_chi(view, levels, args.n_boot, args.seed, prefix, tag)
     return 0
 
 
@@ -534,17 +538,10 @@ def cmd_report(args) -> int:
     def _stage_chi():
         outputs = []
         for tag, view in epochs.items():
-            rows = []
-            for u in levels:
-                cm = ed.chi_matrix(view, u, n_boot=args.n_boot, seed=args.seed)
-                rows.extend(_chi_rows(cm))
-                p = _emit(
-                    outdir / "chi" / f"{tag}.u{u:g}.svg",
-                    heatmap_svg(cm.chi_values, cm.channels, f"chi(u={u:g}) {tag}"),
-                )
-                outputs.append(_rel(p))
-            p = _emit(outdir / "chi" / f"{tag}.csv", _csv(rows, _CHI_COLUMNS))
-            outputs.append(_rel(p))
+            paths = _write_chi(
+                view, levels, args.n_boot, args.seed, outdir / "chi" / tag, f" {tag}"
+            )
+            outputs.extend(_rel(p) for p in paths)
         return outputs
 
     _run_stage(

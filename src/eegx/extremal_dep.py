@@ -13,19 +13,22 @@ fractions; on rank scores it equals 1 - u up to rank granularity, and
 using the pooled empirical value makes comonotone inputs yield exactly
 chi = chibar = 1 at every level. Confidence intervals come from a
 stationary block bootstrap (geometric block lengths) that respects the
-serial dependence of EEG samples.
+serial dependence of EEG samples. Each column is sorted once: a
+resample's average ranks follow from counting its tie-group ids, and
+each resample is drawn once and scored at every requested level.
 """
 
 from __future__ import annotations
 
+import operator
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
 
-from ._parallel import parallel_map
-from .errors import SizeError, SparseTailError, UsageError, ValidationError
+from .errors import DataError, SizeError, SparseTailError, UsageError, ValidationError
 from .signal_io import EegRecording
 
 MIN_JOINT_EXCEEDANCES = 5
@@ -73,10 +76,16 @@ def uniform_scores(x: np.ndarray) -> np.ndarray:
 
 
 def _chi_from_counts(n_joint: float, n_x: float, n_y: float, n: int):
-    """(chi, chibar) from exceedance counts; caller ensures n_joint >= 1."""
+    """(chi, chibar) from exceedance counts; caller ensures n_joint >= 1.
+
+    When every sample exceeds (p_joint = 1) chibar is defined as 1,
+    agreeing with chi = 1.
+    """
     p_joint = n_joint / n
     p_marg = (n_x + n_y) / (2.0 * n)
     chi = min(1.0, max(0.0, p_joint / p_marg))
+    if p_joint == 1.0:
+        return chi, 1.0
     chibar = 2.0 * np.log(p_marg) / np.log(p_joint) - 1.0
     chibar = min(1.0, max(-1.0, chibar))
     return chi, chibar
@@ -129,12 +138,34 @@ def stationary_bootstrap_indices(
     return (starts[last_restart] + offset) % n
 
 
+def _tie_groups(matrix: np.ndarray) -> list[np.ndarray]:
+    """Per column, the dense tie-group id of each sample: the index of its
+    value among the column's sorted distinct values."""
+    return [np.unique(col, return_inverse=True)[1] for col in matrix.T]
+
+
+def _average_ranks(groups: list[np.ndarray], idx) -> np.ndarray:
+    """Column-wise average ranks of the resample ``matrix[idx]``, without
+    sorting it; ``groups`` is ``_tie_groups(matrix)``.
+
+    Counting each tie group's members gives its cumulative count ``cum``
+    and its average rank ``(cum + (cum - cnt) + 1) / 2``, the same exact
+    half-integer ``rankdata(method="average")`` assigns.
+    """
+    cols = []
+    for ids in groups:
+        g = ids[idx]
+        cnt = np.bincount(g)
+        cum = np.cumsum(cnt)
+        cols.append((0.5 * (cum + (cum - cnt) + 1))[g])
+    return np.column_stack(cols)
+
+
 def _pair_matrices(scores: np.ndarray, u: float):
     """Joint/marginal exceedance counts for all channel pairs at once."""
     b = (scores > u).astype(np.float64)
     joint = b.T @ b
-    marg = b.sum(axis=0)
-    return joint, marg
+    return joint, np.diag(joint)
 
 
 def _chi_arrays(joint: np.ndarray, marg: np.ndarray, n: int):
@@ -143,6 +174,7 @@ def _chi_arrays(joint: np.ndarray, marg: np.ndarray, n: int):
     with np.errstate(divide="ignore", invalid="ignore"):
         chi = np.clip((joint / n) / (pooled / n), 0.0, 1.0)
         chibar = np.clip(2.0 * np.log(pooled / n) / np.log(joint / n) - 1.0, -1.0, 1.0)
+    chibar[joint == n] = 1.0  # every sample exceeds; see _chi_from_counts
     bad = joint < MIN_JOINT_EXCEEDANCES
     chi[bad] = np.nan
     chibar[bad] = np.nan
@@ -159,13 +191,33 @@ def chi_matrix(
     mean_block_len: float | None = None,
     channels: tuple[str, ...] | None = None,
 ) -> ChiMatrix:
-    """Pairwise chi/chibar across all channels with bootstrap intervals.
+    """Pairwise chi/chibar across all channels at one level ``u``.
+
+    Same as ``chi_matrices(data, (u,), ...)[0]``; see :func:`chi_matrices`.
+    """
+    return chi_matrices(data, (u,), n_boot, seed, mean_block_len, channels)[0]
+
+
+def chi_matrices(
+    data: EegRecording | np.ndarray,
+    levels: Sequence[float],
+    n_boot: int = DEFAULT_N_BOOT,
+    seed: int = 0,
+    mean_block_len: float | None = None,
+    channels: tuple[str, ...] | None = None,
+) -> tuple[ChiMatrix, ...]:
+    """Pairwise chi/chibar across all channels with bootstrap intervals,
+    one :class:`ChiMatrix` per level.
+
+    Every level is scored on the same bootstrap resamples, so the result
+    at each level equals a one-level call with the same seed.
 
     Parameters
     ----------
     data : EegRecording or ndarray (T x C)
-    u : float
-        Quantile level in (0, 1).
+        Finite amplitudes.
+    levels : sequence of float
+        Quantile levels, each in (0, 1).
     n_boot : int
         Stationary-bootstrap replicates for the 95% intervals; 0 skips
         the bootstrap (intervals become NaN).
@@ -194,50 +246,73 @@ def chi_matrix(
         raise ValidationError("channel label count must match data columns")
     if matrix.shape[1] < 2:
         raise ValidationError("need at least 2 channels for pairwise dependence")
-    if not 0.0 < u < 1.0:
-        raise UsageError(f"quantile level must lie in (0, 1), got {u}")
+    if not np.isfinite(matrix).all():
+        raise DataError("chi needs finite data; found NaN or Inf")
+    try:
+        levels = tuple(levels)
+    except TypeError:
+        raise UsageError(f"levels must be a sequence of floats, got {levels!r}") from None
+    if not levels:
+        raise UsageError("need at least one quantile level")
+    for u in levels:
+        if not 0.0 < u < 1.0:
+            raise UsageError(f"quantile level must lie in (0, 1), got {u}")
+    try:
+        n_boot = operator.index(n_boot)
+    except TypeError:
+        raise UsageError(f"n_boot must be an integer, got {n_boot!r}") from None
+    if n_boot < 0:
+        raise UsageError(f"n_boot must be >= 0, got {n_boot}")
 
     n, c = matrix.shape
-    scores = stats.rankdata(matrix, method="average", axis=0) / (n + 1.0)
-    joint, marg = _pair_matrices(scores, u)
-    chi, chibar = _chi_arrays(joint, marg, n)
+    groups = _tie_groups(matrix)
+    scores = _average_ranks(groups, slice(None)) / (n + 1.0)
+    points = []
+    for u in levels:
+        joint, marg = _pair_matrices(scores, u)
+        points.append((joint, *_chi_arrays(joint, marg, n)))
 
     if n_boot > 0:
-        root = np.random.SeedSequence(seed)
-        rngs = [np.random.default_rng(s) for s in root.spawn(n_boot)]
-
-        def _replicate(rng):
-            idx = stationary_bootstrap_indices(n, mean_block_len, rng)
-            s_b = stats.rankdata(matrix[idx], method="average", axis=0) / (n + 1.0)
-            j_b, m_b = _pair_matrices(s_b, u)
-            return _chi_arrays(j_b, m_b, n)
-
-        reps = parallel_map(_replicate, rngs)
-        chi_b = np.stack([r[0] for r in reps])
-        chibar_b = np.stack([r[1] for r in reps])
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # all-NaN slices
-            chi_lo = np.nanpercentile(chi_b, 2.5, axis=0)
-            chi_hi = np.nanpercentile(chi_b, 97.5, axis=0)
-            cb_lo = np.nanpercentile(chibar_b, 2.5, axis=0)
-            cb_hi = np.nanpercentile(chibar_b, 97.5, axis=0)
+        chi_b = np.empty((len(levels), n_boot, c, c))
+        chibar_b = np.empty_like(chi_b)
+        for b, ss in enumerate(np.random.SeedSequence(seed).spawn(n_boot)):
+            idx = stationary_bootstrap_indices(n, mean_block_len, np.random.default_rng(ss))
+            s_b = _average_ranks(groups, idx) / (n + 1.0)
+            for k, u in enumerate(levels):
+                chi_b[k, b], chibar_b[k, b] = _chi_arrays(*_pair_matrices(s_b, u), n)
+        cis = [(_interval(chi_b[k]), _interval(chibar_b[k])) for k in range(len(levels))]
     else:
-        chi_lo = chi_hi = cb_lo = cb_hi = np.full((c, c), np.nan)
+        nan = np.full((c, c), np.nan)
+        cis = [((nan, nan), (nan, nan))] * len(levels)
 
+    return tuple(
+        _chi_result(labels, u, *point, *ci) for u, point, ci in zip(levels, points, cis)
+    )
+
+
+def _interval(reps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """95% percentile interval over bootstrap replicates (axis 0), ignoring NaN."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # all-NaN slices
+        return np.nanpercentile(reps, 2.5, axis=0), np.nanpercentile(reps, 97.5, axis=0)
+
+
+def _chi_result(labels, u, joint, chi, chibar, chi_ci, chibar_ci) -> ChiMatrix:
+    """Assemble one level's estimates; ``*_ci`` are (lower, upper) matrices."""
+    c = len(labels)
     estimates = []
     for i in range(c):
         for j in range(i + 1, c):
-            sparse = bool(joint[i, j] < MIN_JOINT_EXCEEDANCES)
             estimates.append(
                 ChiEstimate(
                     pair=(labels[i], labels[j]),
                     u=u,
                     chi=float(chi[i, j]),
                     chibar=float(chibar[i, j]),
-                    ci_chi=(float(chi_lo[i, j]), float(chi_hi[i, j])),
-                    ci_chibar=(float(cb_lo[i, j]), float(cb_hi[i, j])),
+                    ci_chi=(float(chi_ci[0][i, j]), float(chi_ci[1][i, j])),
+                    ci_chibar=(float(chibar_ci[0][i, j]), float(chibar_ci[1][i, j])),
                     n_eff=int(joint[i, j]),
-                    sparse=sparse,
+                    sparse=bool(joint[i, j] < MIN_JOINT_EXCEEDANCES),
                 )
             )
     return ChiMatrix(

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import signal as sps
 
-from ._parallel import parallel_map
 from .errors import DesignError, SizeError, ValidationError
 from .signal_io import EegRecording
 
@@ -217,16 +216,11 @@ def decompose_bands(
         )
 
     detrended = [detrend(rec.data[:, c]) for c in range(rec.n_channels)]
-
-    def _one(job):
-        band_id, c = job
-        return apply_zero_phase(detrended[c], specs[band_id])
-
-    jobs = [(band_id, c) for band_id in specs for c in range(rec.n_channels)]
-    results = parallel_map(_one, jobs)
     out: dict[str, np.ndarray] = {}
-    for (band_id, c), series in zip(jobs, results):
-        out.setdefault(band_id, np.empty_like(rec.data))[:, c] = series
+    for band_id, spec in specs.items():
+        out[band_id] = np.empty_like(rec.data)
+        for c, x in enumerate(detrended):
+            out[band_id][:, c] = apply_zero_phase(x, spec)
 
     return BandDecomposition(
         channels=rec.channels,

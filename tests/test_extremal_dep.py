@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from eegx import (
     SparseTailError,
     UsageError,
     ValidationError,
+    chi_matrices,
     chi_matrix,
     chi_u,
     gen_comonotone_pair,
@@ -14,7 +16,7 @@ from eegx import (
     gen_independent_pair,
     uniform_scores,
 )
-from eegx.extremal_dep import stationary_bootstrap_indices
+from eegx.extremal_dep import _average_ranks, _tie_groups, stationary_bootstrap_indices
 
 
 class TestUniformScores:
@@ -127,6 +129,81 @@ class TestStationaryBootstrap:
     def test_bad_block(self):
         with pytest.raises(UsageError):
             stationary_bootstrap_indices(10, 0.5, np.random.default_rng(0))
+
+
+class TestSortFreeRanks:
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(2, 400),
+        c=st.integers(1, 4),
+        decimals=st.integers(0, 2),
+        mean_block=st.floats(1.0, 50.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_equal_rankdata_on_resamples(self, seed, n, c, decimals, mean_block):
+        rng = np.random.default_rng(seed)
+        m = np.round(rng.standard_normal((n, c)), decimals)  # tie-heavy
+        groups = _tie_groups(m)
+        idx = stationary_bootstrap_indices(n, mean_block, rng)
+        want = stats.rankdata(m[idx], method="average", axis=0)
+        assert np.array_equal(_average_ranks(groups, idx), want)
+        assert np.array_equal(
+            _average_ranks(groups, slice(None)), stats.rankdata(m, method="average", axis=0)
+        )
+
+
+def _assert_same_matrix(a, b):
+    assert a.channels == b.channels and a.u == b.u
+    # repr round-trips floats exactly and renders NaN comparably
+    assert repr(a.estimates) == repr(b.estimates)
+    assert np.array_equal(a.chi_values, b.chi_values, equal_nan=True)
+    assert np.array_equal(a.chibar_values, b.chibar_values, equal_nan=True)
+
+
+class TestChiMatrices:
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_equals_one_level_calls(self, seed):
+        a, b = gen_gaussian_copula_pair(1_500, 0.5, seed=20 + seed)
+        m = np.column_stack([a, b, np.round(a + b, 1)])
+        levels = (0.9, 0.95, 0.995)  # the last one leaves sparse pairs
+        many = chi_matrices(m, levels, n_boot=50, seed=seed, mean_block_len=8.0)
+        assert len(many) == len(levels)
+        assert np.isfinite(many[0].estimates[0].ci_chi).all()
+        assert any(e.sparse for e in many[2].estimates)
+        for u, cm in zip(levels, many):
+            _assert_same_matrix(
+                cm, chi_matrix(m, u, n_boot=50, seed=seed, mean_block_len=8.0)
+            )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        m = np.random.default_rng(0).standard_normal((200, 3))
+        m[17, 1] = bad
+        with pytest.raises(ValidationError, match="finite"):
+            chi_matrices(m, (0.9,), n_boot=0)
+
+    @pytest.mark.parametrize("n_boot", [-3, 2.5, "10"])
+    def test_rejects_bad_n_boot(self, n_boot):
+        m = np.random.default_rng(1).standard_normal((200, 2))
+        with pytest.raises(UsageError, match="n_boot"):
+            chi_matrix(m, 0.9, n_boot=n_boot)
+
+    @pytest.mark.parametrize("levels", [(), (0.9, 1.0), (0.0,), 0.9])
+    def test_rejects_bad_levels(self, levels):
+        m = np.random.default_rng(2).standard_normal((200, 2))
+        with pytest.raises(UsageError):
+            chi_matrices(m, levels, n_boot=0)
+
+    def test_every_sample_exceeds(self):
+        # u below the lowest score 1/(n+1): both paths give chi = chibar = 1
+        rng = np.random.default_rng(3)
+        x, y = rng.standard_normal((2, 300))
+        u = 0.5 / 301
+        assert chi_u(uniform_scores(x), uniform_scores(y), u) == (1.0, 1.0)
+        cm = chi_matrix(np.column_stack([x, y]), u, n_boot=20, seed=1)
+        est = cm.estimates[0]
+        assert (est.chi, est.chibar) == (1.0, 1.0)
+        assert est.ci_chi == est.ci_chibar == (1.0, 1.0)
 
 
 class TestChiMatrix:
