@@ -161,12 +161,8 @@ def cmd_decompose(args) -> int:
     deco = pp.decompose_bands(rec, order=args.order)
     outdir = Path(args.outdir)
     stem = _stem(args)
-    header = ",".join(rec.channels)
     for band_id, matrix in deco.bands.items():
-        lines = [header]
-        for row in matrix:
-            lines.append(",".join(repr(float(v)) for v in row))
-        _emit(outdir / f"{stem}.{band_id}.csv", "\n".join(lines) + "\n")
+        _emit(outdir / f"{stem}.{band_id}.csv", sio.matrix_to_csv(rec.channels, matrix))
     if deco.omitted:
         print(f"bands omitted (infeasible at fs={rec.fs:g}): {list(deco.omitted)}")
     return 0
@@ -260,9 +256,7 @@ def cmd_fit_gpd(args) -> int:
 
     for name in channels:
         x = matrix[:, rec.index_of(name)]
-        fit = evt.fit_channel_tail(
-            x, args.threshold_quantile, run_length, seed=args.seed
-        )
+        fit = evt.fit_channel_tail(x, args.threshold_quantile, run_length)
         _emit(
             outdir / f"{stem}.gpd.{name}{tag}.json",
             _json_text(_gpd_fit_payload(fit, name, args.band)),
@@ -271,7 +265,7 @@ def cmd_fit_gpd(args) -> int:
             grid = np.quantile(x, np.linspace(0.80, 0.99, 20))
             grid = np.unique(grid)
             mrl = evt.mean_residual_life(x, grid)
-            stab = evt.parameter_stability(x, grid, seed=args.seed)
+            stab = evt.parameter_stability(x, grid)
             _emit(
                 outdir / f"{stem}.mrl.{name}{tag}.csv",
                 _csv(_diag_rows(mrl, "mrl"), ["threshold", "mrl", "mrl_lo", "mrl_hi", "n_exceed"]),
@@ -387,7 +381,6 @@ def cmd_ht_fit(args) -> int:
         args.cond_channel,
         cond_quantile=args.quantile,
         marginal_quantile=args.marginal_quantile,
-        seed=args.seed,
     )
     for dep, fit in fits.items():
         _emit(outdir / f"{stem}.ht.{tag}.{dep}.json", _json_text(_ht_payload(fit)))
@@ -407,7 +400,6 @@ def cmd_ht_sim(args) -> int:
         args.cond_channel,
         cond_quantile=args.quantile,
         marginal_quantile=args.marginal_quantile,
-        seed=args.seed,
     )
     sample = ce.simulate_conditional(
         list(fits.values()),
@@ -483,13 +475,9 @@ def cmd_report(args) -> int:
         deco = pp.decompose_bands(rec, order=args.order)
         deco_holder["deco"] = deco
         outputs = []
-        header = ",".join(rec.channels)
         for band_id, matrix in deco.bands.items():
-            lines = [header]
-            for row in matrix:
-                lines.append(",".join(repr(float(v)) for v in row))
-            p = _emit(outdir / "bands" / f"{band_id}.csv", "\n".join(lines) + "\n")
-            outputs.append(_rel(p))
+            text = sio.matrix_to_csv(rec.channels, matrix)
+            outputs.append(_rel(_emit(outdir / "bands" / f"{band_id}.csv", text)))
         return outputs
 
     _run_stage("decompose", {"order": args.order, "omitting_infeasible": True}, _stage_decompose)
@@ -507,7 +495,7 @@ def cmd_report(args) -> int:
             for c, name in enumerate(rec.channels):
                 try:
                     fit = evt.fit_channel_tail(
-                        matrix[:, c], args.threshold_quantile, run_length, seed=args.seed
+                        matrix[:, c], args.threshold_quantile, run_length
                     )
                 except EegxError as exc:
                     gpd_skipped.append(
@@ -526,7 +514,6 @@ def cmd_report(args) -> int:
     gpd_params = {
         "threshold_quantile": args.threshold_quantile,
         "run_length": run_length,
-        "seed": args.seed,
         "skipped": gpd_skipped,
     }
     _run_stage("fit_gpd", gpd_params, _stage_gpd)
@@ -560,7 +547,6 @@ def cmd_report(args) -> int:
                 cond_channel,
                 cond_quantile=args.ht_quantile,
                 marginal_quantile=args.threshold_quantile,
-                seed=args.seed,
             )
             fits_by_epoch[tag] = fits
             transforms_by_epoch[tag] = transforms
@@ -577,7 +563,7 @@ def cmd_report(args) -> int:
 
     _run_stage(
         "ht_fit",
-        {"cond_channel": cond_channel, "quantile": args.ht_quantile, "seed": args.seed},
+        {"cond_channel": cond_channel, "quantile": args.ht_quantile},
         _stage_ht_fit,
     )
 
@@ -687,7 +673,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold-quantile", type=float, default=0.95)
     p.add_argument("--run-length", type=int, default=None, help="declustering run length")
     p.add_argument("--order", type=int, default=pp.DEFAULT_ORDER)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--no-diagnostics", action="store_true")
     p.set_defaults(func=cmd_fit_gpd)
 
@@ -705,7 +690,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quantile", type=float, default=0.95)
     p.add_argument("--marginal-quantile", type=float, default=0.95)
     p.add_argument("--epoch", choices=["pre", "post", "all"], default="all")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_ht_fit)
 
     p = sub.add_parser("ht-sim", help="simulate given the conditioner is extreme")

@@ -24,23 +24,22 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
 
 from .errors import (
+    DataError,
     DomainError,
     FitError,
     SizeError,
     UsageError,
     ValidationError,
 )
-from .evt_univariate import GpdFit, XI_ZERO_TOL, fit_gpd
+from .evt_univariate import GpdFit, XI_ZERO_TOL, _grid_brent, fit_gpd
 from .signal_io import EegRecording
 
 S_FLOOR = 1e-8  # lower bound on the residual spread in the pseudo-likelihood
 BETA_MAX = 1.0 - 1e-6
 BETA_MIN = -3.0
-ALPHA_STARTS = (-0.9, -0.5, 0.0, 0.5, 0.9)
-BETA_STARTS = (-0.5, 0.0, 0.5)
+_N_BETA_GRID = 41  # coarse beta grid ahead of the Brent refinement
 
 
 def laplace_quantile(p):
@@ -102,7 +101,6 @@ def fit_marginal(
     x: np.ndarray,
     threshold_quantile: float = 0.95,
     channel: str = "",
-    seed: int = 0,
 ) -> MarginalTransform:
     """Fit the semiparametric transform of one channel.
 
@@ -117,6 +115,8 @@ def fit_marginal(
         raise UsageError(
             f"threshold quantile must lie in [0.8, 0.999], got {threshold_quantile}"
         )
+    if not np.isfinite(x).all():
+        raise DataError("marginal sample contains NaN or Inf")
     u = float(np.quantile(x, threshold_quantile))
     excesses = x[x > u] - u
     if excesses.size < 10:
@@ -126,7 +126,7 @@ def fit_marginal(
         )
     xs = np.sort(x)
     zeta = 1.0 - float(_ecdf_interp(xs, u))
-    gpd = fit_gpd(excesses, seed=seed, threshold_u=u, zeta_u=zeta)
+    gpd = fit_gpd(excesses, threshold_u=u, zeta_u=zeta)
     return MarginalTransform(
         channel=channel, sorted_sample=xs, u=u, gpd=gpd, zeta_u=zeta
     )
@@ -217,16 +217,28 @@ class HtFit:
         object.__setattr__(self, "residuals_z", z)
 
 
-def _profile_nll(alpha: float, beta: float, y: np.ndarray, y_dep: np.ndarray):
-    """Pseudo-NLL with (mu, s) profiled out; returns (nll, mu, s)."""
+def _profile_beta(beta, y: np.ndarray, y_dep: np.ndarray):
+    """Pseudo-NLL with (alpha, mu, s) profiled out at each beta.
+
+    The residual r = a - alpha*b, a = y_dep/y^beta, b = y^(1-beta), has
+    variance quadratic in alpha, minimized on [-1, 1] by clipping
+    cov(a, b)/var(b); mu and s are its mean and spread. Returns
+    (nll, alpha, mu, s) arrays over ``beta``.
+    """
+    beta = np.atleast_1d(beta)
     logy = np.log(y)
-    w = np.exp(beta * logy)
-    r = (y_dep - alpha * y) / w
-    mu = r.mean()
-    s = max(np.sqrt(np.mean((r - mu) ** 2)), S_FLOOR)
+    w = np.exp(np.multiply.outer(beta, logy))
+    a = y_dep / w
+    b = y / w
+    da = a - a.mean(axis=-1, keepdims=True)
+    db = b - b.mean(axis=-1, keepdims=True)
+    alpha = np.clip((da * db).mean(axis=-1) / (db * db).mean(axis=-1), -1.0, 1.0)
+    r = a - alpha[:, None] * b
+    mu = r.mean(axis=-1)
+    s = np.maximum(np.sqrt(((r - mu[:, None]) ** 2).mean(axis=-1)), S_FLOOR)
     n = y.size
     nll = n * np.log(s) + beta * logy.sum() + 0.5 * n * (1.0 + np.log(2.0 * np.pi))
-    return nll, mu, s
+    return nll, alpha, mu, s
 
 
 def fit_ht(
@@ -240,10 +252,11 @@ def fit_ht(
 
     Both series must already be on Laplace scale. Pairs where the
     conditioning series exceeds its Laplace ``cond_quantile`` enter a
-    Gaussian pseudo-likelihood in (alpha, beta, mu, s); (mu, s) are
-    profiled out analytically and (alpha, beta) minimized by a bounded
-    simplex from a fixed 5 x 3 start grid, ties broken toward smaller
-    |beta|. Deterministic: no randomness is involved.
+    Gaussian pseudo-likelihood in (alpha, beta, mu, s). For fixed beta,
+    (alpha, mu, s) have closed forms (see :func:`_profile_beta`), so
+    beta is found by a grid over [``BETA_MIN``, ``BETA_MAX``] and a
+    bounded Brent search around its best cell. Deterministic: no
+    randomness is involved.
     """
     yc = np.asarray(y_cond, dtype=float).ravel()
     yd = np.asarray(y_dep, dtype=float).ravel()
@@ -253,6 +266,8 @@ def fit_ht(
         raise UsageError(
             f"conditioning quantile must lie in [0.9, 0.999], got {cond_quantile}"
         )
+    if not (np.isfinite(yc).all() and np.isfinite(yd).all()):
+        raise DataError("conditioning and dependent series must be finite")
     t_q = laplace_quantile(cond_quantile)
     keep = yc > t_q
     n_exc = int(np.count_nonzero(keep))
@@ -264,53 +279,34 @@ def fit_ht(
     y = yc[keep]
     yd_exc = yd[keep]
 
-    def objective(theta):
-        nll, _, _ = _profile_nll(theta[0], theta[1], y, yd_exc)
-        return nll
-
-    candidates = []
-    for a0 in ALPHA_STARTS:
-        for b0 in BETA_STARTS:
-            res = optimize.minimize(
-                objective,
-                x0=[a0, b0],
-                method="Nelder-Mead",
-                bounds=[(-1.0, 1.0), (BETA_MIN, BETA_MAX)],
-                options={"xatol": 1e-7, "fatol": 1e-10, "maxiter": 2000},
-            )
-            if res.success and np.isfinite(res.fun):
-                candidates.append(res)
-    if not candidates:
+    beta_hat, nll = _grid_brent(
+        lambda b: _profile_beta(b, y, yd_exc)[0],
+        np.linspace(BETA_MIN, BETA_MAX, _N_BETA_GRID),
+    )
+    if not np.isfinite(nll):
         raise FitError(
-            f"conditional-extremes fit failed for ({cond_channel}, {dep_channel}) "
-            f"from all {len(ALPHA_STARTS) * len(BETA_STARTS)} starts"
+            f"conditional-extremes fit failed for ({cond_channel}, {dep_channel}): "
+            "no finite pseudo-likelihood value"
         )
-    # best nll; near-ties (within 1e-9) resolved toward smaller |beta|
-    best_nll = min(r.fun for r in candidates)
-    near = [r for r in candidates if r.fun <= best_nll + 1e-9]
-    best = min(near, key=lambda r: abs(r.x[1]))
-
-    alpha_hat = float(np.clip(best.x[0], -1.0, 1.0))
-    beta_hat = float(np.clip(best.x[1], BETA_MIN, BETA_MAX))
     if beta_hat <= BETA_MIN + 1e-6:
         warnings.warn(
             f"beta estimate on the lower bound {BETA_MIN} for "
             f"({cond_channel}, {dep_channel})",
             stacklevel=2,
         )
-    nll, mu_hat, s_hat = _profile_nll(alpha_hat, beta_hat, y, yd_exc)
+    nll, alpha_hat, mu_hat, s_hat = (float(v[0]) for v in _profile_beta(beta_hat, y, yd_exc))
     z = (yd_exc - alpha_hat * y) / y**beta_hat
     return HtFit(
         cond_channel=cond_channel,
         dep_channel=dep_channel,
         alpha=alpha_hat,
         beta=beta_hat,
-        mu=float(mu_hat),
-        s=float(s_hat),
+        mu=mu_hat,
+        s=s_hat,
         residuals_z=z,
         cond_threshold_laplace=float(t_q),
         n_exceed=n_exc,
-        nll=float(nll),
+        nll=nll,
         exceed_indices=np.flatnonzero(keep),
     )
 
@@ -320,7 +316,6 @@ def conditional_model(
     cond_channel: str,
     cond_quantile: float = 0.95,
     marginal_quantile: float = 0.95,
-    seed: int = 0,
 ) -> tuple[dict[str, HtFit], dict[str, MarginalTransform]]:
     """Fit marginal transforms and all pairwise conditional models.
 
@@ -335,9 +330,7 @@ def conditional_model(
     transforms: dict[str, MarginalTransform] = {}
     laplace: dict[str, np.ndarray] = {}
     for name in rec.channels:
-        mt = fit_marginal(
-            rec.channel(name), marginal_quantile, channel=name, seed=seed
-        )
+        mt = fit_marginal(rec.channel(name), marginal_quantile, channel=name)
         transforms[name] = mt
         laplace[name] = to_laplace(rec.channel(name), mt)
 

@@ -10,9 +10,10 @@ The GPD negative log-likelihood for excesses y_1..y_n is
     n*log(sigma) + (1 + 1/xi) * sum(log(1 + xi*y/sigma))        (xi != 0)
     n*log(sigma) + sum(y)/sigma                                  (xi == 0)
 
-maximized over sigma > 0 and xi > -0.5 (the usual regularity range) on
-the reparameterized scale tau = log(sigma). The exponential limit is
-used whenever |xi| < 1e-6.
+minimized over sigma > 0 and xi >= -0.5 (the usual regularity range).
+With theta = xi/sigma fixed, xi and sigma have closed forms (Grimshaw
+1993), so the fit is a 1-D profile search with no starting values and
+no randomness. The exponential limit is used whenever |xi| < 1e-6.
 """
 
 from __future__ import annotations
@@ -23,11 +24,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import optimize
 
-from .errors import DomainError, FitError, SizeError, UsageError, ValidationError
+from .errors import DataError, DomainError, FitError, SizeError, UsageError, ValidationError
 
 XI_ZERO_TOL = 1e-6  # |xi| below this: use the exponential limit
 XI_LOWER = -0.5  # MLE regularity bound on the shape
 _HESS_STEP = 1e-4  # central-difference step on (tau, xi)
+_S_FLOOR = -30.0  # lowest log1p(theta * y_max) searched; e^-30 >> float resolution
+_S_CEIL = 700.0  # highest one searched; expm1(700) ~ 1e304
+_N_GRID = 64  # coarse profile grid ahead of the Brent refinement
 
 
 @dataclass(frozen=True)
@@ -108,26 +112,6 @@ def gpd_nll_exponential(sigma: float, excesses: np.ndarray) -> float:
     return excesses.size * np.log(sigma) + excesses.sum() / sigma
 
 
-def _pwm_start(y: np.ndarray) -> tuple[float, float]:
-    """Probability-weighted-moments starting values (Hosking-Wallis)."""
-    ys = np.sort(y)
-    n = ys.size
-    a0 = ys.mean()
-    a1 = float(ys @ (n - np.arange(1, n + 1))) / (n * (n - 1.0))
-    denom = a0 - 2.0 * a1
-    if denom <= 0:
-        sigma0, xi0 = a0, 0.4
-    else:
-        xi0 = 2.0 - a0 / denom
-        sigma0 = 2.0 * a0 * a1 / denom
-    xi0 = float(np.clip(xi0, -0.45, 2.0))
-    sigma0 = float(max(sigma0, 1e-8 * max(a0, 1.0)))
-    # keep the start inside the support when xi0 < 0
-    if xi0 < 0 and sigma0 <= -xi0 * ys[-1]:
-        sigma0 = 1.05 * (-xi0 * ys[-1])
-    return sigma0, xi0
-
-
 def _hessian_cov(tau_hat, xi_hat, excesses):
     """Covariance of (sigma, xi) from a finite-difference Hessian on (tau, xi)."""
 
@@ -159,19 +143,52 @@ def _hessian_cov(tau_hat, xi_hat, excesses):
     return jac @ cov_tau_xi @ jac.T
 
 
+def _profile(s, y: np.ndarray):
+    """Grimshaw profile of the GPD at s = log1p(theta * y_max), theta = xi/sigma.
+
+    For fixed theta the shape MLE is xi(theta) = mean(log1p(theta*y)) and
+    sigma = xi/theta, leaving NLL/n = log(sigma) + xi + 1; theta = 0 is the
+    exponential limit sigma = mean(y). Returns (NLL/n, xi, sigma) arrays.
+    """
+    theta = np.expm1(np.atleast_1d(s)) / y.max()
+    xi = np.log1p(np.multiply.outer(theta, y)).mean(axis=-1)
+    sigma = np.divide(xi, theta, out=np.full_like(xi, y.mean()), where=theta != 0)
+    return np.log(sigma) + xi + 1.0, xi, sigma
+
+
+def _grid_brent(f, grid: np.ndarray) -> tuple[float, float]:
+    """Minimize a 1-D function: the best point of ``grid`` (``f`` takes
+    arrays), refined by bounded Brent between that point's neighbours.
+    Returns (x, f(x)); f(x) is not finite when no grid value is."""
+    values = f(grid)
+    k = int(np.argmin(np.where(np.isfinite(values), values, np.inf)))
+    res = optimize.minimize_scalar(
+        lambda x: float(f(x)[0]),
+        bounds=(grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)]),
+        method="bounded",
+        options={"xatol": 1e-10},
+    )
+    if res.fun < values[k]:
+        return float(res.x), float(res.fun)
+    return float(grid[k]), float(values[k])
+
+
 def fit_gpd(
     excesses: np.ndarray,
-    seed: int = 0,
     threshold_u: float = 0.0,
     zeta_u: float = 1.0,
-    n_restarts: int = 3,
 ) -> GpdFit:
     """Fit a GPD to strictly positive excesses by maximum likelihood.
 
-    A derivative-free simplex runs on (tau = log sigma, xi), started at
-    the probability-weighted-moments estimate plus ``n_restarts``
-    seed-jittered restarts; the best converged run wins. Standard errors
-    come from the numerically inverted Hessian.
+    Grimshaw's (1993) reduction: with theta = xi/sigma the likelihood is
+    maximized over xi and sigma in closed form, leaving a 1-D profile in
+    s = log1p(theta * y_max). Its stationary points lie below
+    theta = 2(mean(y) - min(y))/min(y)^2, and xi >= ``XI_LOWER`` holds
+    from the theta where xi(theta) = ``XI_LOWER`` up; a coarse grid over
+    that range and a bounded Brent search around its best cell find the
+    interior optimum. A 1-D fit of sigma with xi fixed at ``XI_LOWER``
+    covers the boundary, and the lower NLL wins. Deterministic; standard
+    errors come from the numerically inverted Hessian.
 
     Raises
     ------
@@ -180,7 +197,7 @@ def fit_gpd(
     UsageError
         Excesses that are not strictly positive.
     FitError
-        No restart converged.
+        No finite likelihood value.
     """
     y = np.asarray(excesses, dtype=float)
     if y.ndim != 1:
@@ -190,42 +207,35 @@ def fit_gpd(
     if np.any(y <= 0) or not np.isfinite(y).all():
         raise UsageError("excesses must be strictly positive and finite")
 
-    sigma0, xi0 = _pwm_start(y)
-    rng = np.random.default_rng(seed)
-    starts = [(np.log(sigma0), xi0)]
-    for _ in range(n_restarts):
-        starts.append(
-            (
-                np.log(sigma0) + rng.normal(0.0, 0.3),
-                float(np.clip(xi0 + rng.normal(0.0, 0.2), XI_LOWER + 0.01, 3.0)),
-            )
-        )
+    ymin, ymax = float(y.min()), float(y.max())
 
-    def objective(theta):
-        return gpd_nll(np.exp(theta[0]), theta[1], y)
+    def xi_above_lower(s):
+        return float(_profile(s, y)[1][0]) - XI_LOWER
 
-    best = None
-    for tau_s, xi_s in starts:
-        # nudge the start into the support if the jitter left it
-        if xi_s < 0 and np.exp(tau_s) <= -xi_s * y.max():
-            tau_s = np.log(1.05 * (-xi_s * y.max()))
-        res = optimize.minimize(
-            objective,
-            x0=[tau_s, xi_s],
-            method="Nelder-Mead",
-            bounds=[(None, None), (XI_LOWER + 1e-9, None)],
-            options={"xatol": 1e-8, "fatol": 1e-10, "maxiter": 2000},
-        )
-        if res.success and np.isfinite(res.fun):
-            if best is None or res.fun < best.fun:
-                best = res
-    if best is None:
-        raise FitError(
-            f"GPD fit did not converge after {1 + n_restarts} starts (n={y.size})"
-        )
+    # xi(s) rises with s. Below _S_FLOOR theta is pinned within e^-30 of
+    # -1/y_max while xi keeps falling, which only raises the profile NLL.
+    s_lo = _S_FLOOR
+    if xi_above_lower(s_lo) < 0:
+        s_lo = optimize.brentq(xi_above_lower, s_lo, 0.0, xtol=1e-12)
+    # Grimshaw's bound on theta, capped where expm1(s) still fits a float
+    s_hi = min(np.log1p(2.0 * (float(y.mean()) / ymin - 1.0) * (ymax / ymin)), _S_CEIL)
+    s_in, v_in = _grid_brent(lambda s: _profile(s, y)[0], np.linspace(s_lo, s_hi, _N_GRID))
 
-    tau_hat, xi_hat = best.x
-    sigma_hat = float(np.exp(tau_hat))
+    def boundary(s):  # xi = XI_LOWER, sigma = XI_LOWER / theta
+        return gpd_nll(XI_LOWER * ymax / np.expm1(s), XI_LOWER, y)
+
+    bd = optimize.minimize_scalar(
+        boundary, bounds=(_S_FLOOR, 0.0), method="bounded", options={"xatol": 1e-10}
+    )
+    if bd.fun <= y.size * v_in:
+        sigma_hat, xi_hat, nll = XI_LOWER * ymax / np.expm1(bd.x), XI_LOWER, bd.fun
+    else:
+        _, xi_arr, sigma_arr = _profile(s_in, y)
+        sigma_hat, xi_hat, nll = sigma_arr[0], xi_arr[0], y.size * v_in
+    if not (np.isfinite(nll) and sigma_hat > 0):
+        raise FitError(f"GPD likelihood has no finite value (n={y.size})")
+
+    sigma_hat = float(sigma_hat)
     xi_hat = float(xi_hat)
     if abs(xi_hat) < XI_ZERO_TOL:
         xi_hat = 0.0
@@ -234,7 +244,7 @@ def fit_gpd(
             f"GPD shape estimate on the boundary xi = {XI_LOWER}", stacklevel=2
         )
 
-    cov = _hessian_cov(tau_hat, xi_hat, y)
+    cov = _hessian_cov(np.log(sigma_hat), xi_hat, y)
     if cov is None:
         warnings.warn("GPD Hessian not invertible; standard errors unavailable", stacklevel=2)
         se_sigma = se_xi = float("nan")
@@ -250,7 +260,7 @@ def fit_gpd(
         n_exceed=int(y.size),
         se_sigma=se_sigma,
         se_xi=se_xi,
-        nll=float(best.fun),
+        nll=float(nll),
         cov_sigma_xi=cov,
     )
 
@@ -286,9 +296,7 @@ def mean_residual_life(data: np.ndarray, grid: np.ndarray) -> ThresholdDiagnosti
     )
 
 
-def parameter_stability(
-    data: np.ndarray, grid: np.ndarray, seed: int = 0
-) -> ThresholdDiagnostics:
+def parameter_stability(data: np.ndarray, grid: np.ndarray) -> ThresholdDiagnostics:
     """Shape and modified-scale estimates across a threshold grid.
 
     The modified scale ``sigma* = sigma_hat - xi_hat * u`` is constant in
@@ -315,7 +323,7 @@ def parameter_stability(
             flagged[j] = True
             continue
         try:
-            fit = fit_gpd(exc, seed=seed, threshold_u=u)
+            fit = fit_gpd(exc, threshold_u=u)
         except (FitError, SizeError, UsageError):
             flagged[j] = True
             continue
@@ -385,6 +393,8 @@ def return_level(fit: GpdFit, m: float, obs_per_unit: float = 1.0) -> float:
 
     defined only when ``n * zeta_u > 1``.
     """
+    if not (np.isfinite(m) and np.isfinite(obs_per_unit)):
+        raise UsageError(f"m and obs_per_unit must be finite, got {m}, {obs_per_unit}")
     n_obs = float(m) * float(obs_per_unit)
     mz = n_obs * fit.zeta_u
     if mz <= 1.0:
@@ -400,7 +410,6 @@ def fit_channel_tail(
     series: np.ndarray,
     threshold_quantile: float = 0.95,
     run_length_r: int = 1,
-    seed: int = 0,
 ) -> GpdFit:
     """Threshold at an empirical quantile, decluster, and fit the tail.
 
@@ -418,6 +427,10 @@ def fit_channel_tail(
         raise UsageError(
             f"threshold quantile must lie in [0.8, 0.999], got {threshold_quantile}"
         )
+    if x.size == 0:
+        raise SizeError("cannot fit the tail of an empty series")
+    if not np.isfinite(x).all():
+        raise DataError("series contains NaN or Inf")
     u = float(np.quantile(x, threshold_quantile))
     clusters = decluster_runs(x, u, run_length_r)
     if clusters.n_clusters == 0:
@@ -425,10 +438,4 @@ def fit_channel_tail(
             f"no exceedances above the {threshold_quantile:g} quantile (u={u:g})"
         )
     excesses = clusters.peak_values - u
-    fit = fit_gpd(
-        excesses,
-        seed=seed,
-        threshold_u=u,
-        zeta_u=clusters.n_clusters / x.size,
-    )
-    return fit
+    return fit_gpd(excesses, threshold_u=u, zeta_u=clusters.n_clusters / x.size)

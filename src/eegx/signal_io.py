@@ -255,12 +255,19 @@ def save_recording(
     return p
 
 
-def recording_to_csv(rec: EegRecording) -> str:
-    """Render the recording as CSV text (header + one row per sample)."""
-    lines = [",".join(rec.channels)]
-    for row in rec.data:
+def matrix_to_csv(channels: tuple[ChannelLabel, ...], data: np.ndarray) -> str:
+    """Render a (T, C) matrix as CSV text: a header of channel names, then
+    one row per sample with every float written by ``repr`` (exact on
+    reload)."""
+    lines = [",".join(channels)]
+    for row in data:
         lines.append(",".join(repr(float(v)) for v in row))
     return "\n".join(lines) + "\n"
+
+
+def recording_to_csv(rec: EegRecording) -> str:
+    """Render the recording as CSV text (header + one row per sample)."""
+    return matrix_to_csv(rec.channels, rec.data)
 
 
 def split_at_onset(rec: EegRecording) -> EpochPair:

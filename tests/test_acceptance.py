@@ -257,8 +257,8 @@ def test_criterion_10_end_to_end_contrast(tmp_path):
             post_cm.chi_values[0, j] > pre_cm.chi_values[0, j] for j in (1, 2)
         ):
             chi_wins += 1
-        fits_pre, _ = conditional_model(pair.pre, "T3", 0.95, 0.95, seed=seed)
-        fits_post, _ = conditional_model(pair.post, "T3", 0.95, 0.95, seed=seed)
+        fits_pre, _ = conditional_model(pair.pre, "T3", 0.95, 0.95)
+        fits_post, _ = conditional_model(pair.post, "T3", 0.95, 0.95)
         if all(fits_post[d].alpha > fits_pre[d].alpha for d in fits_pre):
             alpha_wins += 1
 

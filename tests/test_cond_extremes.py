@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from eegx import (
+    DataError,
     DomainError,
     EegRecording,
     SizeError,
@@ -205,7 +206,7 @@ class TestSimulation:
         rec = EegRecording(
             channels=tuple(data), fs=100.0, data=np.column_stack(list(data.values()))
         )
-        return conditional_model(rec, "REF", q, 0.95, seed=seed)
+        return conditional_model(rec, "REF", q, 0.95)
 
     def test_comonotone_simulation(self):
         x = np.random.default_rng(42).standard_normal(30_000)
@@ -318,3 +319,22 @@ class TestSummary:
         )
         rows = {r["channel"]: r for r in conditional_summary(sample)}
         assert rows["S"]["mean"] > rows["W"]["mean"]
+
+
+class TestInputContract:
+    @pytest.mark.parametrize("which", ["cond", "dep"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_fit_ht_rejects_non_finite(self, which, bad):
+        u1, u2 = gen_gaussian_copula_pair(5_000, 0.5, seed=11)
+        yc, yd = laplace_margins(u1), laplace_margins(u2)
+        target = yc if which == "cond" else yd
+        target[int(np.argmax(yc))] = bad
+        with pytest.raises(DataError):
+            fit_ht(yc, yd, 0.95)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_fit_marginal_rejects_non_finite(self, bad):
+        x = np.random.default_rng(12).standard_normal(1_000)
+        x[5] = bad
+        with pytest.raises(DataError):
+            fit_marginal(x, 0.95)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eegx import (
+    DataError,
     DomainError,
     FitError,
     GpdFit,
@@ -178,7 +179,7 @@ class TestFitGpd:
 
     def test_deterministic(self):
         y = gen_gpd(1_000, 1.0, 0.3, seed=12)
-        f1, f2 = fit_gpd(y, seed=5), fit_gpd(y, seed=5)
+        f1, f2 = fit_gpd(y), fit_gpd(y)
         assert (f1.sigma, f1.xi, f1.nll) == (f2.sigma, f2.xi, f2.nll)
 
 
@@ -229,6 +230,26 @@ class TestFitChannelTail:
         from scipy.signal import lfilter
 
         x = lfilter([1.0], [1.0, -0.95], rng.standard_normal(50_000))
-        fit_r1 = fit_channel_tail(x, 0.95, run_length_r=1, seed=0)
-        fit_r50 = fit_channel_tail(x, 0.95, run_length_r=50, seed=0)
+        fit_r1 = fit_channel_tail(x, 0.95, run_length_r=1)
+        fit_r50 = fit_channel_tail(x, 0.95, run_length_r=50)
         assert fit_r50.n_exceed < fit_r1.n_exceed
+
+
+class TestInputContract:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_channel_tail_rejects_non_finite(self, bad):
+        x = gen_exponential(1_000, 1.0, seed=15)
+        x[10] = bad
+        with pytest.raises(DataError):
+            fit_channel_tail(x, 0.95)
+
+    def test_channel_tail_rejects_empty(self):
+        with pytest.raises(SizeError):
+            fit_channel_tail(np.array([]))
+
+    @pytest.mark.parametrize("m,obs", [(np.nan, 1.0), (np.inf, 1.0), (1e4, np.nan)])
+    def test_return_level_rejects_non_finite(self, m, obs):
+        fit = GpdFit(threshold_u=0.0, sigma=1.0, xi=0.1, zeta_u=0.01, n_exceed=100,
+                     se_sigma=0.1, se_xi=0.01, nll=0.0)
+        with pytest.raises(UsageError):
+            return_level(fit, m, obs_per_unit=obs)
