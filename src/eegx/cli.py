@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -28,44 +26,30 @@ from ._svg import heatmap_svg
 from .errors import EegxError, FitError, UsageError, ValidationError
 
 
-def _fmt(v) -> str:
-    """Deterministic cell rendering for CSV output."""
-    if isinstance(v, float):
-        return repr(v)
-    if isinstance(v, (np.floating,)):
-        return repr(float(v))
-    if isinstance(v, (np.integer,)):
-        return str(int(v))
-    return str(v)
-
-
-def _write_atomic(path: Path, text: str) -> Path:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-    return path
-
-
 def _emit(path: Path, text: str) -> Path:
-    _write_atomic(path, text)
+    sio.write_text_atomic(path, (text,))
     print(f"wrote {path}")
     return path
 
 
-def _csv(rows: list[dict], columns: list[str]) -> str:
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_fmt(row[c]) for c in columns))
-    return "\n".join(lines) + "\n"
+def _emit_matrices(paths: list[Path], channels, matrices) -> list[Path]:
+    sio.write_matrices_csv(paths, channels, matrices)
+    for p in paths:
+        print(f"wrote {p}")
+    return paths
+
+
+def _csv(columns: dict) -> str:
+    """CSV text from equal-length named columns. Each cell is ``str`` of
+    its column's ``tolist()`` entry: floats by their shortest ``repr``
+    (exact on reload, ``nan`` for NaN), integers and labels as they are."""
+    cells = [map(str, np.asarray(col).tolist()) for col in columns.values()]
+    return "\n".join([",".join(columns), *map(",".join, zip(*cells))]) + "\n"
+
+
+def _row_columns(rows: list[dict], columns: list[str]) -> dict:
+    """Row dicts as the column lists ``_csv`` takes."""
+    return {c: [row[c] for row in rows] for c in columns}
 
 
 def _json_text(obj) -> str:
@@ -148,11 +132,9 @@ def cmd_simulate(args) -> int:
         rec = sio.EegRecording(channels=("y",), fs=1.0, data=result[:, None])
 
     out = Path(args.out)
-    _write_atomic(out, sio.recording_to_csv(rec))
+    _emit_matrices([out], rec.channels, [rec.data])
     meta = {"fs": rec.fs, "onset_index": rec.onset_index}
-    _write_atomic(sio.sidecar_path(out), _json_text(meta))
-    print(f"wrote {out}")
-    print(f"wrote {sio.sidecar_path(out)}")
+    _emit(sio.sidecar_path(out), _json_text(meta))
     return 0
 
 
@@ -161,8 +143,8 @@ def cmd_decompose(args) -> int:
     deco = pp.decompose_bands(rec, order=args.order)
     outdir = Path(args.outdir)
     stem = _stem(args)
-    for band_id, matrix in deco.bands.items():
-        _emit(outdir / f"{stem}.{band_id}.csv", sio.matrix_to_csv(rec.channels, matrix))
+    paths = [outdir / f"{stem}.{band_id}.csv" for band_id in deco.bands]
+    _emit_matrices(paths, rec.channels, deco.bands.values())
     if deco.omitted:
         print(f"bands omitted (infeasible at fs={rec.fs:g}): {list(deco.omitted)}")
     return 0
@@ -180,11 +162,10 @@ def cmd_spectrum(args) -> int:
         else:
             seg = min(rec.n_samples, max(2, int(round(args.seg_seconds * rec.fs))))
             est = sp.welch(x, rec.fs, seg_len=seg, overlap=args.overlap)
-        rows = [
-            {"freq_hz": f, "power": p}
-            for f, p in zip(est.freqs_hz.tolist(), est.power.tolist())
-        ]
-        _emit(outdir / f"{stem}.{name}.spectrum.csv", _csv(rows, ["freq_hz", "power"]))
+        _emit(
+            outdir / f"{stem}.{name}.spectrum.csv",
+            _csv({"freq_hz": est.freqs_hz, "power": est.power}),
+        )
         entry = {"channel": name}
         for band in pp.DEFAULT_BANDS:
             try:
@@ -193,7 +174,7 @@ def cmd_spectrum(args) -> int:
                 entry[band.id] = float("nan")
         band_rows.append(entry)
     cols = ["channel"] + [b.id for b in pp.DEFAULT_BANDS]
-    _emit(outdir / f"{stem}.bandpower.csv", _csv(band_rows, cols))
+    _emit(outdir / f"{stem}.bandpower.csv", _csv(_row_columns(band_rows, cols)))
     return 0
 
 
@@ -212,31 +193,17 @@ def _gpd_fit_payload(fit: evt.GpdFit, channel: str, band: str | None) -> dict:
     }
 
 
-def _diag_rows(diag: evt.ThresholdDiagnostics, kind: str) -> list[dict]:
-    rows = []
-    for j, u in enumerate(diag.grid.tolist()):
-        if kind == "mrl":
-            rows.append(
-                {
-                    "threshold": u,
-                    "mrl": float(diag.mrl[j]),
-                    "mrl_lo": float(diag.mrl_lo[j]),
-                    "mrl_hi": float(diag.mrl_hi[j]),
-                    "n_exceed": int(diag.n_exceed[j]),
-                }
-            )
-        else:
-            rows.append(
-                {
-                    "threshold": u,
-                    "xi": float(diag.xi[j]),
-                    "xi_se": float(diag.xi_se[j]),
-                    "sigma_star": float(diag.sigma_star[j]),
-                    "sigma_star_se": float(diag.sigma_star_se[j]),
-                    "n_exceed": int(diag.n_exceed[j]),
-                }
-            )
-    return rows
+def _diag_columns(diag: evt.ThresholdDiagnostics, kind: str) -> dict:
+    if kind == "mrl":
+        cols = {"mrl": diag.mrl, "mrl_lo": diag.mrl_lo, "mrl_hi": diag.mrl_hi}
+    else:
+        cols = {
+            "xi": diag.xi,
+            "xi_se": diag.xi_se,
+            "sigma_star": diag.sigma_star,
+            "sigma_star_se": diag.sigma_star_se,
+        }
+    return {"threshold": diag.grid, **cols, "n_exceed": diag.n_exceed}
 
 
 def cmd_fit_gpd(args) -> int:
@@ -266,52 +233,27 @@ def cmd_fit_gpd(args) -> int:
             grid = np.unique(grid)
             mrl = evt.mean_residual_life(x, grid)
             stab = evt.parameter_stability(x, grid)
-            _emit(
-                outdir / f"{stem}.mrl.{name}{tag}.csv",
-                _csv(_diag_rows(mrl, "mrl"), ["threshold", "mrl", "mrl_lo", "mrl_hi", "n_exceed"]),
-            )
+            _emit(outdir / f"{stem}.mrl.{name}{tag}.csv", _csv(_diag_columns(mrl, "mrl")))
             _emit(
                 outdir / f"{stem}.stability.{name}{tag}.csv",
-                _csv(
-                    _diag_rows(stab, "stab"),
-                    ["threshold", "xi", "xi_se", "sigma_star", "sigma_star_se", "n_exceed"],
-                ),
+                _csv(_diag_columns(stab, "stab")),
             )
     return 0
 
 
-_CHI_COLUMNS = [
-    "channel_a",
-    "channel_b",
-    "u",
-    "chi",
-    "chi_lo",
-    "chi_hi",
-    "chibar",
-    "chibar_lo",
-    "chibar_hi",
-    "n_joint",
-]
-
-
-def _chi_rows(cm: ed.ChiMatrix) -> list[dict]:
-    rows = []
-    for est in cm.estimates:
-        rows.append(
-            {
-                "channel_a": est.pair[0],
-                "channel_b": est.pair[1],
-                "u": est.u,
-                "chi": est.chi,
-                "chi_lo": est.ci_chi[0],
-                "chi_hi": est.ci_chi[1],
-                "chibar": est.chibar,
-                "chibar_lo": est.ci_chibar[0],
-                "chibar_hi": est.ci_chibar[1],
-                "n_joint": est.n_eff,
-            }
-        )
-    return rows
+def _chi_columns(estimates: list[ed.ChiEstimate]) -> dict:
+    return {
+        "channel_a": [e.pair[0] for e in estimates],
+        "channel_b": [e.pair[1] for e in estimates],
+        "u": [e.u for e in estimates],
+        "chi": [e.chi for e in estimates],
+        "chi_lo": [e.ci_chi[0] for e in estimates],
+        "chi_hi": [e.ci_chi[1] for e in estimates],
+        "chibar": [e.chibar for e in estimates],
+        "chibar_lo": [e.ci_chibar[0] for e in estimates],
+        "chibar_hi": [e.ci_chibar[1] for e in estimates],
+        "n_joint": [e.n_eff for e in estimates],
+    }
 
 
 def _write_chi(
@@ -319,13 +261,13 @@ def _write_chi(
 ) -> list[Path]:
     """Chi at every level from one bootstrap: ``<prefix>.u<u>.svg`` per
     level, then all levels' rows in ``<prefix>.csv``."""
-    rows = []
+    estimates = []
     paths = []
     for cm in ed.chi_matrices(view, levels, n_boot=n_boot, seed=seed):
-        rows.extend(_chi_rows(cm))
+        estimates.extend(cm.estimates)
         svg = heatmap_svg(cm.chi_values, cm.channels, f"chi(u={cm.u:g}){title_suffix}")
         paths.append(_emit(prefix.with_name(f"{prefix.name}.u{cm.u:g}.svg"), svg))
-    paths.append(_emit(prefix.with_name(f"{prefix.name}.csv"), _csv(rows, _CHI_COLUMNS)))
+    paths.append(_emit(prefix.with_name(f"{prefix.name}.csv"), _csv(_chi_columns(estimates))))
     return paths
 
 
@@ -353,21 +295,17 @@ def _ht_payload(fit: ce.HtFit) -> dict:
     }
 
 
-def _residual_rows(fits: dict[str, ce.HtFit]) -> tuple[list[dict], list[str]]:
-    deps = list(fits)
-    first = fits[deps[0]]
+def _residual_columns(fits: dict[str, ce.HtFit]) -> dict:
+    first = next(iter(fits.values()))
     idx = (
         first.exceed_indices
         if first.exceed_indices is not None
         else np.arange(first.n_exceed)
     )
-    rows = []
-    for r in range(first.n_exceed):
-        row = {"exceed_index": int(idx[r])}
-        for d in deps:
-            row[d] = float(fits[d].residuals_z[r])
-        rows.append(row)
-    return rows, ["exceed_index"] + deps
+    return {
+        "exceed_index": np.asarray(idx, dtype=int),
+        **{d: fit.residuals_z for d, fit in fits.items()},
+    }
 
 
 def cmd_ht_fit(args) -> int:
@@ -384,9 +322,13 @@ def cmd_ht_fit(args) -> int:
     )
     for dep, fit in fits.items():
         _emit(outdir / f"{stem}.ht.{tag}.{dep}.json", _json_text(_ht_payload(fit)))
-    rows, cols = _residual_rows(fits)
-    _emit(outdir / f"{stem}.ht.{tag}.residuals.csv", _csv(rows, cols))
+    _emit(outdir / f"{stem}.ht.{tag}.residuals.csv", _csv(_residual_columns(fits)))
     return 0
+
+
+def _summary_csv(sample: ce.ConditionalSample) -> str:
+    cols = ["channel", "scale", "mean", "median", "q05", "q95"]
+    return _csv(_row_columns(ce.conditional_summary(sample), cols))
 
 
 def cmd_ht_sim(args) -> int:
@@ -410,27 +352,14 @@ def cmd_ht_sim(args) -> int:
         dep_transforms=transforms,
     )
     deps = list(sample.dep_channels)
-    draw_rows = []
-    for i in range(args.n):
-        row = {"cond_laplace": float(sample.cond_draws[i])}
-        for k, d in enumerate(deps):
-            row[f"{d}_laplace"] = float(sample.draws[i, k])
-        row["cond_data"] = float(sample.cond_back_transformed[i])
-        for k, d in enumerate(deps):
-            row[f"{d}_data"] = float(sample.back_transformed[i, k])
-        draw_rows.append(row)
-    cols = (
-        ["cond_laplace"]
-        + [f"{d}_laplace" for d in deps]
-        + ["cond_data"]
-        + [f"{d}_data" for d in deps]
-    )
-    _emit(outdir / f"{stem}.htsim.{tag}.draws.csv", _csv(draw_rows, cols))
-    summary = ce.conditional_summary(sample)
-    _emit(
-        outdir / f"{stem}.htsim.{tag}.summary.csv",
-        _csv(summary, ["channel", "scale", "mean", "median", "q05", "q95"]),
-    )
+    draws = {
+        "cond_laplace": sample.cond_draws,
+        **{f"{d}_laplace": sample.draws[:, k] for k, d in enumerate(deps)},
+        "cond_data": sample.cond_back_transformed,
+        **{f"{d}_data": sample.back_transformed[:, k] for k, d in enumerate(deps)},
+    }
+    _emit(outdir / f"{stem}.htsim.{tag}.draws.csv", _csv(draws))
+    _emit(outdir / f"{stem}.htsim.{tag}.summary.csv", _summary_csv(sample))
     return 0
 
 
@@ -460,8 +389,8 @@ def cmd_report(args) -> int:
         entry = {"name": name, "params": params, "outputs": [], "status": "ok"}
         try:
             entry["outputs"] = fn()
-        except EegxError as exc:
-            entry["status"] = f"error: {exc}"
+        except Exception as exc:  # recorded, so the manifest is still written
+            entry["status"] = f"error: {type(exc).__name__}: {exc}"
             failed = True
         stages.append(entry)
 
@@ -474,11 +403,8 @@ def cmd_report(args) -> int:
     def _stage_decompose():
         deco = pp.decompose_bands(rec, order=args.order)
         deco_holder["deco"] = deco
-        outputs = []
-        for band_id, matrix in deco.bands.items():
-            text = sio.matrix_to_csv(rec.channels, matrix)
-            outputs.append(_rel(_emit(outdir / "bands" / f"{band_id}.csv", text)))
-        return outputs
+        paths = [outdir / "bands" / f"{band_id}.csv" for band_id in deco.bands]
+        return [_rel(p) for p in _emit_matrices(paths, rec.channels, deco.bands.values())]
 
     _run_stage("decompose", {"order": args.order, "omitting_infeasible": True}, _stage_decompose)
 
@@ -556,8 +482,7 @@ def cmd_report(args) -> int:
                     _json_text(_ht_payload(fit)),
                 )
                 outputs.append(_rel(p))
-            rows, cols = _residual_rows(fits)
-            p = _emit(outdir / "ht" / f"{tag}.residuals.csv", _csv(rows, cols))
+            p = _emit(outdir / "ht" / f"{tag}.residuals.csv", _csv(_residual_columns(fits)))
             outputs.append(_rel(p))
         return outputs
 
@@ -583,11 +508,7 @@ def cmd_report(args) -> int:
                 cond_transform=transforms[cond_channel],
                 dep_transforms=transforms,
             )
-            summary = ce.conditional_summary(sample)
-            p = _emit(
-                outdir / "sim" / f"{tag}.summary.csv",
-                _csv(summary, ["channel", "scale", "mean", "median", "q05", "q95"]),
-            )
+            p = _emit(outdir / "sim" / f"{tag}.summary.csv", _summary_csv(sample))
             outputs.append(_rel(p))
         return outputs
 

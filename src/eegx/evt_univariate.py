@@ -112,6 +112,16 @@ def gpd_nll_exponential(sigma: float, excesses: np.ndarray) -> float:
     return excesses.size * np.log(sigma) + excesses.sum() / sigma
 
 
+def _tau_curvature(tau_hat, xi, excesses):
+    """Central second difference of the NLL in tau = log(sigma) at fixed xi."""
+
+    def f(tau):
+        return gpd_nll(np.exp(tau), xi, excesses)
+
+    h = _HESS_STEP
+    return (f(tau_hat + h) - 2 * f(tau_hat) + f(tau_hat - h)) / h**2
+
+
 def _hessian_cov(tau_hat, xi_hat, excesses):
     """Covariance of (sigma, xi) from a finite-difference Hessian on (tau, xi)."""
 
@@ -120,7 +130,7 @@ def _hessian_cov(tau_hat, xi_hat, excesses):
 
     h = _HESS_STEP
     f0 = f(tau_hat, xi_hat)
-    ftt = (f(tau_hat + h, xi_hat) - 2 * f0 + f(tau_hat - h, xi_hat)) / h**2
+    ftt = _tau_curvature(tau_hat, xi_hat, excesses)
     fxx = (f(tau_hat, xi_hat + h) - 2 * f0 + f(tau_hat, xi_hat - h)) / h**2
     ftx = (
         f(tau_hat + h, xi_hat + h)
@@ -188,7 +198,10 @@ def fit_gpd(
     that range and a bounded Brent search around its best cell find the
     interior optimum. A 1-D fit of sigma with xi fixed at ``XI_LOWER``
     covers the boundary, and the lower NLL wins. Deterministic; standard
-    errors come from the numerically inverted Hessian.
+    errors come from the numerically inverted Hessian. On the boundary
+    the xi-gradient is not zero, so that Hessian describes no optimum:
+    ``se_sigma`` then comes from the curvature in sigma alone at fixed
+    xi, ``se_xi`` is NaN and ``cov_sigma_xi`` is None.
 
     Raises
     ------
@@ -241,11 +254,15 @@ def fit_gpd(
         xi_hat = 0.0
     if xi_hat <= XI_LOWER + 1e-6:
         warnings.warn(
-            f"GPD shape estimate on the boundary xi = {XI_LOWER}", stacklevel=2
+            f"GPD shape estimate on the boundary xi = {XI_LOWER}: se_xi undefined, "
+            "se_sigma from the curvature in sigma at fixed xi",
+            stacklevel=2,
         )
-
-    cov = _hessian_cov(np.log(sigma_hat), xi_hat, y)
-    if cov is None:
+        ftt = _tau_curvature(np.log(sigma_hat), xi_hat, y)
+        cov = None
+        se_sigma = float(sigma_hat / np.sqrt(ftt)) if 0 < ftt < np.inf else float("nan")
+        se_xi = float("nan")
+    elif (cov := _hessian_cov(np.log(sigma_hat), xi_hat, y)) is None:
         warnings.warn("GPD Hessian not invertible; standard errors unavailable", stacklevel=2)
         se_sigma = se_xi = float("nan")
     else:

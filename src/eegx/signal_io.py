@@ -3,12 +3,19 @@
 File format: header-bearing CSV of raw amplitudes (UTF-8, comma
 separated, '.' decimal). Sampling rate and onset index live outside the
 CSV, either passed by the caller or read from an optional JSON sidecar
-``<path>.meta.json`` with keys ``fs`` and ``onset_index``.
+``<path>.meta.json`` with keys ``fs`` and ``onset_index``. Matrices are
+written by ``write_matrices_csv``, which formats row chunks on every
+usable core and streams them, in order, into atomically replaced files.
 """
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import json
+import os
+import tempfile
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,6 +30,9 @@ from .errors import (
 )
 
 ChannelLabel = str
+
+#: Rows per chunk handed to one worker when writing matrices as CSV.
+CSV_CHUNK_ROWS = 5_000
 
 
 @dataclass(frozen=True)
@@ -246,7 +256,7 @@ def save_recording(
     Floats are written with ``repr``, so load -> save -> load is exact.
     """
     p = Path(path)
-    p.write_text(recording_to_csv(rec), encoding="utf-8")
+    write_matrices_csv([p], rec.channels, [rec.data])
     if write_sidecar:
         meta = {"fs": rec.fs, "onset_index": rec.onset_index}
         sidecar_path(p).write_text(
@@ -255,19 +265,97 @@ def save_recording(
     return p
 
 
+def _rows_text(block: np.ndarray) -> str:
+    """CSV rows of a 2-D float block, every value written by ``repr``
+    (exact on reload), each row ending in a newline."""
+    return "".join([",".join(map(repr, row)) + "\n" for row in block.tolist()])
+
+
 def matrix_to_csv(channels: tuple[ChannelLabel, ...], data: np.ndarray) -> str:
     """Render a (T, C) matrix as CSV text: a header of channel names, then
     one row per sample with every float written by ``repr`` (exact on
     reload)."""
-    lines = [",".join(channels)]
-    for row in data:
-        lines.append(",".join(repr(float(v)) for v in row))
-    return "\n".join(lines) + "\n"
+    return ",".join(channels) + "\n" + _rows_text(np.asarray(data, dtype=float))
 
 
 def recording_to_csv(rec: EegRecording) -> str:
     """Render the recording as CSV text (header + one row per sample)."""
     return matrix_to_csv(rec.channels, rec.data)
+
+
+def write_text_atomic(path: str | Path, parts: Iterable[str]) -> Path:
+    """Write the strings of ``parts`` to ``path`` in order through a temp
+    file in the same directory, renamed into place at the end; on any
+    failure the temp file is removed and ``path`` is left as it was."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            for part in parts:
+                fh.write(part)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+    return path
+
+
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def write_matrices_csv(
+    paths: Iterable[str | Path],
+    channels: tuple[ChannelLabel, ...],
+    matrices: Iterable[np.ndarray],
+) -> list[Path]:
+    """Write each (T, C) matrix to its path as ``matrix_to_csv`` text.
+
+    The rows are cut into chunks of ``CSV_CHUNK_ROWS``, formatted by
+    ``_rows_text`` on every usable core (a fork process pool; in-process
+    when there is one core, one chunk, or no ``fork``), and streamed in
+    order into each file, which is written atomically. The bytes do not
+    depend on how the chunks were formatted.
+    """
+    paths = [Path(p) for p in paths]
+    mats = [np.asarray(m, dtype=float) for m in matrices]
+    if len(paths) != len(mats):
+        raise UsageError(f"{len(paths)} paths for {len(mats)} matrices")
+    header = ",".join(channels) + "\n"
+    chunks = [
+        m[i : i + CSV_CHUNK_ROWS] for m in mats for i in range(0, len(m), CSV_CHUNK_ROWS)
+    ]
+    with contextlib.closing(_chunk_texts(chunks)) as texts:
+        for path, m in zip(paths, mats):
+            n_chunks = -(-len(m) // CSV_CHUNK_ROWS)
+            write_text_atomic(path, itertools.chain([header], itertools.islice(texts, n_chunks)))
+    return paths
+
+
+def _chunk_texts(chunks: list[np.ndarray]):
+    """Yield ``_rows_text`` of every chunk, in order; closing the
+    generator stops the pool."""
+    workers = min(_usable_cores(), len(chunks))
+    if workers > 1:
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+
+            # fork, not spawn: a spawned worker imports numpy and eegx
+            # afresh, which costs more than the formatting it takes over.
+            # The executor forks every worker before it starts its own
+            # thread, and the workers only run _rows_text.
+            ctx = multiprocessing.get_context("fork")
+            with ProcessPoolExecutor(workers, mp_context=ctx) as pool:
+                yield from pool.map(_rows_text, chunks)
+            return
+    yield from map(_rows_text, chunks)
 
 
 def split_at_onset(rec: EegRecording) -> EpochPair:

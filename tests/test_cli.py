@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from eegx import gen_synthetic_eeg, save_recording
+from eegx import cli, gen_synthetic_eeg, save_recording
 from eegx.cli import main
 
 
@@ -167,6 +167,20 @@ class TestReport:
         for stage in manifest["stages"]:
             for rel in stage["outputs"]:
                 assert (out / rel).exists()
+
+    def test_stage_crash_still_writes_manifest(self, rec_csv, tmp_path, monkeypatch):
+        def crash(*args, **kwargs):
+            raise RuntimeError("worker died")
+
+        monkeypatch.setattr(cli, "_write_chi", crash)
+        out = tmp_path / "report"
+        rc = run(["report", "--input", rec_csv, "--cond-channel", "T3",
+                  "--n-boot", "5", "--n-sim", "200", "--outdir", out])
+        assert rc == 1
+        manifest = json.loads((out / "manifest.json").read_text())
+        status = {s["name"]: s["status"] for s in manifest["stages"]}
+        assert status.pop("chi") == "error: RuntimeError: worker died"
+        assert set(status.values()) == {"ok"}
 
     def test_report_requires_onset(self, tmp_path):
         rec = gen_synthetic_eeg(2, 2_000, 0.5, seed=0)

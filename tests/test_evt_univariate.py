@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -206,6 +208,42 @@ class TestReturnLevel:
         fit = self.make_fit(0.0, 1.0, 0.0, 0.01)
         with pytest.raises(DomainError):
             return_level(fit, 100)  # m * zeta == 1
+
+
+class TestBoundaryStandardErrors:
+    """On xi = -0.5 the (tau, xi) Hessian describes no optimum: se_sigma
+    comes from the sigma-only curvature, se_xi is undefined."""
+
+    def _fit(self, y):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fit = fit_gpd(y)
+        return fit, [str(w.message) for w in caught]
+
+    def test_constant_excesses(self):
+        # NLL(tau) = n*tau - n*log(1 - exp(-tau)/2): minimum at tau = 0,
+        # curvature 2n there, so se_sigma = 1/sqrt(2n)
+        fit, messages = self._fit(np.ones(20))
+        assert fit.xi == -0.5
+        assert fit.se_sigma == pytest.approx(1 / np.sqrt(40), rel=1e-4)
+        assert np.isnan(fit.se_xi)
+        assert fit.cov_sigma_xi is None
+        assert len(messages) == 1 and "boundary" in messages[0]
+
+    def test_uniform_excesses(self):
+        y = np.random.default_rng(0).uniform(0.0, 1.0, 200)
+        fit, messages = self._fit(y)
+        assert fit.xi == -0.5
+        assert 0 < fit.se_sigma < fit.sigma
+        assert np.isnan(fit.se_xi)
+        assert len(messages) == 1 and "se_xi undefined" in messages[0]
+
+    def test_interior_fit_keeps_hessian(self):
+        fit, messages = self._fit(gen_gpd(2_000, 1.0, 0.2, seed=5))
+        assert not messages
+        assert fit.cov_sigma_xi is not None
+        assert fit.se_sigma == np.sqrt(fit.cov_sigma_xi[0, 0])
+        assert fit.se_xi == np.sqrt(fit.cov_sigma_xi[1, 1])
 
 
 class TestFitChannelTail:

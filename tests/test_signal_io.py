@@ -1,10 +1,18 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+import eegx
+from eegx import signal_io as sio
 from eegx import (
     ChannelLookupError,
     DataError,
@@ -217,3 +225,117 @@ class TestSplitSelect:
         b = select_channels(split_at_onset(rec).pre, ["C2", "C0"])
         assert np.array_equal(a.data, b.data)
         assert a.channels == b.channels
+
+
+def _reference_csv(channels, data) -> str:
+    """The per-value ``repr`` loop the chunked writer replaced."""
+    lines = [",".join(channels)]
+    for row in data:
+        lines.append(",".join(repr(float(v)) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+_EDGE_FLOATS = [-0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+_SENTINEL = 12345.5  # first value of the chunk _failing_rows_text refuses
+_rows_text = sio._rows_text
+
+
+def _failing_rows_text(block):
+    # module level, so the pool can pickle it by name
+    if block[0, 0] == _SENTINEL:
+        raise RuntimeError("formatting failed")
+    return _rows_text(block)
+
+
+def _matrices(max_rows):
+    return st.integers(1, 4).flatmap(
+        lambda c: hnp.arrays(
+            float,
+            st.tuples(st.integers(1, max_rows), st.just(c)),
+            elements=st.one_of(
+                st.sampled_from(_EDGE_FLOATS),
+                st.floats(allow_nan=False, allow_infinity=False),
+            ),
+        )
+    )
+
+
+def _channels(n):
+    return tuple(f"C{i}" for i in range(n))
+
+
+def _lines(path):
+    # compared as line lists: pytest reports the first differing line
+    # instead of diffing two long strings
+    return path.read_bytes().splitlines(keepends=True)
+
+
+def _reference_lines(channels, data):
+    return _reference_csv(channels, data).encode().splitlines(keepends=True)
+
+
+class TestMatrixCsvWriter:
+    @given(data=_matrices(10), cores=st.sampled_from([1, 2]))
+    @settings(max_examples=40, deadline=None)
+    def test_bytes_match_reference(self, data, cores, tmp_path_factory):
+        # chunks of 3 rows: 1-10 rows cover one, several and partial chunks
+        channels = _channels(data.shape[1])
+        path = tmp_path_factory.mktemp("w") / "m.csv"
+        with mock.patch.object(sio, "CSV_CHUNK_ROWS", 3), \
+                mock.patch.object(sio, "_usable_cores", lambda: cores):
+            sio.write_matrices_csv([path], channels, [data])
+        want = _reference_csv(channels, data)
+        assert sio.matrix_to_csv(channels, data) == want
+        assert path.read_bytes() == want.encode()
+
+    @pytest.mark.parametrize("rows", [1, sio.CSV_CHUNK_ROWS - 1, sio.CSV_CHUNK_ROWS,
+                                      sio.CSV_CHUNK_ROWS + 1])
+    @pytest.mark.parametrize("cols", [1, 3])
+    def test_chunk_edges(self, rows, cols, tmp_path):
+        data = np.random.default_rng(rows).standard_normal((rows, cols))
+        data[0, 0] = _EDGE_FLOATS[rows % len(_EDGE_FLOATS)]
+        paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        sio.write_matrices_csv(paths, _channels(cols), [data, data[::-1]])
+        assert _lines(paths[0]) == _reference_lines(_channels(cols), data)
+        assert _lines(paths[1]) == _reference_lines(_channels(cols), data[::-1])
+
+    def test_pooled_equals_in_process(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sio, "CSV_CHUNK_ROWS", 7)
+        mats = [np.random.default_rng(k).standard_normal((50 + k, 3)) for k in range(3)]
+        files = {}
+        for cores in (1, 2):
+            monkeypatch.setattr(sio, "_usable_cores", lambda: cores)
+            paths = [tmp_path / f"{cores}.{k}.csv" for k in range(3)]
+            sio.write_matrices_csv(paths, _channels(3), mats)
+            files[cores] = [p.read_bytes() for p in paths]
+        assert files[1] == files[2]
+
+    @given(data=_matrices(8))
+    @settings(max_examples=30, deadline=None)
+    def test_round_trip_exact(self, data, tmp_path_factory):
+        data = np.vstack([data, data])  # a recording needs two samples
+        rec = EegRecording(channels=_channels(data.shape[1]), fs=250.0, data=data)
+        path = tmp_path_factory.mktemp("rt") / "r.csv"
+        with mock.patch.object(sio, "CSV_CHUNK_ROWS", 3), \
+                mock.patch.object(sio, "_usable_cores", lambda: 1):
+            save_recording(rec, path)
+        back = load_recording(path)
+        assert np.array_equal(back.data, data)
+        assert np.array_equal(np.signbit(back.data), np.signbit(data))
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_failure_leaves_no_file(self, cores, tmp_path, monkeypatch):
+        monkeypatch.setattr(sio, "CSV_CHUNK_ROWS", 3)
+        monkeypatch.setattr(sio, "_usable_cores", lambda: cores)
+        monkeypatch.setattr(sio, "_rows_text", _failing_rows_text)
+        data = np.arange(24.0).reshape(12, 2)
+        data[6, 0] = _SENTINEL  # first row of the third chunk
+        with pytest.raises(RuntimeError, match="formatting failed"):
+            sio.write_matrices_csv([tmp_path / "m.csv"], _channels(2), [data])
+        assert list(tmp_path.iterdir()) == []
+
+    def test_import_does_not_load_multiprocessing(self):
+        src = Path(eegx.__file__).resolve().parents[1]
+        code = "import sys, eegx, eegx.cli; sys.exit('multiprocessing' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
