@@ -65,14 +65,31 @@ def _sanitize_float(x: float):
 # input plumbing
 
 
+def _samples(seconds: float, fs: float, flag: str) -> int:
+    """``seconds`` at ``fs`` Hz as a whole number of samples."""
+    n = seconds * fs
+    if not np.isfinite(n):
+        raise UsageError(f"{flag} {seconds:g} at fs={fs:g} Hz is not a finite sample count")
+    return int(round(n))
+
+
 def _resolve_onset(args, fs: float) -> int | None:
     onset = getattr(args, "onset", None)
     onset_seconds = getattr(args, "onset_seconds", None)
     if onset is not None and onset_seconds is not None:
         raise UsageError("pass either --onset or --onset-seconds, not both")
     if onset_seconds is not None:
-        return int(round(fs * onset_seconds))
+        return _samples(onset_seconds, fs, "--onset-seconds")
     return onset
+
+
+def _run_length(args, fs: float) -> int:
+    """Declustering run length: ``--run-length``, by default half a second."""
+    if args.run_length is None:
+        return max(1, int(round(fs / 2)))
+    if args.run_length < 1:
+        raise UsageError(f"--run-length must be at least 1, got {args.run_length}")
+    return args.run_length
 
 
 def _load_input(args) -> sio.EegRecording:
@@ -88,15 +105,120 @@ def _load_input(args) -> sio.EegRecording:
     return sio.load_recording(args.input, fs=fs, onset_index=onset)
 
 
-def _epoch_view(rec: sio.EegRecording, epoch: str) -> sio.EegRecording:
-    if epoch == "all":
+def _load_epoch(args) -> sio.EegRecording:
+    rec = _load_input(args)
+    if args.epoch == "all":
         return rec
     pair = sio.split_at_onset(rec)
-    return pair.pre if epoch == "pre" else pair.post
+    return pair.pre if args.epoch == "pre" else pair.post
 
 
-def _stem(args) -> str:
-    return Path(args.input).stem
+def _prefix(args) -> Path:
+    """``<outdir>/<input stem>``, which the subcommands' output names extend."""
+    return Path(args.outdir) / Path(args.input).stem
+
+
+# ---------------------------------------------------------------------------
+# stage writers: one per artifact, called by its subcommand and by report.
+# Each returns (what it computed, the paths it wrote).
+
+
+def _write_bands(rec: sio.EegRecording, order: int, directory: Path, stem: str):
+    """Band-passed channels, ``<directory>/<stem><band>.csv`` per feasible band."""
+    deco = pp.decompose_bands(rec, order=order)
+    paths = [directory / f"{stem}{band_id}.csv" for band_id in deco.bands]
+    return deco, _emit_matrices(paths, rec.channels, deco.bands.values())
+
+
+def _write_gpd_fit(x, threshold_quantile, run_length: int, channel, band, path: Path):
+    """Declustered GPD fit to the upper tail of ``x``, as JSON at ``path``."""
+    fit = evt.fit_channel_tail(x, threshold_quantile, run_length)
+    payload = {
+        "channel": channel,
+        "band": band,
+        "u": fit.threshold_u,
+        "sigma": fit.sigma,
+        "xi": fit.xi,
+        "zeta_u": fit.zeta_u,
+        "n_exceed": fit.n_exceed,
+        "se_sigma": _sanitize_float(fit.se_sigma),
+        "se_xi": _sanitize_float(fit.se_xi),
+        "nll": fit.nll,
+    }
+    return fit, [_emit(path, _json_text(payload))]
+
+
+def _write_chi(view, levels, n_boot: int, seed: int, prefix: Path, title_suffix: str):
+    """Chi at every level from one bootstrap: ``<prefix>.u<u>.svg`` per
+    level, then all levels' rows in ``<prefix>.csv``."""
+    matrices = ed.chi_matrices(view, levels, n_boot=n_boot, seed=seed)
+    paths = []
+    for cm in matrices:
+        svg = heatmap_svg(cm.chi_values, cm.channels, f"chi(u={cm.u:g}){title_suffix}")
+        paths.append(_emit(Path(f"{prefix}.u{cm.u:g}.svg"), svg))
+    estimates = [e for cm in matrices for e in cm.estimates]
+    columns = {
+        "channel_a": [e.pair[0] for e in estimates],
+        "channel_b": [e.pair[1] for e in estimates],
+        "u": [e.u for e in estimates],
+        "chi": [e.chi for e in estimates],
+        "chi_lo": [e.ci_chi[0] for e in estimates],
+        "chi_hi": [e.ci_chi[1] for e in estimates],
+        "chibar": [e.chibar for e in estimates],
+        "chibar_lo": [e.ci_chibar[0] for e in estimates],
+        "chibar_hi": [e.ci_chibar[1] for e in estimates],
+        "n_joint": [e.n_eff for e in estimates],
+    }
+    paths.append(_emit(Path(f"{prefix}.csv"), _csv(columns)))
+    return matrices, paths
+
+
+def _write_ht_fit(view, cond_channel, cond_quantile, marginal_quantile, prefix: Path):
+    """(fits, transforms) of the conditional model given ``cond_channel``:
+    ``<prefix>.<dep>.json`` per fit, their residuals in ``<prefix>.residuals.csv``."""
+    fits, transforms = ce.conditional_model(
+        view,
+        cond_channel,
+        cond_quantile=cond_quantile,
+        marginal_quantile=marginal_quantile,
+    )
+    paths = []
+    for dep, fit in fits.items():
+        payload = {
+            "cond_channel": fit.cond_channel,
+            "dep_channel": fit.dep_channel,
+            "alpha": fit.alpha,
+            "beta": fit.beta,
+            "mu": fit.mu,
+            "s": fit.s,
+            "n_exceed": fit.n_exceed,
+            "cond_threshold_laplace": fit.cond_threshold_laplace,
+            "nll": fit.nll,
+        }
+        paths.append(_emit(Path(f"{prefix}.{dep}.json"), _json_text(payload)))
+    residuals = {
+        "exceed_index": next(iter(fits.values())).exceed_indices,
+        **{dep: fit.residuals_z for dep, fit in fits.items()},
+    }
+    paths.append(_emit(Path(f"{prefix}.residuals.csv"), _csv(residuals)))
+    return (fits, transforms), paths
+
+
+def _write_ht_sim(model, cond_channel, level, n_sim: int, seed: int, prefix: Path):
+    """Draws from ``model`` = (fits, transforms) given ``cond_channel`` above
+    its ``level`` quantile, summarized in ``<prefix>.summary.csv``."""
+    fits, transforms = model
+    sample = ce.simulate_conditional(
+        list(fits.values()),
+        level_q=level,
+        n_sim=n_sim,
+        seed=seed,
+        cond_transform=transforms[cond_channel],
+        dep_transforms=transforms,
+    )
+    cols = ["channel", "scale", "mean", "median", "q05", "q95"]
+    summary = _csv(_row_columns(ce.conditional_summary(sample), cols))
+    return sample, [_emit(Path(f"{prefix}.summary.csv"), summary)]
 
 
 # ---------------------------------------------------------------------------
@@ -140,11 +262,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_decompose(args) -> int:
     rec = _load_input(args)
-    deco = pp.decompose_bands(rec, order=args.order)
-    outdir = Path(args.outdir)
-    stem = _stem(args)
-    paths = [outdir / f"{stem}.{band_id}.csv" for band_id in deco.bands]
-    _emit_matrices(paths, rec.channels, deco.bands.values())
+    deco, _ = _write_bands(rec, args.order, Path(args.outdir), f"{Path(args.input).stem}.")
     if deco.omitted:
         print(f"bands omitted (infeasible at fs={rec.fs:g}): {list(deco.omitted)}")
     return 0
@@ -152,18 +270,17 @@ def cmd_decompose(args) -> int:
 
 def cmd_spectrum(args) -> int:
     rec = _load_input(args)
-    outdir = Path(args.outdir)
-    stem = _stem(args)
+    prefix = _prefix(args)
     band_rows = []
     for name in rec.channels:
         x = rec.channel(name)
         if args.method == "periodogram":
             est = sp.periodogram(x, rec.fs)
         else:
-            seg = min(rec.n_samples, max(2, int(round(args.seg_seconds * rec.fs))))
+            seg = min(rec.n_samples, _samples(args.seg_seconds, rec.fs, "--seg-seconds"))
             est = sp.welch(x, rec.fs, seg_len=seg, overlap=args.overlap)
         _emit(
-            outdir / f"{stem}.{name}.spectrum.csv",
+            Path(f"{prefix}.{name}.spectrum.csv"),
             _csv({"freq_hz": est.freqs_hz, "power": est.power}),
         )
         entry = {"channel": name}
@@ -174,23 +291,8 @@ def cmd_spectrum(args) -> int:
                 entry[band.id] = float("nan")
         band_rows.append(entry)
     cols = ["channel"] + [b.id for b in pp.DEFAULT_BANDS]
-    _emit(outdir / f"{stem}.bandpower.csv", _csv(_row_columns(band_rows, cols)))
+    _emit(Path(f"{prefix}.bandpower.csv"), _csv(_row_columns(band_rows, cols)))
     return 0
-
-
-def _gpd_fit_payload(fit: evt.GpdFit, channel: str, band: str | None) -> dict:
-    return {
-        "channel": channel,
-        "band": band,
-        "u": fit.threshold_u,
-        "sigma": fit.sigma,
-        "xi": fit.xi,
-        "zeta_u": fit.zeta_u,
-        "n_exceed": fit.n_exceed,
-        "se_sigma": _sanitize_float(fit.se_sigma),
-        "se_xi": _sanitize_float(fit.se_xi),
-        "nll": fit.nll,
-    }
 
 
 def _diag_columns(diag: evt.ThresholdDiagnostics, kind: str) -> dict:
@@ -208,9 +310,8 @@ def _diag_columns(diag: evt.ThresholdDiagnostics, kind: str) -> dict:
 
 def cmd_fit_gpd(args) -> int:
     rec = _load_input(args)
-    outdir = Path(args.outdir)
-    stem = _stem(args)
-    run_length = args.run_length or max(1, int(round(rec.fs / 2)))
+    prefix = _prefix(args)
+    run_length = _run_length(args, rec.fs)
 
     channels = args.channel or list(rec.channels)
     if args.band:
@@ -223,134 +324,47 @@ def cmd_fit_gpd(args) -> int:
 
     for name in channels:
         x = matrix[:, rec.index_of(name)]
-        fit = evt.fit_channel_tail(x, args.threshold_quantile, run_length)
-        _emit(
-            outdir / f"{stem}.gpd.{name}{tag}.json",
-            _json_text(_gpd_fit_payload(fit, name, args.band)),
-        )
+        path = Path(f"{prefix}.gpd.{name}{tag}.json")
+        _write_gpd_fit(x, args.threshold_quantile, run_length, name, args.band, path)
         if not args.no_diagnostics:
             grid = np.quantile(x, np.linspace(0.80, 0.99, 20))
             grid = np.unique(grid)
             mrl = evt.mean_residual_life(x, grid)
             stab = evt.parameter_stability(x, grid)
-            _emit(outdir / f"{stem}.mrl.{name}{tag}.csv", _csv(_diag_columns(mrl, "mrl")))
+            _emit(Path(f"{prefix}.mrl.{name}{tag}.csv"), _csv(_diag_columns(mrl, "mrl")))
             _emit(
-                outdir / f"{stem}.stability.{name}{tag}.csv",
+                Path(f"{prefix}.stability.{name}{tag}.csv"),
                 _csv(_diag_columns(stab, "stab")),
             )
     return 0
 
 
-def _chi_columns(estimates: list[ed.ChiEstimate]) -> dict:
-    return {
-        "channel_a": [e.pair[0] for e in estimates],
-        "channel_b": [e.pair[1] for e in estimates],
-        "u": [e.u for e in estimates],
-        "chi": [e.chi for e in estimates],
-        "chi_lo": [e.ci_chi[0] for e in estimates],
-        "chi_hi": [e.ci_chi[1] for e in estimates],
-        "chibar": [e.chibar for e in estimates],
-        "chibar_lo": [e.ci_chibar[0] for e in estimates],
-        "chibar_hi": [e.ci_chibar[1] for e in estimates],
-        "n_joint": [e.n_eff for e in estimates],
-    }
-
-
-def _write_chi(
-    view, levels, n_boot: int, seed: int, prefix: Path, title_suffix: str
-) -> list[Path]:
-    """Chi at every level from one bootstrap: ``<prefix>.u<u>.svg`` per
-    level, then all levels' rows in ``<prefix>.csv``."""
-    estimates = []
-    paths = []
-    for cm in ed.chi_matrices(view, levels, n_boot=n_boot, seed=seed):
-        estimates.extend(cm.estimates)
-        svg = heatmap_svg(cm.chi_values, cm.channels, f"chi(u={cm.u:g}){title_suffix}")
-        paths.append(_emit(prefix.with_name(f"{prefix.name}.u{cm.u:g}.svg"), svg))
-    paths.append(_emit(prefix.with_name(f"{prefix.name}.csv"), _csv(_chi_columns(estimates))))
-    return paths
-
-
 def cmd_chi(args) -> int:
-    rec = _load_input(args)
-    view = _epoch_view(rec, args.epoch)
+    view = _load_epoch(args)
     tag = "" if args.epoch == "all" else f".{args.epoch}"
     levels = args.u or list(ed.DEFAULT_U_GRID)
-    prefix = Path(args.outdir) / f"{_stem(args)}.chi{tag}"
+    prefix = Path(f"{_prefix(args)}.chi{tag}")
     _write_chi(view, levels, args.n_boot, args.seed, prefix, tag)
     return 0
 
 
-def _ht_payload(fit: ce.HtFit) -> dict:
-    return {
-        "cond_channel": fit.cond_channel,
-        "dep_channel": fit.dep_channel,
-        "alpha": fit.alpha,
-        "beta": fit.beta,
-        "mu": fit.mu,
-        "s": fit.s,
-        "n_exceed": fit.n_exceed,
-        "cond_threshold_laplace": fit.cond_threshold_laplace,
-        "nll": fit.nll,
-    }
-
-
-def _residual_columns(fits: dict[str, ce.HtFit]) -> dict:
-    first = next(iter(fits.values()))
-    idx = (
-        first.exceed_indices
-        if first.exceed_indices is not None
-        else np.arange(first.n_exceed)
-    )
-    return {
-        "exceed_index": np.asarray(idx, dtype=int),
-        **{d: fit.residuals_z for d, fit in fits.items()},
-    }
-
-
 def cmd_ht_fit(args) -> int:
-    rec = _load_input(args)
-    view = _epoch_view(rec, args.epoch)
-    outdir = Path(args.outdir)
-    stem = _stem(args)
-    tag = "all" if args.epoch == "all" else args.epoch
-    fits, _ = ce.conditional_model(
-        view,
-        args.cond_channel,
-        cond_quantile=args.quantile,
-        marginal_quantile=args.marginal_quantile,
-    )
-    for dep, fit in fits.items():
-        _emit(outdir / f"{stem}.ht.{tag}.{dep}.json", _json_text(_ht_payload(fit)))
-    _emit(outdir / f"{stem}.ht.{tag}.residuals.csv", _csv(_residual_columns(fits)))
+    view = _load_epoch(args)
+    prefix = Path(f"{_prefix(args)}.ht.{args.epoch}")
+    _write_ht_fit(view, args.cond_channel, args.quantile, args.marginal_quantile, prefix)
     return 0
 
 
-def _summary_csv(sample: ce.ConditionalSample) -> str:
-    cols = ["channel", "scale", "mean", "median", "q05", "q95"]
-    return _csv(_row_columns(ce.conditional_summary(sample), cols))
-
-
 def cmd_ht_sim(args) -> int:
-    rec = _load_input(args)
-    view = _epoch_view(rec, args.epoch)
-    outdir = Path(args.outdir)
-    stem = _stem(args)
-    tag = "all" if args.epoch == "all" else args.epoch
-    fits, transforms = ce.conditional_model(
+    view = _load_epoch(args)
+    model = ce.conditional_model(
         view,
         args.cond_channel,
         cond_quantile=args.quantile,
         marginal_quantile=args.marginal_quantile,
     )
-    sample = ce.simulate_conditional(
-        list(fits.values()),
-        level_q=args.level,
-        n_sim=args.n,
-        seed=args.seed,
-        cond_transform=transforms[args.cond_channel],
-        dep_transforms=transforms,
-    )
+    prefix = Path(f"{_prefix(args)}.htsim.{args.epoch}")
+    sample, _ = _write_ht_sim(model, args.cond_channel, args.level, args.n, args.seed, prefix)
     deps = list(sample.dep_channels)
     draws = {
         "cond_laplace": sample.cond_draws,
@@ -358,8 +372,7 @@ def cmd_ht_sim(args) -> int:
         "cond_data": sample.cond_back_transformed,
         **{f"{d}_data": sample.back_transformed[:, k] for k, d in enumerate(deps)},
     }
-    _emit(outdir / f"{stem}.htsim.{tag}.draws.csv", _csv(draws))
-    _emit(outdir / f"{stem}.htsim.{tag}.summary.csv", _summary_csv(sample))
+    _emit(Path(f"{prefix}.draws.csv"), _csv(draws))
     return 0
 
 
@@ -372,150 +385,87 @@ def cmd_report(args) -> int:
     if rec.onset_index is None:
         raise UsageError("report needs an onset (--onset or --onset-seconds)")
     cond_channel = args.cond_channel or rec.channels[0]
-    if cond_channel not in rec.channels:
-        raise UsageError(
-            f"conditioning channel {cond_channel!r} not in {list(rec.channels)}"
-        )
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    run_length = args.run_length or max(1, int(round(rec.fs / 2)))
+    rec.index_of(cond_channel)  # an unknown channel fails before any file is written
+    run_length = _run_length(args, rec.fs)
     levels = args.u or list(ed.DEFAULT_U_GRID)
-
+    pair = sio.split_at_onset(rec)
+    epochs = {"pre": pair.pre, "post": pair.post}
+    outdir = Path(args.outdir)
     stages = []
-    failed = False
 
-    def _run_stage(name: str, params: dict, fn) -> None:
-        nonlocal failed
+    def _run_stage(name: str, params: dict, write, inputs: dict | None):
+        """Record stage ``name``: ``write(tag, item)`` -> (result, paths) per item of
+        ``inputs``. Returns results by tag; None if it or its input stage failed."""
         entry = {"name": name, "params": params, "outputs": [], "status": "ok"}
+        stages.append(entry)
+        results, paths = {}, []
         try:
-            entry["outputs"] = fn()
+            if inputs is None:
+                raise UsageError("an upstream stage failed")
+            for tag, item in inputs.items():
+                results[tag], written = write(tag, item)
+                paths += written
         except Exception as exc:  # recorded, so the manifest is still written
             entry["status"] = f"error: {type(exc).__name__}: {exc}"
-            failed = True
-        stages.append(entry)
+            return None
+        entry["outputs"] = [str(p.relative_to(outdir)) for p in paths]
+        return results
 
-    def _rel(p: Path) -> str:
-        return str(p.relative_to(outdir))
+    bands = _run_stage(
+        "decompose",
+        {"order": args.order, "omitting_infeasible": True},
+        lambda _, whole: _write_bands(whole, args.order, outdir / "bands", ""),
+        {"all": rec},
+    )
 
-    # stage 1: band decomposition
-    deco_holder: dict = {}
-
-    def _stage_decompose():
-        deco = pp.decompose_bands(rec, order=args.order)
-        deco_holder["deco"] = deco
-        paths = [outdir / "bands" / f"{band_id}.csv" for band_id in deco.bands]
-        return [_rel(p) for p in _emit_matrices(paths, rec.channels, deco.bands.values())]
-
-    _run_stage("decompose", {"order": args.order, "omitting_infeasible": True}, _stage_decompose)
-
-    # stage 2: per-band GPD tail fits; degenerate band/channel combos are
-    # recorded and skipped, the stage fails only if nothing fits
+    # per-band GPD tail fits; degenerate band/channel combos are recorded
+    # and skipped, the stage fails only if nothing fits
     gpd_skipped: list[dict] = []
 
-    def _stage_gpd():
-        if "deco" not in deco_holder:
-            raise UsageError("band decomposition unavailable")
-        outputs = []
-        deco = deco_holder["deco"]
+    def _gpd_tails(_, deco):
+        paths = []
         for band_id, matrix in deco.bands.items():
             for c, name in enumerate(rec.channels):
+                path = outdir / "gpd" / f"{band_id}.{name}.json"
                 try:
-                    fit = evt.fit_channel_tail(
-                        matrix[:, c], args.threshold_quantile, run_length
-                    )
+                    paths += _write_gpd_fit(
+                        matrix[:, c], args.threshold_quantile, run_length, name, band_id, path
+                    )[1]
                 except EegxError as exc:
-                    gpd_skipped.append(
-                        {"band": band_id, "channel": name, "error": str(exc)}
-                    )
-                    continue
-                p = _emit(
-                    outdir / "gpd" / f"{band_id}.{name}.json",
-                    _json_text(_gpd_fit_payload(fit, name, band_id)),
-                )
-                outputs.append(_rel(p))
-        if not outputs:
+                    gpd_skipped.append({"band": band_id, "channel": name, "error": str(exc)})
+        if not paths:
             raise FitError("no band/channel tail could be fitted")
-        return outputs
+        return None, paths
 
     gpd_params = {
         "threshold_quantile": args.threshold_quantile,
         "run_length": run_length,
         "skipped": gpd_skipped,
     }
-    _run_stage("fit_gpd", gpd_params, _stage_gpd)
-
-    # stage 3: pairwise extremal dependence, pre vs post
-    pair = sio.split_at_onset(rec)
-    epochs = {"pre": pair.pre, "post": pair.post}
-
-    def _stage_chi():
-        outputs = []
-        for tag, view in epochs.items():
-            paths = _write_chi(
-                view, levels, args.n_boot, args.seed, outdir / "chi" / tag, f" {tag}"
-            )
-            outputs.extend(_rel(p) for p in paths)
-        return outputs
-
+    _run_stage("fit_gpd", gpd_params, _gpd_tails, bands)
     _run_stage(
-        "chi", {"u": levels, "n_boot": args.n_boot, "seed": args.seed}, _stage_chi
+        "chi",
+        {"u": levels, "n_boot": args.n_boot, "seed": args.seed},
+        lambda tag, view: _write_chi(
+            view, levels, args.n_boot, args.seed, outdir / "chi" / tag, f" {tag}"
+        ),
+        epochs,
     )
-
-    # stage 4: conditional extremes fits, pre vs post
-    fits_by_epoch: dict[str, dict] = {}
-    transforms_by_epoch: dict[str, dict] = {}
-
-    def _stage_ht_fit():
-        outputs = []
-        for tag, view in epochs.items():
-            fits, transforms = ce.conditional_model(
-                view,
-                cond_channel,
-                cond_quantile=args.ht_quantile,
-                marginal_quantile=args.threshold_quantile,
-            )
-            fits_by_epoch[tag] = fits
-            transforms_by_epoch[tag] = transforms
-            for dep, fit in fits.items():
-                p = _emit(
-                    outdir / "ht" / f"{tag}.{dep}.json",
-                    _json_text(_ht_payload(fit)),
-                )
-                outputs.append(_rel(p))
-            p = _emit(outdir / "ht" / f"{tag}.residuals.csv", _csv(_residual_columns(fits)))
-            outputs.append(_rel(p))
-        return outputs
-
-    _run_stage(
+    models = _run_stage(
         "ht_fit",
         {"cond_channel": cond_channel, "quantile": args.ht_quantile},
-        _stage_ht_fit,
+        lambda tag, view: _write_ht_fit(
+            view, cond_channel, args.ht_quantile, args.threshold_quantile, outdir / "ht" / tag
+        ),
+        epochs,
     )
-
-    # stage 5: conditional simulation at a high level
-    def _stage_ht_sim():
-        outputs = []
-        for tag in epochs:
-            if tag not in fits_by_epoch:
-                raise UsageError(f"no conditional fits for epoch {tag!r}")
-            fits = fits_by_epoch[tag]
-            transforms = transforms_by_epoch[tag]
-            sample = ce.simulate_conditional(
-                list(fits.values()),
-                level_q=args.level,
-                n_sim=args.n_sim,
-                seed=args.seed,
-                cond_transform=transforms[cond_channel],
-                dep_transforms=transforms,
-            )
-            p = _emit(outdir / "sim" / f"{tag}.summary.csv", _summary_csv(sample))
-            outputs.append(_rel(p))
-        return outputs
-
     _run_stage(
         "ht_sim",
         {"level": args.level, "n_sim": args.n_sim, "seed": args.seed},
-        _stage_ht_sim,
+        lambda tag, model: _write_ht_sim(
+            model, cond_channel, args.level, args.n_sim, args.seed, outdir / "sim" / tag
+        ),
+        models,
     )
 
     manifest = {
@@ -530,7 +480,7 @@ def cmd_report(args) -> int:
         "stages": stages,
     }
     _emit(outdir / "manifest.json", _json_text(manifest))
-    return 1 if failed else 0
+    return 1 if any(s["status"] != "ok" for s in stages) else 0
 
 
 # ---------------------------------------------------------------------------

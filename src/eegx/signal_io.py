@@ -44,7 +44,7 @@ class EegRecording:
     channels : list of str
         Channel labels, unique and nonempty, one per data column.
     fs : float
-        Sampling rate in Hz, positive.
+        Sampling rate in Hz, finite and positive.
     data : ndarray, shape (T, C)
         Amplitudes, all finite, T >= 2. Stored read-only.
     onset_index : int, optional
@@ -67,8 +67,8 @@ class EegRecording:
         if len(set(chans)) != len(chans):
             dupes = sorted({c for c in chans if chans.count(c) > 1})
             raise ValidationError(f"duplicate channel names: {dupes}")
-        if not (float(self.fs) > 0):
-            raise ValidationError(f"sampling rate must be positive, got {self.fs}")
+        if not (np.isfinite(float(self.fs)) and float(self.fs) > 0):
+            raise ValidationError(f"sampling rate must be finite and positive, got {self.fs}")
         object.__setattr__(self, "fs", float(self.fs))
 
         data = np.array(self.data, dtype=float)

@@ -98,7 +98,8 @@ def welch(
     x : array_like
     fs : float
     seg_len : int
-        Samples per segment, ``2 <= seg_len <= len(x)``.
+        Samples per segment, ``3 <= seg_len <= len(x)``, or ``len(x)`` for
+        one rectangular segment; a 2-sample Hann taper is all zeros.
     overlap : float
         Fractional overlap between consecutive segments, in [0, 0.9].
     """
@@ -120,7 +121,10 @@ def welch(
         window = np.ones(n)
     else:
         window = np.hanning(seg_len)
-    scale = 1.0 / (fs * float(window @ window))
+    energy = float(window @ window)
+    if energy == 0.0:
+        raise UsageError(f"a {seg_len}-sample Hann taper has zero energy; use seg_len >= 3")
+    scale = 1.0 / (fs * energy)
 
     step = max(1, int(round(seg_len * (1.0 - overlap))))
     starts = range(0, n - seg_len + 1, step)

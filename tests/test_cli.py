@@ -86,6 +86,30 @@ class TestValidationFirst:
         assert rc == 2
 
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spectrum", "--seg-seconds", "0.01"],
+            ["spectrum", "--seg-seconds", "0.02"],
+            ["spectrum", "--seg-seconds", "nan"],
+            ["decompose", "--fs", "inf"],
+            ["chi", "--epoch", "pre", "--onset-seconds", "nan"],
+            ["chi", "--epoch", "pre", "--onset-seconds", "inf"],
+            ["fit-gpd", "--run-length", "0"],
+            ["report", "--run-length", "0"],
+            ["report", "--onset", "1"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_bad_value_exits_2_before_writing(self, rec_csv, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        rc = run([*argv, "--input", rec_csv, "--outdir", out])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"eegx {argv[0]}: error: ") and "Traceback" not in err
+        assert not out.exists()
+
+
 class TestSubcommands:
     def test_decompose(self, rec_csv, tmp_path):
         rc = run(["decompose", "--input", rec_csv, "--outdir", tmp_path])
@@ -191,6 +215,32 @@ class TestReport:
         rc = run(["report", "--input", p, "--outdir", tmp_path / "r"])
         assert rc == 2
         assert not (tmp_path / "r" / "manifest.json").exists()
+
+    def test_stage_writers_match_subcommands(self, rec_csv, tmp_path):
+        report, sub = tmp_path / "report", tmp_path / "sub"
+        rc = run(["report", "--input", rec_csv, "--cond-channel", "T3",
+                  "--n-boot", "10", "--n-sim", "300", "--seed", "7",
+                  "--outdir", report])
+        assert rc == 0
+        for argv in (
+            ["decompose"],
+            ["fit-gpd", "--band", "alpha", "--channel", "T3", "--no-diagnostics"],
+            ["chi", "--epoch", "post", "--n-boot", "10", "--seed", "7"],
+            ["ht-fit", "--cond-channel", "T3", "--epoch", "post"],
+            ["ht-sim", "--cond-channel", "T3", "--epoch", "post", "--n", "300",
+             "--seed", "7"],
+        ):
+            assert run([*argv, "--input", rec_csv, "--outdir", sub]) == 0
+        pairs = {
+            "bands/alpha.csv": "rec.alpha.csv",
+            "gpd/alpha.T3.json": "rec.gpd.T3.alpha.json",
+            "chi/post.csv": "rec.chi.post.csv",
+            "ht/post.Fp1.json": "rec.ht.post.Fp1.json",
+            "ht/post.residuals.csv": "rec.ht.post.residuals.csv",
+            "sim/post.summary.csv": "rec.htsim.post.summary.csv",
+        }
+        for in_report, in_sub in pairs.items():
+            assert (report / in_report).read_bytes() == (sub / in_sub).read_bytes(), in_report
 
     def test_rerun_byte_identical(self, rec_csv, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

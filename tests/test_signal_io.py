@@ -75,6 +75,11 @@ class TestRecordingValidation:
         with pytest.raises(ValidationError, match="sampling rate"):
             EegRecording(channels=("A",), fs=0.0, data=np.zeros((3, 1)))
 
+    @pytest.mark.parametrize("fs", [np.inf, -np.inf, np.nan])
+    def test_non_finite_fs(self, fs):
+        with pytest.raises(ValidationError, match="finite and positive"):
+            EegRecording(channels=("A",), fs=fs, data=np.zeros((3, 1)))
+
     def test_data_is_read_only(self):
         rec = make_rec()
         with pytest.raises(ValueError):

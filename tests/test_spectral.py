@@ -92,6 +92,14 @@ class TestWelch:
         with pytest.raises(UsageError):
             welch(np.zeros(100), 1.0, seg_len=50, overlap=0.95)
 
+    def test_two_sample_taper_rejected(self):
+        from eegx import UsageError
+
+        # np.hanning(2) is all zeros: no taper energy to normalize by
+        with pytest.raises(UsageError, match="zero energy"):
+            welch(np.arange(10.0), 1.0, seg_len=2)
+        assert welch(np.arange(2.0), 1.0, seg_len=2).power.shape == (2,)
+
 
 class TestBandPower:
     def test_tone_in_band(self):
