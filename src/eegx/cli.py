@@ -314,6 +314,7 @@ def cmd_fit_gpd(args) -> int:
     run_length = _run_length(args, rec.fs)
 
     channels = args.channel or list(rec.channels)
+    columns = [rec.index_of(name) for name in channels]  # all resolve before any write
     if args.band:
         deco = pp.decompose_bands(rec, order=args.order, bands=(pp.band_by_id(args.band),))
         matrix = deco.bands[args.band]
@@ -322,8 +323,8 @@ def cmd_fit_gpd(args) -> int:
         matrix = rec.data
         tag = ""
 
-    for name in channels:
-        x = matrix[:, rec.index_of(name)]
+    for name, c in zip(channels, columns):
+        x = matrix[:, c]
         path = Path(f"{prefix}.gpd.{name}{tag}.json")
         _write_gpd_fit(x, args.threshold_quantile, run_length, name, args.band, path)
         if not args.no_diagnostics:

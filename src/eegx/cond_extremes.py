@@ -323,6 +323,8 @@ def conditional_model(
     plus the per-channel transforms, all sharing the same conditioning
     exceedance set so residuals stay aligned across channels.
     """
+    if rec.n_channels < 2:
+        raise ValidationError("need at least 2 channels for a conditional model")
     if cond_channel not in rec.channels:
         raise UsageError(
             f"conditioning channel {cond_channel!r} not in {list(rec.channels)}"

@@ -18,11 +18,11 @@ no randomness. The exponential limit is used whenever |xi| < 1e-6.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
 
 from .errors import DataError, DomainError, FitError, SizeError, UsageError, ValidationError
 
@@ -166,20 +166,141 @@ def _profile(s, y: np.ndarray):
     return np.log(sigma) + xi + 1.0, xi, sigma
 
 
+def _bounded_brent(f, lo: float, hi: float, xatol: float):
+    """Minimize a scalar function on [lo, hi] by Brent's (1973) method:
+    golden-section steps, parabolic ones where they are acceptable.
+
+    The same iteration as ``scipy.optimize.minimize_scalar(method="bounded")``,
+    step for step. Returns (x, f(x)) of the best point evaluated.
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = lo, hi
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    fx = f(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # try a parabola through the three best points
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * (np.sign(xm - xf) + ((xm - xf) == 0))
+            else:
+                golden = True
+        if golden:
+            e = (a - xf) if xf >= xm else (b - xf)
+            rat = golden_mean * e
+        x = xf + (np.sign(rat) + (rat == 0)) * max(abs(rat), tol1)
+        fu = f(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= 500:  # scipy's default maxiter
+            break
+    return xf, fx
+
+
+def _brent_root(f, a: float, b: float, xtol: float) -> float:
+    """A root of ``f`` in [a, b], where f(a) and f(b) differ in sign, by
+    Brent's (1973) bracketing method: inverse quadratic or secant steps
+    that stay inside the bracket, bisection otherwise.
+
+    The iteration of ``scipy.optimize.brentq`` with its default relative
+    tolerance 4 * machine epsilon; converged when the bracket is within
+    ``xtol + rtol * |x|``. Raises ``FitError`` after 100 steps, scipy's
+    default ``maxiter``.
+    """
+    rtol = 4 * np.finfo(float).eps
+    xpre, xcur = a, b
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise FitError(f"root not bracketed: f({a:g}) and f({b:g}) have the same sign")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise FitError("root search did not converge in 100 iterations")
+
+
 def _grid_brent(f, grid: np.ndarray) -> tuple[float, float]:
     """Minimize a 1-D function: the best point of ``grid`` (``f`` takes
     arrays), refined by bounded Brent between that point's neighbours.
     Returns (x, f(x)); f(x) is not finite when no grid value is."""
     values = f(grid)
     k = int(np.argmin(np.where(np.isfinite(values), values, np.inf)))
-    res = optimize.minimize_scalar(
+    x, fx = _bounded_brent(
         lambda x: float(f(x)[0]),
-        bounds=(grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)]),
-        method="bounded",
-        options={"xatol": 1e-10},
+        grid[max(k - 1, 0)],
+        grid[min(k + 1, grid.size - 1)],
+        xatol=1e-10,
     )
-    if res.fun < values[k]:
-        return float(res.x), float(res.fun)
+    if fx < values[k]:
+        return float(x), float(fx)
     return float(grid[k]), float(values[k])
 
 
@@ -229,7 +350,7 @@ def fit_gpd(
     # -1/y_max while xi keeps falling, which only raises the profile NLL.
     s_lo = _S_FLOOR
     if xi_above_lower(s_lo) < 0:
-        s_lo = optimize.brentq(xi_above_lower, s_lo, 0.0, xtol=1e-12)
+        s_lo = _brent_root(xi_above_lower, s_lo, 0.0, xtol=1e-12)
     # Grimshaw's bound on theta, capped where expm1(s) still fits a float
     s_hi = min(np.log1p(2.0 * (float(y.mean()) / ymin - 1.0) * (ymax / ymin)), _S_CEIL)
     s_in, v_in = _grid_brent(lambda s: _profile(s, y)[0], np.linspace(s_lo, s_hi, _N_GRID))
@@ -237,11 +358,9 @@ def fit_gpd(
     def boundary(s):  # xi = XI_LOWER, sigma = XI_LOWER / theta
         return gpd_nll(XI_LOWER * ymax / np.expm1(s), XI_LOWER, y)
 
-    bd = optimize.minimize_scalar(
-        boundary, bounds=(_S_FLOOR, 0.0), method="bounded", options={"xatol": 1e-10}
-    )
-    if bd.fun <= y.size * v_in:
-        sigma_hat, xi_hat, nll = XI_LOWER * ymax / np.expm1(bd.x), XI_LOWER, bd.fun
+    s_bd, v_bd = _bounded_brent(boundary, _S_FLOOR, 0.0, xatol=1e-10)
+    if v_bd <= y.size * v_in:
+        sigma_hat, xi_hat, nll = XI_LOWER * ymax / np.expm1(s_bd), XI_LOWER, v_bd
     else:
         _, xi_arr, sigma_arr = _profile(s_in, y)
         sigma_hat, xi_hat, nll = sigma_arr[0], xi_arr[0], y.size * v_in

@@ -26,7 +26,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .errors import DataError, SizeError, SparseTailError, UsageError, ValidationError
 from .signal_io import EegRecording
@@ -66,13 +65,18 @@ class ChiMatrix:
 
 
 def uniform_scores(x: np.ndarray) -> np.ndarray:
-    """Rank transform to (0, 1): rank / (n + 1), average ranks on ties."""
+    """Rank transform to (0, 1): rank / (n + 1), average ranks on ties.
+
+    NaN has no rank and is rejected.
+    """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ValidationError(f"expected a 1-D series, got shape {x.shape}")
     if x.size < 2:
         raise SizeError(f"need at least 2 observations, got {x.size}")
-    return stats.rankdata(x, method="average") / (x.size + 1.0)
+    if np.isnan(x).any():
+        raise DataError("cannot rank NaN")
+    return _average_ranks(_tie_groups(x[:, None]), slice(None))[:, 0] / (x.size + 1.0)
 
 
 def _chi_from_counts(n_joint: float, n_x: float, n_y: float, n: int):

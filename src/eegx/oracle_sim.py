@@ -4,6 +4,9 @@ All randomness flows through numpy's PCG64 generator
 (``np.random.default_rng(seed)``); per-channel streams are derived with
 ``np.random.SeedSequence(seed).spawn``, so outputs are bit-reproducible
 for a given spec regardless of how generation is parallelized.
+
+scipy is imported inside the two generators that use it, so importing
+eegx does not load it.
 """
 
 from __future__ import annotations
@@ -11,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import signal as sps
-from scipy.special import ndtr
 
 from .errors import UsageError, ValidationError
 from .signal_io import EegRecording
@@ -80,6 +81,8 @@ def gen_gaussian_copula_pair(n: int, rho: float, seed: int):
     """Uniform pair with Gaussian-copula dependence of correlation rho."""
     if not -1.0 < rho < 1.0:
         raise UsageError(f"rho must lie in (-1, 1), got {rho}")
+    from scipy.special import ndtr
+
     rng = np.random.default_rng(seed)
     z1 = rng.standard_normal(n)
     z2 = rho * z1 + np.sqrt(1.0 - rho**2) * rng.standard_normal(n)
@@ -100,9 +103,11 @@ def gen_independent_pair(n: int, seed: int):
 
 def _ar2_noise(n: int, rng: np.random.Generator) -> np.ndarray:
     """Stationary AR(2) Gaussian noise, burn-in discarded."""
+    from scipy.signal import lfilter
+
     eps = rng.standard_normal(n + AR_BURN_IN)
     a = [1.0, -AR_COEFFS[0], -AR_COEFFS[1]]
-    return sps.lfilter([1.0], a, eps)[AR_BURN_IN:]
+    return lfilter([1.0], a, eps)[AR_BURN_IN:]
 
 
 def gen_synthetic_eeg(

@@ -98,6 +98,7 @@ class TestValidationFirst:
             ["fit-gpd", "--run-length", "0"],
             ["report", "--run-length", "0"],
             ["report", "--onset", "1"],
+            ["fit-gpd", "--channel", "T3", "--channel", "nope"],
         ],
         ids=lambda argv: " ".join(argv),
     )
@@ -107,6 +108,20 @@ class TestValidationFirst:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith(f"eegx {argv[0]}: error: ") and "Traceback" not in err
+        assert not out.exists()
+
+    def test_one_channel_ht_fit_exits_2(self, tmp_path, capsys):
+        rec = gen_synthetic_eeg(2, 4_000, 0.5, seed=0)
+        p = tmp_path / "one.csv"
+        save_recording(
+            rec.__class__(channels=("T3",), fs=rec.fs, data=rec.data[:, :1], onset_index=2_000),
+            p,
+        )
+        out = tmp_path / "out"
+        rc = run(["ht-fit", "--input", p, "--cond-channel", "T3", "--outdir", out])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("eegx ht-fit: error: need at least 2 channels")
         assert not out.exists()
 
 

@@ -7,6 +7,7 @@ from eegx import (
     EegRecording,
     SizeError,
     UsageError,
+    ValidationError,
     conditional_model,
     conditional_summary,
     fit_ht,
@@ -338,3 +339,9 @@ class TestInputContract:
         x[5] = bad
         with pytest.raises(DataError):
             fit_marginal(x, 0.95)
+
+    def test_conditional_model_needs_two_channels(self):
+        x = np.random.default_rng(13).standard_normal(2_000)
+        rec = EegRecording(channels=("REF",), fs=100.0, data=x[:, None])
+        with pytest.raises(ValidationError, match="at least 2 channels"):
+            conditional_model(rec, "REF", 0.95, 0.95)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import optimize
 
 from eegx import (
     DataError,
@@ -21,7 +22,67 @@ from eegx import (
     parameter_stability,
     return_level,
 )
-from eegx.evt_univariate import gpd_nll, gpd_nll_exponential
+from eegx.evt_univariate import _bounded_brent, _brent_root, gpd_nll, gpd_nll_exponential
+
+
+# (f, lo, hi): smooth, kinked, flat-ended, monotone and +inf-valued cases
+MINIMIZE_CASES = [
+    (lambda x: (x - 0.3) ** 2, -1.0, 2.0),
+    (np.cos, 0.0, 6.0),
+    (lambda x: abs(x - 1.234567), 0.0, 3.0),
+    (lambda x: x**4 - 3 * x**3 + 2, -2.0, 5.0),
+    (lambda x: np.exp(x) - 5 * x, 0.0, 4.0),
+    (lambda x: -np.sinc(x), -3.0, 3.0),
+    (lambda x: x, 0.0, 1.0),
+    (lambda x: -x, 0.0, 1.0),
+    (lambda x: (x - 2) ** 2 if x < 2.5 else np.inf, 0.0, 3.0),
+    (lambda x: np.log(x) + 1 / x, 0.1, 10.0),
+]
+
+# (f, a, b) with f(a), f(b) of opposite sign
+ROOT_CASES = [
+    (lambda x: x**2 - 2, 0.0, 2.0),
+    (lambda x: np.cos(x) - x, 0.0, 1.0),
+    (lambda x: x**3 - 2 * x - 5, 2.0, 3.0),
+    (lambda x: np.exp(x) - 10, 0.0, 5.0),
+    (lambda x: np.tanh(50 * (x - 0.123)), -1.0, 1.0),
+    (lambda x: np.log1p(x) - 0.3, -0.5, 3.0),
+    (lambda x: 1 / (x + 2) - 0.4, -1.9, 5.0),
+]
+
+
+class TestBrentPorts:
+    """The in-house Brent searches repeat scipy's iterations exactly."""
+
+    @pytest.mark.parametrize("xatol", [1e-5, 1e-10])
+    @pytest.mark.parametrize("case", range(len(MINIMIZE_CASES)))
+    def test_bounded_minimizer_matches_scipy(self, case, xatol):
+        f, lo, hi = MINIMIZE_CASES[case]
+        res = optimize.minimize_scalar(
+            f, bounds=(lo, hi), method="bounded", options={"xatol": xatol}
+        )
+        assert _bounded_brent(f, lo, hi, xatol) == (res.x, res.fun)
+
+    @pytest.mark.parametrize("xtol", [1e-12, 1e-6])
+    @pytest.mark.parametrize("case", range(len(ROOT_CASES)))
+    def test_root_matches_brentq(self, case, xtol):
+        f, a, b = ROOT_CASES[case]
+        assert _brent_root(f, a, b, xtol) == optimize.brentq(f, a, b, xtol=xtol)
+
+    def test_root_gives_up_where_brentq_does(self):
+        # a triple root at 0.5: 100 steps do not reach xtol = 1e-12
+        def f(x):
+            return (x - 0.5) ** 3
+
+        with pytest.raises(RuntimeError):
+            optimize.brentq(f, 0.0, 2.0, xtol=1e-12)
+        with pytest.raises(FitError, match="did not converge"):
+            _brent_root(f, 0.0, 2.0, 1e-12)
+        assert _brent_root(f, 0.0, 2.0, 1e-6) == optimize.brentq(f, 0.0, 2.0, xtol=1e-6)
+
+    def test_root_needs_a_bracket(self):
+        with pytest.raises(FitError, match="not bracketed"):
+            _brent_root(lambda x: x**2 + 1, -1.0, 1.0, 1e-12)
 
 
 class TestMeanResidualLife:

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from eegx import (
+    DataError,
     SparseTailError,
     UsageError,
     ValidationError,
@@ -34,6 +35,16 @@ class TestUniformScores:
     def test_range(self):
         s = uniform_scores(np.random.default_rng(0).standard_normal(100))
         assert np.all((s > 0) & (s < 1))
+
+    @given(seed=st.integers(0, 10_000), n=st.integers(2, 400), decimals=st.integers(0, 2))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_rankdata(self, seed, n, decimals):
+        x = np.round(np.random.default_rng(seed).standard_normal(n), decimals)  # tie-heavy
+        assert np.array_equal(uniform_scores(x), stats.rankdata(x, "average") / (n + 1))
+
+    def test_nan_rejected(self):
+        with pytest.raises(DataError):
+            uniform_scores(np.array([1.0, np.nan, 2.0]))
 
 
 class TestChiPair:

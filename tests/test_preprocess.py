@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy import signal as sps
 from scipy.signal import sosfilt
 
 from eegx import (
@@ -14,12 +17,38 @@ from eegx import (
     design_bandpass,
     detrend,
 )
-from eegx.preprocess import band_by_id, effective_high_edge
+from eegx.preprocess import FilterSpec, band_by_id, effective_high_edge
 
 
 def tone(freq, fs, n, amp=1.0, phase=0.0):
     t = np.arange(n) / fs
     return amp * np.sin(2 * np.pi * freq * t + phase)
+
+
+def sosfilt_zero_phase(x, spec):
+    """Reference: the sections' recursion forward and backward over the
+    same even reflections, as zero-phase filtering was first written."""
+    pad = spec.padlen
+    ext = np.concatenate((x[pad:0:-1], x, x[-2 : -pad - 2 : -1]))
+    y = sosfilt(spec.sos, ext)
+    y = sosfilt(spec.sos, y[::-1])[::-1]
+    return y[pad : pad + x.size]
+
+
+def feasible_designs(order, fs):
+    """design_bandpass of every default band feasible at ``fs``."""
+    specs = []
+    for band in DEFAULT_BANDS:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # gamma capping
+            try:
+                specs.append(design_bandpass(band, fs, order))
+            except DesignError:
+                continue
+    return specs
+
+
+ORDERS_AND_RATES = [(o, fs) for o in (2, 4, 6, 8) for fs in (100.0, 256.0, 1000.0)]
 
 
 def interior_gain(x, y):
@@ -131,6 +160,44 @@ class TestDesign:
             assert np.abs(h[int(10 * fs) :]).max() < 1e-8, band.id
 
 
+class TestAgainstScipy:
+    @pytest.mark.parametrize("order,fs", ORDERS_AND_RATES)
+    def test_design_has_butter_poles_and_gain(self, order, fs):
+        specs = feasible_designs(order, fs)
+        assert len(specs) == 5
+        for spec in specs:
+            z, p, k = sps.butter(
+                order // 2, [spec.band.low_hz, spec.high_hz_effective],
+                btype="bandpass", fs=fs, output="zpk",
+            )
+            poles = np.concatenate([np.roots(row[3:]) for row in spec.sos])
+            assert spec.sos.shape == (order // 2, 6)
+            assert np.abs(np.sort_complex(poles) - np.sort_complex(p)).max() <= 1e-12
+            assert np.prod(spec.sos[:, 0]) == pytest.approx(k, rel=1e-12)
+            zeros = np.concatenate([np.roots(row[:3]) for row in spec.sos])
+            assert np.abs(np.sort_complex(zeros) - np.sort_complex(z)).max() <= 1e-12
+
+    @pytest.mark.parametrize("order,fs", ORDERS_AND_RATES)
+    def test_zero_phase_matches_sosfilt(self, order, fs):
+        rng = np.random.default_rng(order * 1000 + int(fs))
+        x = 0.1 * rng.standard_normal(5_000).cumsum() + rng.standard_normal(5_000)
+        for spec in feasible_designs(order, fs):
+            for n in (5_000, 60):  # 60: shorter than most impulse responses
+                want = sosfilt_zero_phase(x[:n], spec)
+                got = apply_zero_phase(x[:n], spec)
+                assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max(), spec.band.id
+
+    def test_decompose_matches_sosfilt_per_channel(self):
+        rng = np.random.default_rng(21)
+        data = rng.standard_normal((6_000, 3)).cumsum(axis=0)
+        rec = EegRecording(channels=("A", "B", "C"), fs=256.0, data=data)
+        deco = decompose_bands(rec)
+        for band_id, matrix in deco.bands.items():
+            for c in range(3):
+                want = sosfilt_zero_phase(detrend(data[:, c]), deco.specs[band_id])
+                assert np.abs(matrix[:, c] - want).max() <= 1e-10 * np.abs(want).max()
+
+
 class TestZeroPhase:
     def setup_method(self):
         self.fs = 100.0
@@ -179,6 +246,14 @@ class TestZeroPhase:
     def test_too_short(self):
         with pytest.raises(SizeError):
             apply_zero_phase(np.zeros(self.spec.padlen), self.spec)
+
+    @pytest.mark.parametrize("a", [[1.0, -1.2, 0.5], [1.0, 0.0, 0.0]])
+    def test_repeated_or_zero_poles_rejected(self, a):
+        # partial fractions need distinct, nonzero poles
+        sos = np.array([[1.0, 0.0, -1.0, *a]] * 2)
+        spec = FilterSpec(self.spec.band, 4, self.fs, sos, self.spec.high_hz_effective)
+        with pytest.raises(DesignError, match="distinct, nonzero poles"):
+            apply_zero_phase(np.ones(100), spec)
 
 
 class TestDecompose:

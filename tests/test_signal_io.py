@@ -344,3 +344,26 @@ class TestMatrixCsvWriter:
         code = "import sys, eegx, eegx.cli; sys.exit('multiprocessing' in sys.modules)"
         env = {**os.environ, "PYTHONPATH": str(src)}
         assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+    def test_import_does_not_load_scipy(self):
+        src = Path(eegx.__file__).resolve().parents[1]
+        code = "import sys, eegx, eegx.cli; sys.exit('scipy' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+    def test_report_does_not_load_scipy(self, tmp_path):
+        # the recording is made here, since its generator does use scipy
+        save_recording(eegx.gen_synthetic_eeg(3, 8_000, 0.6, seed=5), tmp_path / "rec.csv")
+        src = Path(eegx.__file__).resolve().parents[1]
+        code = (
+            "import sys, contextlib, eegx.cli\n"
+            "with contextlib.redirect_stdout(None):\n"
+            "    rc = eegx.cli.main(sys.argv[1:])\n"
+            "print(rc, 'scipy' in sys.modules)"
+        )
+        argv = ["report", "--input", str(tmp_path / "rec.csv"), "--outdir",
+                str(tmp_path / "out"), "--n-boot", "5", "--n-sim", "200"]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.stdout.split() == ["0", "False"], done.stderr
