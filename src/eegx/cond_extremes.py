@@ -48,7 +48,7 @@ def laplace_quantile(p):
     log(2p) for p < 1/2 and -log(2(1-p)) otherwise; p must lie in (0,1).
     """
     p = np.asarray(p, dtype=float)
-    if np.any((p <= 0.0) | (p >= 1.0)):
+    if not np.all((p > 0.0) & (p < 1.0)):  # NaN fails too
         raise DomainError("Laplace quantile needs probabilities in (0, 1)")
     out = np.where(p < 0.5, np.log(2.0 * p), -np.log(2.0 * (1.0 - p)))
     return float(out) if out.ndim == 0 else out

@@ -14,11 +14,13 @@ minimized over sigma > 0 and xi >= -0.5 (the usual regularity range).
 With theta = xi/sigma fixed, xi and sigma have closed forms (Grimshaw
 1993), so the fit is a 1-D profile search with no starting values and
 no randomness. The exponential limit is used whenever |xi| < 1e-6.
+Standard errors come from the closed-form observed information.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 
@@ -28,10 +30,12 @@ from .errors import DataError, DomainError, FitError, SizeError, UsageError, Val
 
 XI_ZERO_TOL = 1e-6  # |xi| below this: use the exponential limit
 XI_LOWER = -0.5  # MLE regularity bound on the shape
-_HESS_STEP = 1e-4  # central-difference step on (tau, xi)
 _S_FLOOR = -30.0  # lowest log1p(theta * y_max) searched; e^-30 >> float resolution
 _S_CEIL = 700.0  # highest one searched; expm1(700) ~ 1e304
 _N_GRID = 64  # coarse profile grid ahead of the Brent refinement
+_G_SERIES_A = 0.2  # |a| below this: g(a) of _gpd_information by series, where
+# its closed form cancels; 26 terms reach double precision for |a| < 0.2
+_G_SERIES = np.array([(-1) ** (k + 1) * (2.0 / k + k - 3) for k in range(3, 29)])
 
 
 @dataclass(frozen=True)
@@ -105,52 +109,37 @@ def gpd_nll(sigma: float, xi: float, excesses: np.ndarray) -> float:
     return n * np.log(sigma) + (1.0 + 1.0 / xi) * np.log1p(z).sum()
 
 
-def gpd_nll_exponential(sigma: float, excesses: np.ndarray) -> float:
-    """Exponential-limit (xi = 0) negative log-likelihood."""
-    if sigma <= 0:
-        return np.inf
-    return excesses.size * np.log(sigma) + excesses.sum() / sigma
+def _gpd_information(sigma: float, xi: float, y: np.ndarray) -> np.ndarray:
+    """Observed information of GPD excesses: the Hessian of ``gpd_nll`` in
+    (sigma, xi), in closed form (Smith 1985; Coles 2001, section 4.3).
 
+    With t = y/sigma, a = xi*t and w = 1 + a,
 
-def _tau_curvature(tau_hat, xi, excesses):
-    """Central second difference of the NLL in tau = log(sigma) at fixed xi."""
+        I_ss = ((1 + xi) * sum(t/w + t/w^2) - n) / sigma^2
+        I_sx = ((1 + xi) * sum(t^2/w^2) - sum(t/w)) / sigma
+        I_xx = sum(t^3 g(a) - t^2/w^2),  g(a) = (2 log1p(a) - 2a/w - a^2/w^2) / a^3
 
-    def f(tau):
-        return gpd_nll(np.exp(tau), xi, excesses)
-
-    h = _HESS_STEP
-    return (f(tau_hat + h) - 2 * f(tau_hat) + f(tau_hat - h)) / h**2
-
-
-def _hessian_cov(tau_hat, xi_hat, excesses):
-    """Covariance of (sigma, xi) from a finite-difference Hessian on (tau, xi)."""
-
-    def f(tau, xi):
-        return gpd_nll(np.exp(tau), xi, excesses)
-
-    h = _HESS_STEP
-    f0 = f(tau_hat, xi_hat)
-    ftt = _tau_curvature(tau_hat, xi_hat, excesses)
-    fxx = (f(tau_hat, xi_hat + h) - 2 * f0 + f(tau_hat, xi_hat - h)) / h**2
-    ftx = (
-        f(tau_hat + h, xi_hat + h)
-        - f(tau_hat + h, xi_hat - h)
-        - f(tau_hat - h, xi_hat + h)
-        + f(tau_hat - h, xi_hat - h)
-    ) / (4 * h**2)
-    hess = np.array([[ftt, ftx], [ftx, fxx]])
-    if not np.all(np.isfinite(hess)):
-        return None
-    try:
-        cov_tau_xi = np.linalg.inv(hess)
-    except np.linalg.LinAlgError:
-        return None
-    if cov_tau_xi[0, 0] <= 0 or cov_tau_xi[1, 1] <= 0:
-        return None
-    # delta method: sigma = exp(tau)
-    sigma = np.exp(tau_hat)
-    jac = np.array([[sigma, 0.0], [0.0, 1.0]])
-    return jac @ cov_tau_xi @ jac.T
+    Where |a| is small g is the power series sum over k >= 3 of
+    (-1)^(k+1) (2/k + k - 3) a^(k-3), accurate through xi = 0 without a
+    separate exponential branch.
+    """
+    t = y / sigma
+    a = xi * t
+    w = 1.0 + a
+    tw = t / w
+    g = np.empty_like(a)
+    small = np.abs(a) < _G_SERIES_A
+    a_s, a_l, w_l = a[small], a[~small], w[~small]
+    g[~small] = (2.0 * np.log1p(a_l) - 2.0 * a_l / w_l - (a_l / w_l) ** 2) / a_l**3
+    g_s = np.full_like(a_s, _G_SERIES[-1])
+    for c in _G_SERIES[-2::-1]:  # Horner, in place
+        g_s *= a_s
+        g_s += c
+    g[small] = g_s
+    i_ss = ((1.0 + xi) * (tw + tw / w).sum() - y.size) / sigma**2
+    i_sx = ((1.0 + xi) * (tw**2).sum() - tw.sum()) / sigma
+    i_xx = (t**3 * g - tw**2).sum()
+    return np.array([[i_ss, i_sx], [i_sx, i_xx]])
 
 
 def _profile(s, y: np.ndarray):
@@ -319,10 +308,12 @@ def fit_gpd(
     that range and a bounded Brent search around its best cell find the
     interior optimum. A 1-D fit of sigma with xi fixed at ``XI_LOWER``
     covers the boundary, and the lower NLL wins. Deterministic; standard
-    errors come from the numerically inverted Hessian. On the boundary
-    the xi-gradient is not zero, so that Hessian describes no optimum:
-    ``se_sigma`` then comes from the curvature in sigma alone at fixed
-    xi, ``se_xi`` is NaN and ``cov_sigma_xi`` is None.
+    errors and ``cov_sigma_xi`` come from the inverse of the closed-form
+    observed information. On the boundary the xi-gradient is not zero,
+    so the full information describes no optimum: ``se_sigma`` then comes
+    from the curvature in sigma alone at fixed xi, ``se_xi`` is NaN and
+    ``cov_sigma_xi`` is None. Where the information is not positive
+    definite both standard errors are NaN, with a warning.
 
     Raises
     ------
@@ -371,22 +362,27 @@ def fit_gpd(
     xi_hat = float(xi_hat)
     if abs(xi_hat) < XI_ZERO_TOL:
         xi_hat = 0.0
-    if xi_hat <= XI_LOWER + 1e-6:
+    on_boundary = xi_hat <= XI_LOWER + 1e-6
+    if on_boundary:
         warnings.warn(
             f"GPD shape estimate on the boundary xi = {XI_LOWER}: se_xi undefined, "
             "se_sigma from the curvature in sigma at fixed xi",
             stacklevel=2,
         )
-        ftt = _tau_curvature(np.log(sigma_hat), xi_hat, y)
-        cov = None
-        se_sigma = float(sigma_hat / np.sqrt(ftt)) if 0 < ftt < np.inf else float("nan")
-        se_xi = float("nan")
-    elif (cov := _hessian_cov(np.log(sigma_hat), xi_hat, y)) is None:
-        warnings.warn("GPD Hessian not invertible; standard errors unavailable", stacklevel=2)
-        se_sigma = se_xi = float("nan")
+    # on the boundary only sigma sits at a stationary point of the NLL
+    k = 1 if on_boundary else 2
+    info = _gpd_information(sigma_hat, xi_hat, y)[:k, :k]
+    cov, se_sigma, se_xi = None, float("nan"), float("nan")
+    if np.isfinite(info).all() and info[0, 0] > 0 and np.linalg.det(info) > 0:
+        inv = np.linalg.inv(info)
+        se_sigma = float(np.sqrt(inv[0, 0]))
+        if not on_boundary:
+            cov, se_xi = inv, float(np.sqrt(inv[1, 1]))
     else:
-        se_sigma = float(np.sqrt(cov[0, 0]))
-        se_xi = float(np.sqrt(cov[1, 1]))
+        warnings.warn(
+            "GPD observed information not positive definite; standard errors unavailable",
+            stacklevel=2,
+        )
 
     return GpdFit(
         threshold_u=float(threshold_u),
@@ -401,17 +397,27 @@ def fit_gpd(
     )
 
 
+def _diagnostic_inputs(data, grid) -> tuple[np.ndarray, np.ndarray]:
+    """Flattened finite data and the sorted, nonempty, finite threshold grid."""
+    x = np.asarray(data, dtype=float).ravel()
+    grid = np.asarray(grid, dtype=float).ravel()
+    if not np.isfinite(x).all():
+        raise DataError("data contains NaN or Inf")
+    if grid.size == 0:
+        raise UsageError("threshold grid must be nonempty")
+    if not np.isfinite(grid).all():
+        raise UsageError("threshold grid values must be finite")
+    return x, np.sort(grid)
+
+
 def mean_residual_life(data: np.ndarray, grid: np.ndarray) -> ThresholdDiagnostics:
     """Mean excess over each grid threshold with a 95% normal band.
 
     Points backed by fewer than 10 exceedances are flagged and reported
-    as NaN.
+    as NaN. Non-finite data raise ``DataError``, an empty or non-finite
+    grid ``UsageError``.
     """
-    x = np.asarray(data, dtype=float).ravel()
-    grid = np.asarray(grid, dtype=float).ravel()
-    if grid.size == 0:
-        raise UsageError("threshold grid must be nonempty")
-    grid = np.sort(grid)
+    x, grid = _diagnostic_inputs(data, grid)
 
     m = np.full(grid.size, np.nan)
     lo = np.full(grid.size, np.nan)
@@ -438,13 +444,10 @@ def parameter_stability(data: np.ndarray, grid: np.ndarray) -> ThresholdDiagnost
     The modified scale ``sigma* = sigma_hat - xi_hat * u`` is constant in
     u when the GPD holds above every grid threshold; its standard error
     follows by the delta method from the fit covariance. Failed or
-    under-populated fits are flagged, not fatal.
+    under-populated fits are flagged, not fatal; bad inputs raise as in
+    :func:`mean_residual_life`.
     """
-    x = np.asarray(data, dtype=float).ravel()
-    grid = np.asarray(grid, dtype=float).ravel()
-    if grid.size == 0:
-        raise UsageError("threshold grid must be nonempty")
-    grid = np.sort(grid)
+    x, grid = _diagnostic_inputs(data, grid)
 
     xi = np.full(grid.size, np.nan)
     xi_se = np.full(grid.size, np.nan)
@@ -490,12 +493,20 @@ def decluster_runs(
     gap is at most ``run_length_r``; a gap of more than ``run_length_r``
     (at least that many sub-threshold samples in between) starts a new
     cluster. Each cluster contributes its maximum, earliest index first
-    on ties.
+    on ties. Non-finite data raise ``DataError``; a non-finite threshold
+    or a run length that is not an integer >= 1 raises ``UsageError``.
     """
-    if int(run_length_r) < 1:
-        raise UsageError(f"run length must be >= 1, got {run_length_r}")
-    r = int(run_length_r)
+    try:
+        r = operator.index(run_length_r)
+    except TypeError:
+        raise UsageError(f"run length must be an integer, got {run_length_r!r}") from None
+    if r < 1:
+        raise UsageError(f"run length must be >= 1, got {r}")
+    if not np.isfinite(threshold_u):
+        raise UsageError(f"threshold must be finite, got {threshold_u}")
     x = np.asarray(data, dtype=float).ravel()
+    if not np.isfinite(x).all():
+        raise DataError("data contains NaN or Inf")
     exc_idx = np.flatnonzero(x > threshold_u)
     if exc_idx.size == 0:
         return ClusterSet(

@@ -79,22 +79,6 @@ def uniform_scores(x: np.ndarray) -> np.ndarray:
     return _average_ranks(_tie_groups(x[:, None]), slice(None))[:, 0] / (x.size + 1.0)
 
 
-def _chi_from_counts(n_joint: float, n_x: float, n_y: float, n: int):
-    """(chi, chibar) from exceedance counts; caller ensures n_joint >= 1.
-
-    When every sample exceeds (p_joint = 1) chibar is defined as 1,
-    agreeing with chi = 1.
-    """
-    p_joint = n_joint / n
-    p_marg = (n_x + n_y) / (2.0 * n)
-    chi = min(1.0, max(0.0, p_joint / p_marg))
-    if p_joint == 1.0:
-        return chi, 1.0
-    chibar = 2.0 * np.log(p_marg) / np.log(p_joint) - 1.0
-    chibar = min(1.0, max(-1.0, chibar))
-    return chi, chibar
-
-
 def chi_u(
     scores_x: np.ndarray, scores_y: np.ndarray, u: float
 ) -> tuple[float, float]:
@@ -109,17 +93,15 @@ def chi_u(
         raise ValidationError("score series must be 1-D and of equal length")
     if not 0.0 < u < 1.0:
         raise UsageError(f"quantile level must lie in (0, 1), got {u}")
-    bx = sx > u
-    by = sy > u
-    n_joint = int(np.count_nonzero(bx & by))
+    joint, marg = _pair_matrices(np.column_stack([sx, sy]), u)
+    n_joint = int(joint[0, 1])
     if n_joint < MIN_JOINT_EXCEEDANCES:
         raise SparseTailError(
             f"only {n_joint} joint exceedances at u={u:g} "
             f"(need >= {MIN_JOINT_EXCEEDANCES}); lower u"
         )
-    return _chi_from_counts(
-        n_joint, np.count_nonzero(bx), np.count_nonzero(by), sx.size
-    )
+    chi, chibar = _chi_arrays(joint, marg, sx.size)
+    return float(chi[0, 1]), float(chibar[0, 1])
 
 
 def stationary_bootstrap_indices(
@@ -178,7 +160,7 @@ def _chi_arrays(joint: np.ndarray, marg: np.ndarray, n: int):
     with np.errstate(divide="ignore", invalid="ignore"):
         chi = np.clip((joint / n) / (pooled / n), 0.0, 1.0)
         chibar = np.clip(2.0 * np.log(pooled / n) / np.log(joint / n) - 1.0, -1.0, 1.0)
-    chibar[joint == n] = 1.0  # every sample exceeds; see _chi_from_counts
+    chibar[joint == n] = 1.0  # every sample exceeds: defined as 1, agreeing with chi
     bad = joint < MIN_JOINT_EXCEEDANCES
     chi[bad] = np.nan
     chibar[bad] = np.nan

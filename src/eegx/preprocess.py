@@ -98,6 +98,12 @@ class FilterSpec:
         return 3 * (self.order + 1)
 
 
+def _check_fs(fs: float) -> None:
+    """Reject a sampling rate that is not a finite positive number."""
+    if not (np.isfinite(fs) and fs > 0):
+        raise ValidationError(f"fs must be finite and positive, got {fs}")
+
+
 def effective_high_edge(band: BandDefinition, fs: float) -> float:
     """Upper band edge after capping at ``NYQUIST_MARGIN * fs/2``."""
     return min(band.high_hz, NYQUIST_MARGIN * fs / 2.0)
@@ -147,8 +153,7 @@ def design_bandpass(
     """
     if order % 2 != 0 or not 2 <= order <= 8:
         raise ValidationError(f"order must be even and in [2, 8], got {order}")
-    if fs <= 0:
-        raise ValidationError(f"fs must be positive, got {fs}")
+    _check_fs(fs)
 
     cap = NYQUIST_MARGIN * fs / 2.0
     if band.low_hz >= cap:

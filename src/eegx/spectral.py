@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SizeError, UsageError, ValidationError
-from .preprocess import BandDefinition
+from .preprocess import BandDefinition, _check_fs
 
 __all__ = ["SpectrumEstimate", "periodogram", "welch", "band_power"]
 
@@ -75,8 +75,7 @@ def periodogram(x: np.ndarray, fs: float) -> SpectrumEstimate:
     n = x.size
     if n < 2:
         raise SizeError(f"periodogram needs at least 2 samples, got {n}")
-    if fs <= 0:
-        raise ValidationError(f"fs must be positive, got {fs}")
+    _check_fs(fs)
     xc = x - x.mean()
     power = _onesided_power(xc, fs, 1.0 / (n * fs))
     freqs = np.fft.rfftfreq(n, d=1.0 / fs)
@@ -114,8 +113,7 @@ def welch(
         raise SizeError(f"seg_len {seg_len} exceeds signal length {n}")
     if not 0 <= overlap <= 0.9:
         raise UsageError(f"overlap must lie in [0, 0.9], got {overlap}")
-    if fs <= 0:
-        raise ValidationError(f"fs must be positive, got {fs}")
+    _check_fs(fs)
 
     if seg_len == n:
         window = np.ones(n)

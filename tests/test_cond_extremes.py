@@ -42,6 +42,8 @@ class TestLaplace:
             laplace_quantile(0.0)
         with pytest.raises(DomainError):
             laplace_quantile(np.array([0.5, 1.0]))
+        with pytest.raises(DomainError):
+            laplace_quantile(np.nan)
 
 
 class TestMarginalTransform:

@@ -1,3 +1,4 @@
+import decimal
 import warnings
 
 import numpy as np
@@ -22,7 +23,14 @@ from eegx import (
     parameter_stability,
     return_level,
 )
-from eegx.evt_univariate import _bounded_brent, _brent_root, gpd_nll, gpd_nll_exponential
+import eegx.evt_univariate as evt
+from eegx.evt_univariate import (
+    XI_LOWER,
+    _bounded_brent,
+    _brent_root,
+    _gpd_information,
+    gpd_nll,
+)
 
 
 # (f, lo, hi): smooth, kinked, flat-ended, monotone and +inf-valued cases
@@ -230,7 +238,7 @@ class TestFitGpd:
                 y.size * np.log(1.0)
                 + (1 + 1 / xi) * np.log1p(xi * y / 1.0).sum()
             )
-            limit = gpd_nll_exponential(1.0, y)
+            limit = gpd_nll(1.0, 0.0, y)
             assert abs(full - limit) <= 1e-6 * abs(limit)
 
     def test_scale_equivariance(self):
@@ -307,6 +315,130 @@ class TestBoundaryStandardErrors:
         assert fit.se_xi == np.sqrt(fit.cov_sigma_xi[1, 1])
 
 
+def _decimal_nll_hessian(sigma, xi, y, digits=60, step="1e-15"):
+    """Hessian of the GPD NLL in (sigma, xi) by central differences in
+    ``digits``-digit decimal arithmetic: an independent reference for the
+    closed form. Truncation and rounding errors are both near 1e-30."""
+    ys = [decimal.Decimal(float(v)) for v in y]
+    n = len(ys)
+
+    def nll(s, x):  # in the local context below
+        if x == 0:
+            return n * s.ln() + sum(ys) / s
+        return n * s.ln() + (1 + 1 / x) * sum((1 + x * v / s).ln() for v in ys)
+
+    s0, x0, h = decimal.Decimal(float(sigma)), decimal.Decimal(float(xi)), decimal.Decimal(step)
+    with decimal.localcontext(decimal.Context(prec=digits)):
+        f0 = nll(s0, x0)
+        fss = (nll(s0 + h, x0) - 2 * f0 + nll(s0 - h, x0)) / h**2
+        fxx = (nll(s0, x0 + h) - 2 * f0 + nll(s0, x0 - h)) / h**2
+        fsx = (
+            nll(s0 + h, x0 + h) - nll(s0 + h, x0 - h)
+            - nll(s0 - h, x0 + h) + nll(s0 - h, x0 - h)
+        ) / (4 * h**2)
+    return np.array([[float(fss), float(fsx)], [float(fsx), float(fxx)]])
+
+
+def _hessian_cov(tau_hat, xi_hat, excesses):
+    """The finite-difference covariance ``fit_gpd`` used before the closed
+    form: a 1e-4 central-difference Hessian on (tau = log sigma, xi),
+    inverted and mapped to (sigma, xi) by the delta method. Kept as the
+    reference for the agreement sweep."""
+
+    def f(tau, xi):
+        return gpd_nll(np.exp(tau), xi, excesses)
+
+    h = 1e-4
+    f0 = f(tau_hat, xi_hat)
+    ftt = (f(tau_hat + h, xi_hat) - 2 * f0 + f(tau_hat - h, xi_hat)) / h**2
+    fxx = (f(tau_hat, xi_hat + h) - 2 * f0 + f(tau_hat, xi_hat - h)) / h**2
+    ftx = (
+        f(tau_hat + h, xi_hat + h)
+        - f(tau_hat + h, xi_hat - h)
+        - f(tau_hat - h, xi_hat + h)
+        + f(tau_hat - h, xi_hat - h)
+    ) / (4 * h**2)
+    cov_tau_xi = np.linalg.inv(np.array([[ftt, ftx], [ftx, fxx]]))
+    jac = np.diag([np.exp(tau_hat), 1.0])
+    return jac @ cov_tau_xi @ jac.T
+
+
+class TestGpdInformation:
+    """The closed-form observed information behind every GPD standard error."""
+
+    @pytest.mark.parametrize("xi", [0.0, 2e-6, -2e-6, 1e-3, 0.2, 2.5])
+    def test_matches_decimal_reference(self, xi):
+        y = gen_exponential(200, 1.0, seed=31) if xi == 0 else gen_gpd(200, 1.0, xi, seed=31)
+        info = _gpd_information(1.3, xi, y)
+        np.testing.assert_allclose(info, _decimal_nll_hessian(1.3, xi, y), rtol=1e-10, atol=0)
+
+    def test_near_support_endpoint(self):
+        # xi = -0.47: the largest excess 1e-4 short of the endpoint sigma/0.47,
+        # where 1 + xi*y/sigma is small and the curvature large
+        y = np.random.default_rng(32).uniform(0.0, 1.0, 200) / 0.47
+        y[-1] = (1 - 1e-4) / 0.47
+        info = _gpd_information(1.0, -0.47, y)
+        np.testing.assert_allclose(info, _decimal_nll_hessian(1.0, -0.47, y), rtol=1e-10, atol=0)
+
+    def test_endpoint_fit_where_finite_differences_drift(self):
+        # an interior fit with xi_hat = -0.466 whose largest excess lies
+        # within 1.7 % of the fitted endpoint: the old 1e-4 finite differences
+        # are 0.13 % off there, the closed form agrees with the decimal reference
+        y = gen_gpd(500, 1.0, -0.45, seed=24)
+        fit = fit_gpd(y)
+        exact = np.linalg.inv(_decimal_nll_hessian(fit.sigma, fit.xi, y))
+        np.testing.assert_allclose(fit.cov_sigma_xi, exact, rtol=1e-10)
+        old = _hessian_cov(np.log(fit.sigma), fit.xi, y)
+        assert np.max(np.abs(np.sqrt(np.diag(old) / np.diag(exact)) - 1)) > 1e-3
+
+    @pytest.mark.filterwarnings("ignore:GPD shape estimate on the boundary")
+    def test_standard_errors_match_finite_differences(self):
+        # the profile-fit sweep: away from the support endpoint (xi_hat > -0.4)
+        # the closed form and the old finite-difference SEs agree
+        compared = 0
+        for xi in (-0.45, -0.2, 0.0, 0.3, 1.0, 2.5):
+            for n in (15, 200, 3000):
+                for seed in range(1, 41):
+                    y = gen_exponential(n, 1.0, seed=seed) if xi == 0 else gen_gpd(n, 1.0, xi, seed=seed)
+                    fit = fit_gpd(y)
+                    if fit.xi <= -0.4:
+                        continue
+                    old = _hessian_cov(np.log(fit.sigma), fit.xi, y)
+                    assert fit.se_sigma == pytest.approx(np.sqrt(old[0, 0]), rel=1e-4)
+                    assert fit.se_xi == pytest.approx(np.sqrt(old[1, 1]), rel=1e-4)
+                    compared += 1
+        assert compared > 500
+
+    def test_constant_excesses_exact(self):
+        # sigma_hat = 1 (to ~1e-9), xi = -0.5: I_ss = 0.5 * 20 * (2 + 4) - 20 = 40
+        with pytest.warns(UserWarning, match="boundary"):
+            fit = fit_gpd(np.ones(20))
+        assert fit.se_sigma == pytest.approx(1 / np.sqrt(40), rel=1e-8)
+
+    @pytest.mark.parametrize("info", [[[1.0, 2.0], [2.0, 1.0]], [[np.nan, 0.0], [0.0, 1.0]]])
+    def test_not_positive_definite(self, monkeypatch, info):
+        monkeypatch.setattr(evt, "_gpd_information", lambda sigma, xi, y: np.array(info))
+        with pytest.warns(UserWarning, match="observed information not positive definite"):
+            fit = fit_gpd(gen_gpd(500, 1.0, 0.2, seed=33))
+        assert np.isnan(fit.se_sigma) and np.isnan(fit.se_xi)
+        assert fit.cov_sigma_xi is None
+
+    def test_boundary_needs_only_sigma_curvature(self, monkeypatch):
+        # on xi = -0.5 only I_ss enters; a negative I_xx there is no failure
+        real = evt._gpd_information
+
+        def info(sigma, xi, y):
+            return real(sigma, xi, y) * np.array([[1.0, 1.0], [1.0, -1.0]])
+
+        monkeypatch.setattr(evt, "_gpd_information", info)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fit = fit_gpd(np.ones(20))
+        assert [m for m in caught if "positive definite" in str(m.message)] == []
+        assert fit.xi == XI_LOWER
+        assert fit.se_sigma == pytest.approx(1 / np.sqrt(40), rel=1e-8)
+
+
 class TestFitChannelTail:
     def test_iid_gpd_series(self):
         x = gen_gpd(50_000, 1.0, 0.2, seed=13)
@@ -345,6 +477,40 @@ class TestInputContract:
     def test_channel_tail_rejects_empty(self):
         with pytest.raises(SizeError):
             fit_channel_tail(np.array([]))
+
+    @pytest.mark.parametrize("diagnostic", [mean_residual_life, parameter_stability])
+    def test_diagnostics_reject_non_finite_data(self, diagnostic):
+        x = gen_exponential(1_000, 1.0, seed=16)
+        x[10] = np.nan
+        with pytest.raises(DataError):
+            diagnostic(x, np.array([0.5, 1.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("diagnostic", [mean_residual_life, parameter_stability])
+    def test_diagnostics_reject_non_finite_grid(self, diagnostic, bad):
+        x = gen_exponential(1_000, 1.0, seed=17)
+        with pytest.raises(UsageError, match="finite"):
+            diagnostic(x, np.array([0.5, bad]))
+
+    def test_decluster_rejects_non_finite_data(self):
+        x = np.zeros(10)
+        x[3] = np.nan
+        with pytest.raises(DataError):
+            decluster_runs(x, 0.5, 2)
+
+    @pytest.mark.parametrize("u", [np.nan, np.inf])
+    def test_decluster_rejects_non_finite_threshold(self, u):
+        with pytest.raises(UsageError, match="threshold must be finite"):
+            decluster_runs(np.ones(10), u, 2)
+
+    @pytest.mark.parametrize("r", [2.7, 2.0, "2"])
+    def test_decluster_rejects_non_integer_run_length(self, r):
+        with pytest.raises(UsageError, match="integer"):
+            decluster_runs(np.ones(10), 0.5, r)
+
+    def test_decluster_accepts_numpy_integer_run_length(self):
+        cs = decluster_runs(np.ones(10), 0.5, np.int64(3))
+        assert cs.run_length_r == 3 and type(cs.run_length_r) is int
 
     @pytest.mark.parametrize("m,obs", [(np.nan, 1.0), (np.inf, 1.0), (1e4, np.nan)])
     def test_return_level_rejects_non_finite(self, m, obs):

@@ -5,7 +5,9 @@ from eegx import (
     BandDefinition,
     DomainError,
     SizeError,
+    ValidationError,
     band_power,
+    design_bandpass,
     periodogram,
     welch,
 )
@@ -140,3 +142,18 @@ class TestBandPower:
     def test_zero_spectrum(self):
         est = periodogram(np.zeros(100), 100.0)
         assert band_power(est, band_by_id("alpha")) == 0.0
+
+
+@pytest.mark.parametrize("fs", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda fs: design_bandpass(band_by_id("alpha"), fs),
+        lambda fs: periodogram(np.ones(64), fs),
+        lambda fs: welch(np.ones(64), fs, seg_len=32),
+    ],
+    ids=["design_bandpass", "periodogram", "welch"],
+)
+def test_non_finite_fs_rejected(call, fs):
+    with pytest.raises(ValidationError, match="finite and positive"):
+        call(fs)
