@@ -23,7 +23,7 @@ from . import preprocess as pp
 from . import signal_io as sio
 from . import spectral as sp
 from ._svg import heatmap_svg
-from .errors import EegxError, FitError, UsageError, ValidationError
+from .errors import EegxError, FitError, UsageError, ValidationError, check_int
 
 
 def _emit(path: Path, text: str) -> Path:
@@ -90,6 +90,11 @@ def _run_length(args, fs: float) -> int:
     if args.run_length < 1:
         raise UsageError(f"--run-length must be at least 1, got {args.run_length}")
     return args.run_length
+
+
+def _check_level(value: float, flag: str) -> None:
+    if not 0.0 < value < 1.0:  # NaN fails too
+        raise UsageError(f"{flag} must lie in (0, 1), got {value:g}")
 
 
 def _load_input(args) -> sio.EegRecording:
@@ -389,6 +394,18 @@ def cmd_report(args) -> int:
     rec.index_of(cond_channel)  # an unknown channel fails before any file is written
     run_length = _run_length(args, rec.fs)
     levels = args.u or list(ed.DEFAULT_U_GRID)
+    # every numeric option is checked here, since each stage writes files
+    pp._check_order(args.order)
+    evt._check_threshold_quantile(args.threshold_quantile)
+    ce._check_cond_quantile(args.ht_quantile)
+    for u in levels:
+        _check_level(u, "--u")
+    _check_level(args.level, "--level")
+    if args.level < args.ht_quantile:
+        raise UsageError(f"--level {args.level:g} lies below --ht-quantile {args.ht_quantile:g}")
+    check_int(args.seed, "--seed", 0)
+    check_int(args.n_boot, "--n-boot", 0)
+    check_int(args.n_sim, "--n-sim", 1)
     pair = sio.split_at_onset(rec)
     epochs = {"pre": pair.pre, "post": pair.post}
     outdir = Path(args.outdir)

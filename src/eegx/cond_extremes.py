@@ -32,8 +32,15 @@ from .errors import (
     SizeError,
     UsageError,
     ValidationError,
+    check_int,
 )
-from .evt_univariate import GpdFit, XI_ZERO_TOL, _grid_brent, fit_gpd
+from .evt_univariate import (
+    GpdFit,
+    XI_ZERO_TOL,
+    _check_threshold_quantile,
+    _grid_brent,
+    fit_gpd,
+)
 from .signal_io import EegRecording
 
 S_FLOOR = 1e-8  # lower bound on the residual spread in the pseudo-likelihood
@@ -55,8 +62,10 @@ def laplace_quantile(p):
 
 
 def laplace_cdf(y):
-    """CDF of the standard Laplace distribution."""
+    """CDF of the standard Laplace distribution; NaN is outside its domain."""
     y = np.asarray(y, dtype=float)
+    if np.isnan(y).any():
+        raise DomainError("Laplace CDF is undefined at NaN")
     out = np.where(y < 0.0, 0.5 * np.exp(y), 1.0 - 0.5 * np.exp(-y))
     return float(out) if out.ndim == 0 else out
 
@@ -111,10 +120,7 @@ def fit_marginal(
     x = np.asarray(x, dtype=float).ravel()
     if x.size < 20:
         raise SizeError(f"marginal transform needs >= 20 observations, got {x.size}")
-    if not 0.8 <= threshold_quantile <= 0.999:
-        raise UsageError(
-            f"threshold quantile must lie in [0.8, 0.999], got {threshold_quantile}"
-        )
+    _check_threshold_quantile(threshold_quantile)
     if not np.isfinite(x).all():
         raise DataError("marginal sample contains NaN or Inf")
     u = float(np.quantile(x, threshold_quantile))
@@ -241,6 +247,11 @@ def _profile_beta(beta, y: np.ndarray, y_dep: np.ndarray):
     return nll, alpha, mu, s
 
 
+def _check_cond_quantile(q: float) -> None:
+    if not 0.9 <= q <= 0.999:  # NaN fails too
+        raise UsageError(f"conditioning quantile must lie in [0.9, 0.999], got {q}")
+
+
 def fit_ht(
     y_cond: np.ndarray,
     y_dep: np.ndarray,
@@ -262,10 +273,7 @@ def fit_ht(
     yd = np.asarray(y_dep, dtype=float).ravel()
     if yc.shape != yd.shape:
         raise ValidationError("conditioning and dependent series must align")
-    if not 0.9 <= cond_quantile <= 0.999:
-        raise UsageError(
-            f"conditioning quantile must lie in [0.9, 0.999], got {cond_quantile}"
-        )
+    _check_cond_quantile(cond_quantile)
     if not (np.isfinite(yc).all() and np.isfinite(yd).all()):
         raise DataError("conditioning and dependent series must be finite")
     t_q = laplace_quantile(cond_quantile)
@@ -407,8 +415,8 @@ def simulate_conditional(
         raise UsageError(
             f"simulation level {level_q:g} lies below the fitting threshold"
         )
-    if n_sim < 1:
-        raise UsageError(f"n_sim must be >= 1, got {n_sim}")
+    n_sim = check_int(n_sim, "n_sim", 1)
+    seed = check_int(seed, "seed", 0)
 
     rng = np.random.default_rng(seed)
     y = t_level + rng.standard_exponential(n_sim)

@@ -3,8 +3,11 @@
 The CLI maps these onto exit codes: validation-type errors (bad flags,
 unreadable or malformed inputs, misuse of an operation) exit with 2,
 computation-type errors (fit failures, infeasible designs, degenerate
-data) exit with 1.
+data) exit with 1. ``check_int`` is the one check of integer arguments
+(counts, seeds, run lengths), so they fail the same way everywhere.
 """
+
+import operator
 
 
 class EegxError(Exception):
@@ -53,3 +56,16 @@ class FitError(EegxError):
 
 class SparseTailError(EegxError):
     """Too few joint tail exceedances to estimate dependence."""
+
+
+def check_int(value, name: str, minimum: int) -> int:
+    """``value`` as an ``int``; a :class:`UsageError` naming ``name`` when
+    it is not an integer (floats and strings included) or is below
+    ``minimum``."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise UsageError(f"{name} must be an integer, got {value!r}") from None
+    if value < minimum:
+        raise UsageError(f"{name} must be >= {minimum}, got {value}")
+    return value

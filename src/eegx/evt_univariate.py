@@ -20,13 +20,20 @@ Standard errors come from the closed-form observed information.
 from __future__ import annotations
 
 import math
-import operator
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, DomainError, FitError, SizeError, UsageError, ValidationError
+from .errors import (
+    DataError,
+    DomainError,
+    FitError,
+    SizeError,
+    UsageError,
+    ValidationError,
+    check_int,
+)
 
 XI_ZERO_TOL = 1e-6  # |xi| below this: use the exponential limit
 XI_LOWER = -0.5  # MLE regularity bound on the shape
@@ -496,12 +503,7 @@ def decluster_runs(
     on ties. Non-finite data raise ``DataError``; a non-finite threshold
     or a run length that is not an integer >= 1 raises ``UsageError``.
     """
-    try:
-        r = operator.index(run_length_r)
-    except TypeError:
-        raise UsageError(f"run length must be an integer, got {run_length_r!r}") from None
-    if r < 1:
-        raise UsageError(f"run length must be >= 1, got {r}")
+    r = check_int(run_length_r, "run length", 1)
     if not np.isfinite(threshold_u):
         raise UsageError(f"threshold must be finite, got {threshold_u}")
     x = np.asarray(data, dtype=float).ravel()
@@ -553,6 +555,11 @@ def return_level(fit: GpdFit, m: float, obs_per_unit: float = 1.0) -> float:
     return fit.threshold_u + fit.sigma / fit.xi * (mz**fit.xi - 1.0)
 
 
+def _check_threshold_quantile(q: float) -> None:
+    if not 0.8 <= q <= 0.999:  # NaN fails too
+        raise UsageError(f"threshold quantile must lie in [0.8, 0.999], got {q}")
+
+
 def fit_channel_tail(
     series: np.ndarray,
     threshold_quantile: float = 0.95,
@@ -570,10 +577,7 @@ def fit_channel_tail(
     independent data.
     """
     x = np.asarray(series, dtype=float).ravel()
-    if not 0.8 <= threshold_quantile <= 0.999:
-        raise UsageError(
-            f"threshold quantile must lie in [0.8, 0.999], got {threshold_quantile}"
-        )
+    _check_threshold_quantile(threshold_quantile)
     if x.size == 0:
         raise SizeError("cannot fit the tail of an empty series")
     if not np.isfinite(x).all():

@@ -16,19 +16,32 @@ stationary block bootstrap (geometric block lengths) that respects the
 serial dependence of EEG samples. Each column is sorted once: a
 resample's average ranks follow from counting its tie-group ids, and
 each resample is drawn once and scored at every requested level.
+
+Replicate b draws from the b-th child of ``SeedSequence(seed).spawn``
+and depends on nothing else but the tie groups, so the replicates are
+cut into one contiguous block per usable core and scored in
+``signal_io``'s fork pool (``_replicates``); the parent joins the
+blocks in order, and the intervals do not depend on the cut. There is
+no setting, and ``n_boot=0`` starts no pool.
 """
 
 from __future__ import annotations
 
-import operator
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, SizeError, SparseTailError, UsageError, ValidationError
-from .signal_io import EegRecording
+from . import signal_io as sio
+from .errors import (
+    DataError,
+    SizeError,
+    SparseTailError,
+    UsageError,
+    ValidationError,
+    check_int,
+)
 
 MIN_JOINT_EXCEEDANCES = 5
 DEFAULT_U_GRID = (0.90, 0.95, 0.98)
@@ -93,6 +106,8 @@ def chi_u(
         raise ValidationError("score series must be 1-D and of equal length")
     if not 0.0 < u < 1.0:
         raise UsageError(f"quantile level must lie in (0, 1), got {u}")
+    if np.isnan(sx).any() or np.isnan(sy).any():
+        raise DataError("scores contain NaN")
     joint, marg = _pair_matrices(np.column_stack([sx, sy]), u)
     n_joint = int(joint[0, 1])
     if n_joint < MIN_JOINT_EXCEEDANCES:
@@ -112,8 +127,7 @@ def stationary_bootstrap_indices(
     Blocks have geometric length with the given mean and wrap around the
     end of the series.
     """
-    if mean_block < 1:
-        raise UsageError(f"mean block length must be >= 1, got {mean_block}")
+    _check_mean_block(mean_block)
     p = 1.0 / float(mean_block)
     restart = rng.random(n) < p
     restart[0] = True
@@ -122,6 +136,11 @@ def stationary_bootstrap_indices(
     last_restart = np.maximum.accumulate(np.where(restart, pos, -1))
     offset = pos - last_restart
     return (starts[last_restart] + offset) % n
+
+
+def _check_mean_block(mean_block) -> None:
+    if not mean_block >= 1:  # NaN fails too
+        raise UsageError(f"mean block length must be >= 1, got {mean_block}")
 
 
 def _tie_groups(matrix: np.ndarray) -> list[np.ndarray]:
@@ -170,7 +189,7 @@ def _chi_arrays(joint: np.ndarray, marg: np.ndarray, n: int):
 
 
 def chi_matrix(
-    data: EegRecording | np.ndarray,
+    data: sio.EegRecording | np.ndarray,
     u: float,
     n_boot: int = DEFAULT_N_BOOT,
     seed: int = 0,
@@ -185,7 +204,7 @@ def chi_matrix(
 
 
 def chi_matrices(
-    data: EegRecording | np.ndarray,
+    data: sio.EegRecording | np.ndarray,
     levels: Sequence[float],
     n_boot: int = DEFAULT_N_BOOT,
     seed: int = 0,
@@ -208,6 +227,8 @@ def chi_matrices(
         Stationary-bootstrap replicates for the 95% intervals; 0 skips
         the bootstrap (intervals become NaN).
     seed : int
+        Non-negative; replicate b draws from the b-th child of
+        ``SeedSequence(seed)``, whichever process scores it.
     mean_block_len : float, optional
         Mean bootstrap block length in samples. Defaults to the
         recording's sampling rate (one second), or 1 for a bare matrix.
@@ -216,7 +237,7 @@ def chi_matrices(
 
     Sparse pairs (under 5 joint exceedances) are flagged, not fatal.
     """
-    if isinstance(data, EegRecording):
+    if isinstance(data, sio.EegRecording):
         matrix = data.data
         labels = data.channels
         if mean_block_len is None:
@@ -243,12 +264,8 @@ def chi_matrices(
     for u in levels:
         if not 0.0 < u < 1.0:
             raise UsageError(f"quantile level must lie in (0, 1), got {u}")
-    try:
-        n_boot = operator.index(n_boot)
-    except TypeError:
-        raise UsageError(f"n_boot must be an integer, got {n_boot!r}") from None
-    if n_boot < 0:
-        raise UsageError(f"n_boot must be >= 0, got {n_boot}")
+    n_boot = check_int(n_boot, "n_boot", 0)
+    seed = check_int(seed, "seed", 0)
 
     n, c = matrix.shape
     groups = _tie_groups(matrix)
@@ -259,13 +276,13 @@ def chi_matrices(
         points.append((joint, *_chi_arrays(joint, marg, n)))
 
     if n_boot > 0:
-        chi_b = np.empty((len(levels), n_boot, c, c))
-        chibar_b = np.empty_like(chi_b)
-        for b, ss in enumerate(np.random.SeedSequence(seed).spawn(n_boot)):
-            idx = stationary_bootstrap_indices(n, mean_block_len, np.random.default_rng(ss))
-            s_b = _average_ranks(groups, idx) / (n + 1.0)
-            for k, u in enumerate(levels):
-                chi_b[k, b], chibar_b[k, b] = _chi_arrays(*_pair_matrices(s_b, u), n)
+        _check_mean_block(mean_block_len)
+        seeds = np.random.SeedSequence(seed).spawn(n_boot)
+        parts = min(sio._usable_cores(), n_boot)
+        cuts = [k * n_boot // parts for k in range(parts + 1)]
+        tasks = [(groups, seeds[a:b], mean_block_len, levels) for a, b in zip(cuts, cuts[1:])]
+        blocks = sio._ordered_map(_replicates, tasks)
+        chi_b, chibar_b = (np.concatenate(reps, axis=1) for reps in zip(*blocks))
         cis = [(_interval(chi_b[k]), _interval(chibar_b[k])) for k in range(len(levels))]
     else:
         nan = np.full((c, c), np.nan)
@@ -274,6 +291,22 @@ def chi_matrices(
     return tuple(
         _chi_result(labels, u, *point, *ci) for u, point, ci in zip(levels, points, cis)
     )
+
+
+def _replicates(task) -> tuple[np.ndarray, np.ndarray]:
+    """chi and chibar, each (levels x replicates x C x C), of the
+    bootstrap replicates that ``task`` = (tie groups, seed sequences,
+    mean block length, levels) names, one replicate per seed sequence."""
+    groups, seeds, mean_block_len, levels = task
+    n, c = groups[0].size, len(groups)
+    chi_b = np.empty((len(levels), len(seeds), c, c))
+    chibar_b = np.empty_like(chi_b)
+    for b, ss in enumerate(seeds):
+        idx = stationary_bootstrap_indices(n, mean_block_len, np.random.default_rng(ss))
+        s_b = _average_ranks(groups, idx) / (n + 1.0)
+        for k, u in enumerate(levels):
+            chi_b[k, b], chibar_b[k, b] = _chi_arrays(*_pair_matrices(s_b, u), n)
+    return chi_b, chibar_b
 
 
 def _interval(reps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import UsageError, ValidationError
+from .errors import UsageError, ValidationError, check_int
 from .signal_io import EegRecording
 
 #: AR(2) coefficients for the pre-onset background: a gently resonant,
@@ -64,7 +64,7 @@ def gen_gpd(n: int, sigma: float, xi: float, seed: int) -> np.ndarray:
         raise UsageError(f"sigma must be positive, got {sigma}")
     if n < 0:
         raise UsageError(f"n must be nonnegative, got {n}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_int(seed, "seed", 0))
     u = rng.random(n)
     u = np.where(u == 0.0, 0.5 / 2**53, u)  # keep U in (0, 1)
     if xi == 0.0:
@@ -83,7 +83,7 @@ def gen_gaussian_copula_pair(n: int, rho: float, seed: int):
         raise UsageError(f"rho must lie in (-1, 1), got {rho}")
     from scipy.special import ndtr
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_int(seed, "seed", 0))
     z1 = rng.standard_normal(n)
     z2 = rho * z1 + np.sqrt(1.0 - rho**2) * rng.standard_normal(n)
     return ndtr(z1), ndtr(z2)
@@ -91,13 +91,13 @@ def gen_gaussian_copula_pair(n: int, rho: float, seed: int):
 
 def gen_comonotone_pair(n: int, seed: int):
     """Perfectly dependent uniform pair (both margins identical)."""
-    u = np.random.default_rng(seed).random(n)
+    u = np.random.default_rng(check_int(seed, "seed", 0)).random(n)
     return u, u.copy()
 
 
 def gen_independent_pair(n: int, seed: int):
     """Independent uniform pair."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_int(seed, "seed", 0))
     return rng.random(n), rng.random(n)
 
 
@@ -148,7 +148,7 @@ def gen_synthetic_eeg(
     if len(channel_names) != channels:
         raise ValidationError("channel_names length must equal channels")
 
-    seq = np.random.SeedSequence(seed)
+    seq = np.random.SeedSequence(check_int(seed, "seed", 0))
     child_seqs = seq.spawn(channels + 1)  # one per channel, one for the factor
     data = np.empty((T, channels))
     for c in range(channels):

@@ -104,6 +104,11 @@ def _check_fs(fs: float) -> None:
         raise ValidationError(f"fs must be finite and positive, got {fs}")
 
 
+def _check_order(order: int) -> None:
+    if order % 2 != 0 or not 2 <= order <= 8:
+        raise ValidationError(f"order must be even and in [2, 8], got {order}")
+
+
 def effective_high_edge(band: BandDefinition, fs: float) -> float:
     """Upper band edge after capping at ``NYQUIST_MARGIN * fs/2``."""
     return min(band.high_hz, NYQUIST_MARGIN * fs / 2.0)
@@ -151,8 +156,7 @@ def design_bandpass(
     Bands reaching past Nyquist are capped; a band starting at or above
     the cap is infeasible.
     """
-    if order % 2 != 0 or not 2 <= order <= 8:
-        raise ValidationError(f"order must be even and in [2, 8], got {order}")
+    _check_order(order)
     _check_fs(fs)
 
     cap = NYQUIST_MARGIN * fs / 2.0
@@ -187,7 +191,9 @@ def detrend(x: np.ndarray) -> np.ndarray:
         raise SizeError(f"detrend needs at least 2 samples, got {n}")
     t = np.arange(n, dtype=float)
     t_c = t - t.mean()
-    slope = (t_c @ (x - x.mean())) / (t_c @ t_c)
+    # np.sum, not a BLAS dot product: its order of summation, and so the
+    # last bits, must not depend on how many threads the BLAS runs
+    slope = np.sum(t_c * (x - x.mean())) / np.sum(t_c * t_c)
     return x - (x.mean() + slope * t_c)
 
 
@@ -215,7 +221,8 @@ def _impulse_response(sos: np.ndarray, n: int) -> np.ndarray:
     k = np.arange(1, length)
     h = np.empty(length)
     h[0] = np.prod(sos[:, 0])
-    h[1:] = np.real(np.exp(np.multiply.outer(k, np.log(poles))) @ residues)
+    terms = np.exp(np.multiply.outer(k, np.log(poles))) * residues
+    h[1:] = np.real(np.sum(terms, axis=1))  # np.sum, not @, as in detrend
     return h
 
 

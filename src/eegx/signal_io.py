@@ -6,6 +6,8 @@ CSV, either passed by the caller or read from an optional JSON sidecar
 ``<path>.meta.json`` with keys ``fs`` and ``onset_index``. Matrices are
 written by ``write_matrices_csv``, which formats row chunks on every
 usable core and streams them, in order, into atomically replaced files.
+``_ordered_map`` is the package's one process pool: the CSV writer and
+the chi bootstrap both run through it.
 """
 
 from __future__ import annotations
@@ -317,10 +319,9 @@ def write_matrices_csv(
     """Write each (T, C) matrix to its path as ``matrix_to_csv`` text.
 
     The rows are cut into chunks of ``CSV_CHUNK_ROWS``, formatted by
-    ``_rows_text`` on every usable core (a fork process pool; in-process
-    when there is one core, one chunk, or no ``fork``), and streamed in
-    order into each file, which is written atomically. The bytes do not
-    depend on how the chunks were formatted.
+    ``_rows_text`` on every usable core (``_ordered_map``), and streamed
+    in order into each file, which is written atomically. The bytes do
+    not depend on how the chunks were formatted.
     """
     paths = [Path(p) for p in paths]
     mats = [np.asarray(m, dtype=float) for m in matrices]
@@ -330,17 +331,20 @@ def write_matrices_csv(
     chunks = [
         m[i : i + CSV_CHUNK_ROWS] for m in mats for i in range(0, len(m), CSV_CHUNK_ROWS)
     ]
-    with contextlib.closing(_chunk_texts(chunks)) as texts:
+    with contextlib.closing(_ordered_map(_rows_text, chunks)) as texts:
         for path, m in zip(paths, mats):
             n_chunks = -(-len(m) // CSV_CHUNK_ROWS)
             write_text_atomic(path, itertools.chain([header], itertools.islice(texts, n_chunks)))
     return paths
 
 
-def _chunk_texts(chunks: list[np.ndarray]):
-    """Yield ``_rows_text`` of every chunk, in order; closing the
-    generator stops the pool."""
-    workers = min(_usable_cores(), len(chunks))
+def _ordered_map(fn, items: list):
+    """Yield ``fn(item)`` for every item, in order, computed on every
+    usable core: a fork process pool, or in-process when there is one
+    core, one item, or no ``fork``. ``fn`` must be a module-level
+    function, since the pool sends it to the workers by name. Closing
+    the generator stops the pool."""
+    workers = min(_usable_cores(), len(items))
     if workers > 1:
         import multiprocessing
 
@@ -348,14 +352,17 @@ def _chunk_texts(chunks: list[np.ndarray]):
             from concurrent.futures import ProcessPoolExecutor
 
             # fork, not spawn: a spawned worker imports numpy and eegx
-            # afresh, which costs more than the formatting it takes over.
+            # afresh (about 0.17 s for eegx.cli), which costs more than
+            # the formatting it takes over; report would pay it in each
+            # of its three pools (the band CSVs, then the chi bootstrap
+            # of each epoch), against a chi saving of about 0.5 s in all.
             # The executor forks every worker before it starts its own
-            # thread, and the workers only run _rows_text.
+            # thread, and the workers only run ``fn``.
             ctx = multiprocessing.get_context("fork")
             with ProcessPoolExecutor(workers, mp_context=ctx) as pool:
-                yield from pool.map(_rows_text, chunks)
+                yield from pool.map(fn, items)
             return
-    yield from map(_rows_text, chunks)
+    yield from map(fn, items)
 
 
 def split_at_onset(rec: EegRecording) -> EpochPair:

@@ -39,6 +39,12 @@ class TestSimulate:
         header = out.read_text().splitlines()[0]
         assert header == "y"
 
+    def test_bad_seed_exits_2(self, tmp_path, capsys):
+        rc = run(["simulate", "--kind", "gpd", "--out", tmp_path / "g.csv", "--seed", "-1"])
+        assert rc == 2
+        assert capsys.readouterr().err == "eegx simulate: error: seed must be >= 0, got -1\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_pair_kind(self, tmp_path):
         out = tmp_path / "pair.csv"
         rc = run(["simulate", "--kind", "gaussian_copula_pair", "--out", out,
@@ -99,6 +105,19 @@ class TestValidationFirst:
             ["report", "--run-length", "0"],
             ["report", "--onset", "1"],
             ["fit-gpd", "--channel", "T3", "--channel", "nope"],
+            ["report", "--n-sim", "0"],
+            ["report", "--level", "1.5"],
+            ["report", "--level", "0.9"],
+            ["report", "--u", "0.9", "--u", "1.2"],
+            ["report", "--u", "nan"],
+            ["report", "--n-boot", "-1"],
+            ["report", "--seed", "-1"],
+            ["report", "--order", "3"],
+            ["report", "--threshold-quantile", "0.5"],
+            ["report", "--ht-quantile", "0.5"],
+            ["chi", "--seed", "-1"],
+            ["chi", "--n-boot", "-1"],
+            ["ht-sim", "--cond-channel", "T3", "--seed", "-1"],
         ],
         ids=lambda argv: " ".join(argv),
     )

@@ -44,6 +44,10 @@ class TestLaplace:
             laplace_quantile(np.array([0.5, 1.0]))
         with pytest.raises(DomainError):
             laplace_quantile(np.nan)
+        with pytest.raises(DomainError):
+            laplace_cdf(np.nan)
+        with pytest.raises(DomainError):
+            laplace_cdf(np.array([0.0, np.nan]))
 
 
 class TestMarginalTransform:
@@ -271,6 +275,18 @@ class TestSimulation:
         fits, _ = self.make_fits(q=0.95)
         with pytest.raises(UsageError, match="below the fitting threshold"):
             simulate_conditional(list(fits.values()), 0.9, 100, seed=0)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, None])
+    def test_bad_seed(self, seed):
+        fits, _ = self.make_fits(n=5_000)
+        with pytest.raises(UsageError, match="seed"):
+            simulate_conditional(list(fits.values()), 0.99, 10, seed=seed)
+
+    @pytest.mark.parametrize("n_sim", [0, 2.5])
+    def test_bad_n_sim(self, n_sim):
+        fits, _ = self.make_fits(n=5_000)
+        with pytest.raises(UsageError, match="n_sim"):
+            simulate_conditional(list(fits.values()), 0.99, n_sim, seed=0)
 
     def test_mixed_fits_rejected(self):
         fits_a, _ = self.make_fits(seed=1)

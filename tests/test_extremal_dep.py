@@ -1,3 +1,7 @@
+import concurrent.futures
+import multiprocessing
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +21,7 @@ from eegx import (
     gen_independent_pair,
     uniform_scores,
 )
+from eegx import signal_io as sio
 from eegx.extremal_dep import _average_ranks, _tie_groups, stationary_bootstrap_indices
 
 
@@ -87,6 +92,13 @@ class TestChiPair:
         with pytest.raises(UsageError):
             chi_u(uniform_scores(a), uniform_scores(b), 1.0)
 
+    def test_nan_scores(self):
+        s = uniform_scores(np.arange(100.0))
+        with pytest.raises(DataError, match="NaN"):
+            chi_u(np.full(100, np.nan), np.full(100, np.nan), 0.9)
+        with pytest.raises(DataError, match="NaN"):
+            chi_u(s, np.where(s > 0.5, np.nan, s), 0.9)
+
     def test_symmetry(self):
         a, b = gen_gaussian_copula_pair(5_000, 0.4, seed=5)
         sx, sy = uniform_scores(a), uniform_scores(b)
@@ -140,6 +152,8 @@ class TestStationaryBootstrap:
     def test_bad_block(self):
         with pytest.raises(UsageError):
             stationary_bootstrap_indices(10, 0.5, np.random.default_rng(0))
+        with pytest.raises(UsageError):
+            stationary_bootstrap_indices(10, np.nan, np.random.default_rng(0))
 
 
 class TestSortFreeRanks:
@@ -198,6 +212,18 @@ class TestChiMatrices:
         m = np.random.default_rng(1).standard_normal((200, 2))
         with pytest.raises(UsageError, match="n_boot"):
             chi_matrix(m, 0.9, n_boot=n_boot)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, None, "3"])
+    def test_rejects_bad_seed(self, seed):
+        m = np.random.default_rng(1).standard_normal((200, 2))
+        for n_boot in (0, 5):
+            with pytest.raises(UsageError, match="seed"):
+                chi_matrices(m, (0.9,), n_boot=n_boot, seed=seed)
+
+    def test_rejects_nan_block(self):
+        m = np.random.default_rng(1).standard_normal((200, 2))
+        with pytest.raises(UsageError, match="block"):
+            chi_matrices(m, (0.9,), n_boot=5, mean_block_len=np.nan)
 
     @pytest.mark.parametrize("levels", [(), (0.9, 1.0), (0.0,), 0.9])
     def test_rejects_bad_levels(self, levels):
@@ -285,3 +311,125 @@ class TestChiMatrix:
     def test_needs_two_channels(self):
         with pytest.raises(ValidationError):
             chi_matrix(np.zeros((100, 1)), 0.9, n_boot=0)
+
+
+def _matrices_equal(a, b):
+    """Every chi/chibar value and interval of two ``chi_matrices`` results."""
+    for x, y in zip(a, b, strict=True):
+        assert np.array_equal(x.chi_values, y.chi_values, equal_nan=True)
+        assert np.array_equal(x.chibar_values, y.chibar_values, equal_nan=True)
+        ci = [[e.ci_chi + e.ci_chibar for e in m.estimates] for m in (x, y)]
+        assert np.array_equal(*ci, equal_nan=True)
+        assert [e.n_eff for e in x.estimates] == [e.n_eff for e in y.estimates]
+
+
+def _serial_intervals(data, u, n_boot, seed, mean_block):
+    """Per pair, the (chi lo, chi hi, chibar lo, chibar hi) intervals of
+    the bootstrap as first written: one resample after another, each
+    ranked afresh and scored pair by pair with ``chi_u``."""
+    n, c = data.shape
+    reps = np.full((n_boot, c * (c - 1) // 2, 2), np.nan)
+    for b, ss in enumerate(np.random.SeedSequence(seed).spawn(n_boot)):
+        idx = stationary_bootstrap_indices(n, mean_block, np.random.default_rng(ss))
+        scores = [uniform_scores(col[idx]) for col in data.T]
+        pairs = [(i, j) for i in range(c) for j in range(i + 1, c)]
+        for p, (i, j) in enumerate(pairs):
+            try:
+                reps[b, p] = chi_u(scores[i], scores[j], u)
+            except SparseTailError:
+                pass
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # all-NaN pairs
+        lo, hi = np.nanpercentile(reps, 2.5, axis=0), np.nanpercentile(reps, 97.5, axis=0)
+    return np.column_stack([lo[:, 0], hi[:, 0], lo[:, 1], hi[:, 1]]).tolist()
+
+
+class _NoPool:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+
+class TestBootstrapPool:
+    """The replicates are cut into one block per usable core; the result
+    must not depend on the cut."""
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        rng = np.random.default_rng(41)
+        x = rng.standard_normal(800)
+        return np.column_stack([x + rng.standard_normal(800), np.round(x, 1),
+                                rng.standard_normal(800)])
+
+    @pytest.mark.parametrize("n_boot", [1, 7, 200])
+    def test_blocks_equal_one_process(self, data, n_boot, monkeypatch):
+        levels = (0.9, 0.95, 0.995)  # the last one leaves sparse pairs
+        results = []
+        for cores in (1, 2, 3):
+            monkeypatch.setattr(sio, "_usable_cores", lambda: cores)
+            results.append(chi_matrices(data, levels, n_boot=n_boot, seed=3,
+                                        mean_block_len=6.0))
+        for other in results[1:]:
+            _matrices_equal(results[0], other)
+        for u, cm in zip(levels, results[0]):
+            want = _serial_intervals(data, u, n_boot, seed=3, mean_block=6.0)
+            got = [e.ci_chi + e.ci_chibar for e in cm.estimates]
+            assert np.array_equal(got, want, equal_nan=True)
+
+    def test_no_bootstrap_starts_no_pool(self, data, monkeypatch):
+        monkeypatch.setattr(sio, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _NoPool)
+        cm = chi_matrix(data, 0.9, n_boot=0)
+        assert np.isnan(cm.estimates[0].ci_chi).all()
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="the pool needs fork")
+    def test_no_pool_guard_fires(self, data, monkeypatch):
+        # the guard above would notice a pool: a bootstrap does start one
+        monkeypatch.setattr(sio, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _NoPool)
+        with pytest.raises(AssertionError, match="pool was started"):
+            chi_matrix(data, 0.9, n_boot=2)
+
+
+# strictly increasing maps that keep values 0.01 apart on [-5, 5] distinct
+_INCREASING = (
+    lambda x: x,
+    np.exp,
+    np.arctan,
+    lambda x: x**3 + x,
+    lambda x: 2.0 * x - 7.0,
+)
+
+
+class TestBootstrapInvariants:
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(60, 400),
+        maps=st.lists(st.sampled_from(range(len(_INCREASING))), min_size=3, max_size=3),
+        decimals=st.integers(1, 2),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_rank_invariance(self, seed, n, maps, decimals):
+        m = np.round(np.random.default_rng(seed).standard_normal((n, 3)), decimals)
+        mapped = np.column_stack([_INCREASING[k](m[:, j]) for j, k in enumerate(maps)])
+        args = dict(n_boot=15, seed=seed, mean_block_len=4.0)
+        _matrices_equal(chi_matrices(m, (0.8, 0.9), **args),
+                        chi_matrices(mapped, (0.8, 0.9), **args))
+
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(200, 500),
+        maps=st.lists(st.sampled_from(range(len(_INCREASING))), min_size=2, max_size=4),
+        u=st.sampled_from([0.5, 0.8, 0.9]),
+        decimals=st.sampled_from([1, 2, None]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_comonotone_is_one(self, seed, n, maps, u, decimals):
+        x = np.random.default_rng(seed).standard_normal(n)
+        if decimals is not None:
+            x = np.round(x, decimals)  # ties, shared by every column
+        m = np.column_stack([_INCREASING[k](x) for k in maps])
+        cm = chi_matrix(m, u, n_boot=10, seed=seed, mean_block_len=3.0)
+        assert (cm.chi_values == 1.0).all() and (cm.chibar_values == 1.0).all()
+        for e in cm.estimates:
+            assert e.ci_chi == e.ci_chibar == (1.0, 1.0)

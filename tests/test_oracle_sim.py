@@ -165,3 +165,20 @@ class TestSimSpec:
         rec = generate(spec)
         assert rec.n_channels == 2
         assert rec.onset_index == 500
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda seed: gen_gpd(10, 1.0, 0.1, seed),
+        lambda seed: gen_gaussian_copula_pair(10, 0.5, seed),
+        lambda seed: gen_comonotone_pair(10, seed),
+        lambda seed: gen_independent_pair(10, seed),
+        lambda seed: gen_synthetic_eeg(2, 2_000, 0.5, seed=seed),
+    ],
+    ids=["gpd", "copula", "comonotone", "independent", "synthetic_eeg"],
+)
+@pytest.mark.parametrize("seed", [-1, 1.5, None])
+def test_bad_seed(make, seed):
+    with pytest.raises(UsageError, match="seed"):
+        make(seed)

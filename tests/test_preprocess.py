@@ -1,10 +1,15 @@
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import signal as sps
 from scipy.signal import sosfilt
 
+import eegx
 from eegx import (
     DEFAULT_BANDS,
     BandDefinition,
@@ -304,3 +309,26 @@ class TestDecompose:
             deco = decompose_bands(rec)
         for m in deco.bands.values():
             assert np.abs(m).max() < 1e-6 * t.max()
+
+    def test_bytes_independent_of_blas_threads(self):
+        # a threaded BLAS sums a dot product in another order than a serial
+        # one; on this recording that used to move the last bits of most
+        # band values
+        code = (
+            "import hashlib, warnings, numpy as np, eegx\n"
+            "x = np.cumsum(np.random.default_rng(0).standard_normal((12_000, 2)), axis=0)\n"
+            "rec = eegx.EegRecording(channels=('a', 'b'), fs=100.0, data=x)\n"
+            "warnings.simplefilter('ignore')\n"
+            "bands = eegx.decompose_bands(rec).bands.values()\n"
+            "print(hashlib.sha256(b''.join(m.tobytes() for m in bands)).hexdigest())\n"
+        )
+        src = Path(eegx.__file__).resolve().parents[1]
+        digests = set()
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads,
+                   "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+            done = subprocess.run([sys.executable, "-c", code], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            digests.add(done.stdout)
+        assert len(digests) == 1
