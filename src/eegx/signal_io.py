@@ -269,8 +269,10 @@ def save_recording(
 
 def _rows_text(block: np.ndarray) -> str:
     """CSV rows of a 2-D float block, every value written by ``repr``
-    (exact on reload), each row ending in a newline."""
-    return "".join([",".join(map(repr, row)) + "\n" for row in block.tolist()])
+    (exact on reload), each row ending in a newline: one ``%r`` template
+    for the whole block."""
+    rows, cols = block.shape
+    return ((",".join(["%r"] * cols) + "\n") * rows) % tuple(block.ravel().tolist())
 
 
 def matrix_to_csv(channels: tuple[ChannelLabel, ...], data: np.ndarray) -> str:

@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eegx import (
     DataError,
@@ -21,6 +25,7 @@ from eegx import (
     to_laplace,
     uniform_scores,
 )
+from eegx.cond_extremes import _probability
 
 
 def laplace_margins(u):
@@ -88,6 +93,23 @@ class TestMarginalTransform:
         gap = np.abs(np.argsort(np.argsort(back)) - np.argsort(np.argsort(body)))
         assert gap.max() <= 1
         assert np.allclose(back, body, atol=np.ptp(body) * 0.01)
+
+    @given(seed=st.integers(0, 10_000), xi=st.floats(-0.45, 1.0))
+    @settings(max_examples=60, deadline=None)
+    def test_roundtrip_gpd_branch_exact(self, seed, xi):
+        # GPD-distributed samples; every value above the threshold whose
+        # CDF is below the 1 - 1/(2n) clamp inverts to rounding (values
+        # above the clamp map to its Laplace value, by design)
+        log_surv = np.log(np.random.default_rng(seed).random(400))
+        x = 2.0 * np.expm1(-xi * log_surv) / xi if xi != 0.0 else -2.0 * log_surv
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a fit on a parameter bound
+            mt = fit_marginal(x, 0.9)
+        tail = np.concatenate([x[x > mt.u], np.linspace(mt.u, x.max(), 50)[1:]])
+        tail = tail[_probability(mt, tail) < 1.0 - 1.0 / (2 * mt.n)]
+        assert tail.size > 0
+        back = from_laplace(to_laplace(tail, mt), mt)
+        np.testing.assert_allclose(back, tail, rtol=1e-10, atol=0.0)
 
     def test_probability_clamp(self):
         huge = to_laplace(self.x.max() * 100, self.mt)

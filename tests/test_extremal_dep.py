@@ -22,7 +22,12 @@ from eegx import (
     uniform_scores,
 )
 from eegx import signal_io as sio
-from eegx.extremal_dep import _average_ranks, _tie_groups, stationary_bootstrap_indices
+from eegx.extremal_dep import (
+    _bootstrap_weights,
+    _exceedance_counts,
+    _sorted_columns,
+    stationary_bootstrap_indices,
+)
 
 
 class TestUniformScores:
@@ -156,25 +161,58 @@ class TestStationaryBootstrap:
             stationary_bootstrap_indices(10, np.nan, np.random.default_rng(0))
 
 
+class TestBootstrapWeights:
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(2, 400),
+        mean_block=st.one_of(
+            st.floats(1.0, 50.0),  # non-integer means
+            st.sampled_from([1.0, 2.0, 400.0, 1e6]),  # up to one wrapping block
+        ),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_equal_counted_resample(self, seed, n, mean_block):
+        w = _bootstrap_weights(n, mean_block, np.random.default_rng(seed))
+        idx = stationary_bootstrap_indices(n, mean_block, np.random.default_rng(seed))
+        assert np.array_equal(w, np.bincount(idx, minlength=n))
+
+
 class TestSortFreeRanks:
+    """Exceedance counts scored from multiplicities and sorted tails
+    against counting the built resample, ranked by ``rankdata``."""
+
     @given(
         seed=st.integers(0, 10_000),
         n=st.integers(2, 400),
         c=st.integers(1, 4),
         decimals=st.integers(0, 2),
         mean_block=st.floats(1.0, 50.0),
+        levels=st.lists(st.floats(0.001, 0.999), min_size=1, max_size=4),
+        on_score=st.booleans(),
     )
-    @settings(max_examples=60, deadline=None)
-    def test_equal_rankdata_on_resamples(self, seed, n, c, decimals, mean_block):
+    @settings(max_examples=80, deadline=None)
+    def test_equal_rankdata_on_resamples(
+        self, seed, n, c, decimals, mean_block, levels, on_score
+    ):
         rng = np.random.default_rng(seed)
         m = np.round(rng.standard_normal((n, c)), decimals)  # tie-heavy
-        groups = _tie_groups(m)
         idx = stationary_bootstrap_indices(n, mean_block, rng)
-        want = stats.rankdata(m[idx], method="average", axis=0)
-        assert np.array_equal(_average_ranks(groups, idx), want)
-        assert np.array_equal(
-            _average_ranks(groups, slice(None)), stats.rankdata(m, method="average", axis=0)
-        )
+        s = stats.rankdata(m[idx], method="average", axis=0) / (n + 1)
+        if on_score:  # levels that equal a score exactly: not exceeded
+            levels = list(s[rng.integers(0, n, len(levels)), 0]) + levels[:1]
+        want = [(s > u).T.astype(float) @ (s > u) for u in levels]
+        got = _exceedance_counts(_sorted_columns(m), np.bincount(idx, minlength=n), levels)
+        assert np.array_equal(got, want)
+
+    @given(seed=st.integers(0, 10_000), n=st.integers(2, 400), decimals=st.integers(0, 2))
+    @settings(max_examples=40, deadline=None)
+    def test_unit_weights_rank_the_data(self, seed, n, decimals):
+        m = np.round(np.random.default_rng(seed).standard_normal((n, 3)), decimals)
+        s = stats.rankdata(m, method="average", axis=0) / (n + 1)
+        levels = (0.95, 0.5, 0.95, 0.8)
+        want = [(s > u).T.astype(float) @ (s > u) for u in levels]
+        got = _exceedance_counts(_sorted_columns(m), np.ones(n, dtype=int), levels)
+        assert np.array_equal(got, want)
 
 
 def _assert_same_matrix(a, b):
@@ -241,6 +279,46 @@ class TestChiMatrices:
         est = cm.estimates[0]
         assert (est.chi, est.chibar) == (1.0, 1.0)
         assert est.ci_chi == est.ci_chibar == (1.0, 1.0)
+
+    @pytest.mark.parametrize("decimals", [0, 1, None])
+    def test_every_resampled_value_exceeds(self, decimals):
+        # a resample's lowest score is still >= 1/(n+1), ties or not, so
+        # every replicate counts every value at u = 0.5/(n+1)
+        m = np.random.default_rng(4).standard_normal((300, 3))
+        if decimals is not None:
+            m = np.round(m, decimals)
+        u = 0.5 / 301
+        for cm in chi_matrices(m, (u, 0.9, u), n_boot=25, seed=2, mean_block_len=7.5)[::2]:
+            assert (cm.chi_values == 1.0).all() and (cm.chibar_values == 1.0).all()
+            for e in cm.estimates:
+                assert e.n_eff == 300
+                assert e.ci_chi == e.ci_chibar == (1.0, 1.0)
+
+    @pytest.mark.parametrize("decimals", [1, 2])
+    def test_unsorted_repeated_levels(self, decimals):
+        # levels in any order, repeated: each equals its one-level call
+        rng = np.random.default_rng(30 + decimals)
+        a, b = gen_gaussian_copula_pair(1_200, 0.6, seed=31)
+        m = np.round(np.column_stack([a, b, rng.standard_normal(1_200)]), decimals)
+        levels = (0.98, 0.9, 0.95, 0.9)
+        args = dict(n_boot=40, seed=8, mean_block_len=12.5)
+        many = chi_matrices(m, levels, **args)
+        assert [cm.u for cm in many] == list(levels)
+        assert np.isfinite(many[1].estimates[0].ci_chi).all()
+        for u, cm in zip(levels, many):
+            _assert_same_matrix(cm, chi_matrix(m, u, **args))
+
+    def test_sub_hertz_recording_default_block(self):
+        from eegx import EegRecording
+
+        data = np.random.default_rng(15).standard_normal((500, 2))
+        rec = EegRecording(channels=("a", "b"), fs=0.5, data=data)
+        cm = chi_matrix(rec, 0.9, n_boot=5, seed=2)  # blocks of mean length 1
+        _assert_same_matrix(
+            cm, chi_matrix(data, 0.9, n_boot=5, seed=2, mean_block_len=1.0, channels=("a", "b"))
+        )
+        with pytest.raises(UsageError, match="block"):
+            chi_matrix(rec, 0.9, n_boot=5, mean_block_len=0.5)
 
 
 class TestChiMatrix:

@@ -194,6 +194,16 @@ class TestSplitSelect:
         with pytest.raises(UsageError, match="onset"):
             split_at_onset(make_rec(T=10))
 
+    @given(T=st.integers(4, 60), C=st.integers(1, 4), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_split_concatenates_to_source(self, T, C, data):
+        onset = data.draw(st.integers(2, T - 2))  # every legal onset
+        rec = make_rec(T=T, C=C, onset=onset, seed=T)
+        pair = split_at_onset(rec)
+        assert np.array_equal(np.concatenate([pair.pre.data, pair.post.data]), rec.data)
+        for epoch in (pair.pre, pair.post):
+            assert epoch.channels == rec.channels and epoch.fs == rec.fs
+
     def test_select_single(self):
         rec = make_rec(C=4)
         sub = select_channels(rec, ["C2"])
@@ -303,6 +313,18 @@ class TestMatrixCsvWriter:
         sio.write_matrices_csv(paths, _channels(cols), [data, data[::-1]])
         assert _lines(paths[0]) == _reference_lines(_channels(cols), data)
         assert _lines(paths[1]) == _reference_lines(_channels(cols), data[::-1])
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_edge_floats_match_repr(self, cores, tmp_path, monkeypatch):
+        # a band matrix may hold NaN and inf; every value is its repr
+        edges = [-0.0, 5e-324, 1e-5, 1e16, -1.7976931348623157e308, np.nan, np.inf, -np.inf]
+        data = np.array(edges + edges[::-1] + [0.5, -2.25]).reshape(6, 3)
+        monkeypatch.setattr(sio, "CSV_CHUNK_ROWS", 4)
+        monkeypatch.setattr(sio, "_usable_cores", lambda: cores)
+        path = tmp_path / "band.csv"
+        sio.write_matrices_csv([path], _channels(3), [data])
+        assert _lines(path) == _reference_lines(_channels(3), data)
+        assert b"-0.0,5e-324,1e-05\n1e+16,-1.7976931348623157e+308,nan\n" in path.read_bytes()
 
     def test_pooled_equals_in_process(self, tmp_path, monkeypatch):
         monkeypatch.setattr(sio, "CSV_CHUNK_ROWS", 7)
