@@ -9,6 +9,7 @@ failing run never leaves a half-written artifact. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -40,11 +41,19 @@ def _emit_matrices(paths: list[Path], channels, matrices) -> list[Path]:
 
 
 def _csv(columns: dict) -> str:
-    """CSV text from equal-length named columns. Each cell is ``str`` of
-    its column's ``tolist()`` entry: floats by their shortest ``repr``
-    (exact on reload, ``nan`` for NaN), integers and labels as they are."""
-    cells = [map(str, np.asarray(col).tolist()) for col in columns.values()]
-    return "\n".join([",".join(columns), *map(",".join, zip(*cells))]) + "\n"
+    """CSV text from equal-length named columns. Each run of adjacent
+    float64 columns is written by ``sio._float_rows``, every value as its
+    shortest ``repr`` (exact on reload, ``nan`` for NaN); every other cell
+    is ``str`` of its column's ``tolist()`` entry, so integers and labels
+    appear as they are."""
+    parts = []
+    arrays = (np.asarray(col) for col in columns.values())
+    for is_float, run in itertools.groupby(arrays, key=lambda a: a.dtype == np.float64):
+        if is_float:
+            parts.append(sio._float_rows(np.column_stack(list(run))))
+        else:
+            parts.extend(map(str, a.tolist()) for a in run)
+    return "\n".join([",".join(columns), *map(",".join, zip(*parts))]) + "\n"
 
 
 def _row_columns(rows: list[dict], columns: list[str]) -> dict:
@@ -106,6 +115,7 @@ def _load_input(args) -> sio.EegRecording:
             raise ValidationError(
                 "sampling rate required: pass --fs or provide a .meta.json sidecar"
             )
+    fs = sio._check_fs(fs)  # a sidecar's fs may be any JSON value
     onset = _resolve_onset(args, fs)
     return sio.load_recording(args.input, fs=fs, onset_index=onset)
 

@@ -8,6 +8,15 @@ written by ``write_matrices_csv``, which formats row chunks on every
 usable core and streams them, in order, into atomically replaced files.
 ``_ordered_map`` is the package's one process pool: the CSV writer and
 the chi bootstrap both run through it.
+
+Every float is written as ``repr`` writes it, so a reload is exact. The
+text comes from a vectorised kernel (``_rows_text``): for finite values
+with 1e-4 <= |x| < 1e16, which ``repr`` writes positionally, it finds
+the shortest round-trip digits in int64 arithmetic (``_shortest_digits``,
+Ryu's interval rule, ties to even) and lays them out as bytes
+(``_digit_words``). Every other value (zeros, NaN, infinities,
+subnormals, and what ``repr`` writes with an exponent) is written by
+``repr`` itself. The bytes equal one ``repr`` call per value.
 """
 
 from __future__ import annotations
@@ -15,6 +24,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import json
+import numbers
 import os
 import tempfile
 from collections.abc import Iterable
@@ -29,6 +39,7 @@ from .errors import (
     FormatError,
     UsageError,
     ValidationError,
+    check_int,
 )
 
 ChannelLabel = str
@@ -69,9 +80,7 @@ class EegRecording:
         if len(set(chans)) != len(chans):
             dupes = sorted({c for c in chans if chans.count(c) > 1})
             raise ValidationError(f"duplicate channel names: {dupes}")
-        if not (np.isfinite(float(self.fs)) and float(self.fs) > 0):
-            raise ValidationError(f"sampling rate must be finite and positive, got {self.fs}")
-        object.__setattr__(self, "fs", float(self.fs))
+        object.__setattr__(self, "fs", _check_fs(self.fs))
 
         data = np.array(self.data, dtype=float)
         if data.ndim != 2:
@@ -89,8 +98,8 @@ class EegRecording:
         object.__setattr__(self, "data", data)
 
         if self.onset_index is not None:
-            onset = int(self.onset_index)
-            if not 1 <= onset <= data.shape[0] - 1:
+            onset = check_int(self.onset_index, "onset_index", 1)
+            if onset > data.shape[0] - 1:
                 raise ValidationError(
                     f"onset_index {onset} outside [1, {data.shape[0] - 1}]"
                 )
@@ -120,6 +129,16 @@ class EegRecording:
             raise ChannelLookupError(
                 f"unknown channel {name!r}; available: {list(self.channels)}"
             ) from None
+
+
+def _check_fs(fs) -> float:
+    """A sampling rate as a float: a real number, finite and positive."""
+    if isinstance(fs, bool) or not isinstance(fs, numbers.Real):
+        raise ValidationError(f"sampling rate must be a number, got {fs!r}")
+    value = float(fs)
+    if not (np.isfinite(value) and value > 0):
+        raise ValidationError(f"sampling rate must be finite and positive, got {fs}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -267,19 +286,220 @@ def save_recording(
     return p
 
 
+# Tables of the float -> text kernel. 10**k and 5**k are exact for k <= 22;
+# each 10**k is also split into two 26-bit halves for Dekker's product.
+_POW10 = np.array([float(10**k) for k in range(23)])
+_POW10_HI = _POW10 * 134217729.0 - (_POW10 * 134217729.0 - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
+_POW5 = 5 ** np.arange(23, dtype=np.int64)
+#: the nearest doubles to 10**-4 .. 10**16
+_TENS = np.array([float(f"1e{k}") for k in range(-4, 17)])
+#: the four ASCII digits of 0 .. 9999, first digit in the lowest byte
+_DIGITS4 = np.arange(10_000)
+_DIGITS4 = (
+    (_DIGITS4 // 1000 + 48)
+    | (_DIGITS4 // 100 % 10 + 48) << 8
+    | (_DIGITS4 // 10 % 10 + 48) << 16
+    | (_DIGITS4 % 10 + 48) << 24
+).astype(np.uint64)
+_WORD = (1 << 64) - 1
+#: masks of the lowest 0 .. 8 bytes of a word
+_KEEP = np.array([(1 << 8 * b) - 1 for b in range(9)], dtype=np.uint64)
+
+
+def _layout(e: int) -> tuple[int, int, int]:
+    """How a value with decimal exponent ``e`` is laid out in a 24-byte
+    row (byte 0 the sign): the mask of the digit bytes that precede the
+    point, their shift in bits, and the fixed characters (the point, and
+    the leading zeros when e < 0). Digits past the point move 16 bits."""
+    if e >= 0:  # d.ddd with e + 1 digits before the point
+        return (1 << 8 * (e + 1)) - 1, 8, ord(".") << 8 * (e + 2)
+    zeros = sum(ord("0") << 8 * b for b in range(3, 2 - e))  # 0.000ddd
+    return (1 << 192) - 1, 8 * (2 - e), ord("0") << 8 | ord(".") << 16 | zeros
+
+
+_LAYOUTS = [_layout(e) for e in range(-4, 16)]  # indexed by e + 4
+_BEFORE_POINT = tuple(
+    np.array([lay[0] >> 64 * w & _WORD for lay in _LAYOUTS], dtype=np.uint64) for w in range(3)
+)
+_SHIFT = np.array([lay[1] for lay in _LAYOUTS], dtype=np.uint64)
+_FIXED = tuple(
+    np.array([lay[2] >> 64 * w & _WORD for lay in _LAYOUTS], dtype=np.uint64) for w in range(3)
+)
+_TEXT_WIDTH = 25  # a sign, 23 characters of text, a separator
+
+
+def _fast_path(x: np.ndarray) -> np.ndarray:
+    """The values ``_rows_text`` formats without ``repr``: finite, with
+    1e-4 <= |x| < 1e16, where ``repr`` writes the number positionally."""
+    a = np.abs(x)
+    return (a >= 1e-4) & (a < 1e16)
+
+
+def _shortest_digits(bits: np.ndarray):
+    """Shortest round-trip digits of the positive doubles whose bit
+    patterns are ``bits`` (int64), all in [1e-4, 1e16), as ``repr``
+    writes them (Gay's dtoa in shortest mode).
+
+    Returns ``(digits, e, n_sig)``: the value written is
+    digits * 10**(e - 16), and the first ``n_sig`` of the 17 digits are
+    significant. The rule is Ryu's (Adams 2018): of the decimals in the
+    double's rounding interval, one with the fewest digits, and of those
+    the nearest, ties to even.
+    """
+    a = bits.view(np.float64)
+    q = (bits >> 52) - 1075
+    m = bits & ((1 << 52) - 1) | 1 << 52  # a = m * 2**q
+    # e = floor(log10(a)), exactly: the binary exponent gives it or one
+    # less, and a >= 10**(e + 1) decides. That compare is exact with the
+    # nearest double to 10**(e + 1): for e + 1 >= 0 it is 10**(e + 1), and
+    # for e + 1 in [-4, -1] it lies above 10**(e + 1) with no double between.
+    e = ((q + 52) * 78913) >> 18  # floor((q + 52) * log10(2))
+    e += a >= _TENS[e + 5]
+    # V = a * 10**k in [1e16, 1e17), exactly hi + lo (Dekker's product;
+    # numpy ufuncs do not contract to FMA)
+    k = 16 - e
+    hi = a * _POW10[k]
+    split = a * 134217729.0
+    a_hi = split - (split - a)
+    a_lo = a - a_hi
+    b_hi, b_lo = _POW10_HI[k], _POW10_LO[k]
+    lo = ((a_hi * b_hi - hi) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    # V = n + r / 2**t with 0 <= r < 2**t: V * 2**t = 4 m 5**k is an
+    # integer, and t = 2 - q - k lies in [0, 48] on this domain
+    floor_lo = np.floor(lo)
+    n = hi.astype(np.int64) + floor_lo.astype(np.int64)
+    t = 2 - q - k
+    r = ((lo - floor_lo) * ((t + 1023) << 52).view(np.float64)).astype(np.int64)
+    # the rounding interval in units of 2**-t: V + 2 * 5**k above, V - 5**k
+    # below at the bottom of a binade and V - 2 * 5**k elsewhere; its ends
+    # belong to it when m is even. [lo_b, hi_b] are the integers inside.
+    gap = 2 * _POW5[k]
+    inclusive = ~m & 1
+    lo_b = n + ((r - np.where(m == 1 << 52, gap >> 1, gap) - inclusive) >> t) + 1
+    hi_b = n + ((r + gap - 1 + inclusive) >> t)
+    # The interval spans at most 22 integers (ulp * 10**k < 22.3), so it
+    # holds at most one multiple of 100; failing that, the nearest to V of
+    # its multiples of 10, and failing that, of its integers, ties to even.
+    tens = n // 10
+    units = n - 10 * tens
+    up = (units > 5) | ((units == 5) & ((r > 0) | (tens & 1 == 1)))
+    top10 = hi_b // 10 * 10
+    by_ten = np.minimum(np.maximum(10 * (tens + up), (lo_b + 9) // 10 * 10), top10)
+    half = 2 * r - (np.int64(1) << t)  # the sign of frac(V) - 1/2
+    up = (half > 0) | ((half == 0) & (n & 1 == 1))
+    by_one = np.minimum(np.maximum(n + up, lo_b), hi_b)
+    top100 = hi_b // 100 * 100
+    has10, has100 = top10 >= lo_b, top100 >= lo_b
+    digits = np.where(has100, top100, np.where(has10, by_ten, by_one))
+    n_sig = 17 - has10.astype(np.int64) - has100
+    sub = np.flatnonzero(has100)
+    rest = top100[sub] // 100
+    while sub.size:  # more trailing zeros
+        zero = rest % 10 == 0
+        sub, rest = sub[zero], rest[zero] // 10
+        n_sig[sub] -= 1
+    # 10**17 rolls over into the next decade (e stays <= 15: 1e16 is a
+    # double, so no value below it can round to it)
+    roll = digits == 10**17
+    if roll.any():
+        digits[roll] = 10**16
+        e += roll
+        n_sig[roll] = 1
+    return digits, e, n_sig
+
+
+def _digit_words(digits: np.ndarray, e: np.ndarray, n_sig: np.ndarray) -> np.ndarray:
+    """Positional text of ``_shortest_digits`` output as little-endian
+    24-byte rows of three uint64 words, shape (n, 3): byte 0 left free
+    for the sign, then the text, then NULs."""
+    top = digits // 10**16
+    rest = digits - top * 10**16
+    high = rest // 10**8
+    low = rest - high * 10**8
+    g1, g3 = high // 10**4, low // 10**4
+    d1, d2 = _DIGITS4[g1], _DIGITS4[high - g1 * 10**4]
+    d3, d4 = _DIGITS4[g3], _DIGITS4[low - g3 * 10**4]
+    # the 17 digits as a 136-bit little-endian string, NUL past the last
+    # significant digit but for one digit after the point
+    end = np.where(e >= 0, np.maximum(n_sig, e + 2), n_sig)
+    s0 = ((top + 48).astype(np.uint64) | d1 << 8 | d2 << 40) & _KEEP[np.minimum(end, 8)]
+    s1 = (d2 >> 24 | d3 << 8 | d4 << 40) & _KEEP[np.clip(end - 8, 0, 8)]
+    s2 = (d4 >> 24) * (end == 17)
+    layout = e + 4
+    b0, b1, b2 = (table[layout] for table in _BEFORE_POINT)
+    shift = _SHIFT[layout]
+    back = 64 - shift
+    l0, l1, l2 = s0 & b0, s1 & b1, s2 & b2  # digits before the point
+    h0, h1, h2 = s0 & ~b0, s1 & ~b1, s2 & ~b2  # digits after it
+    out = np.empty((digits.size, 3), np.uint64)
+    out[:, 0] = _FIXED[0][layout] | l0 << shift | h0 << 16
+    out[:, 1] = _FIXED[1][layout] | l1 << shift | l0 >> back | h1 << 16 | h0 >> 48
+    out[:, 2] = _FIXED[2][layout] | l2 << shift | l1 >> back | h2 << 16 | h1 >> 48
+    return out
+
+
 def _rows_text(block: np.ndarray) -> str:
-    """CSV rows of a 2-D float block, every value written by ``repr``
-    (exact on reload), each row ending in a newline: one ``%r`` template
-    for the whole block."""
+    """CSV rows of a 2-D float block, every value written as ``repr``
+    writes it (exact on reload), each row ending in a newline.
+
+    Values on the ``_fast_path`` get ``repr``'s shortest digits from
+    ``_shortest_digits``, in vectorised integer arithmetic; every other
+    value (zeros, NaN, infinities, subnormals and whatever ``repr`` writes
+    with an exponent) is written by ``repr`` itself. Each value fills a
+    NUL-padded row of ``_TEXT_WIDTH`` bytes, and the text is the non-NUL
+    bytes in order.
+    """
     rows, cols = block.shape
-    return ((",".join(["%r"] * cols) + "\n") * rows) % tuple(block.ravel().tolist())
+    x = np.ascontiguousarray(block, dtype=float).ravel()
+    fast = _fast_path(x)
+    bits = np.where(fast, x, 1.0).view(np.int64)  # 1.0 stands in for the rest
+    words = _digit_words(*_shortest_digits(bits & ((1 << 63) - 1)))
+    words[:, 0] |= (bits.view(np.uint64) >> 63) * np.uint64(ord("-"))
+    buf = np.empty((x.size, _TEXT_WIDTH), np.uint8)
+    buf[:, :-1] = words.astype("<u8", copy=False).view(np.uint8)
+    buf[:, -1] = ord(",")
+    buf.reshape(rows, cols, _TEXT_WIDTH)[:, -1, -1] = ord("\n")
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        texts = "".join(repr(v).ljust(_TEXT_WIDTH - 1, "\0") for v in x[slow].tolist())
+        buf[slow, :-1] = np.frombuffer(texts.encode(), np.uint8).reshape(slow.size, -1)
+    return buf.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _float_rows(matrix: np.ndarray) -> list[str]:
+    """The CSV rows of a 2-D float matrix, without their newlines, every
+    value written as ``repr`` writes it; formatted by ``_rows_text`` in
+    slices of ``CSV_CHUNK_ROWS`` rows."""
+    texts = [_rows_text(matrix[i : i + CSV_CHUNK_ROWS])
+             for i in range(0, len(matrix), CSV_CHUNK_ROWS)]
+    return "".join(texts).split("\n")[:-1]
+
+
+def _csv_matrix(matrix, channels: tuple[ChannelLabel, ...]) -> np.ndarray:
+    """``matrix`` as a float array with one column per channel, or a
+    ``ValidationError`` (shape) or ``DataError`` (dtype) saying why not."""
+    if not channels:
+        raise ValidationError("a CSV matrix needs at least one channel")
+    try:
+        arr = np.asarray(matrix)
+    except ValueError as exc:  # ragged nested sequences
+        raise ValidationError(f"matrix is not rectangular: {exc}") from None
+    if arr.ndim != 2 or arr.shape[1] != len(channels):
+        raise ValidationError(
+            f"matrix of shape {arr.shape} is not 2-D with {len(channels)} columns, "
+            f"one per channel"
+        )
+    if arr.dtype.kind not in "biuf":
+        raise DataError(f"matrix must be numeric, got dtype {arr.dtype}")
+    return arr.astype(float, copy=False)
 
 
 def matrix_to_csv(channels: tuple[ChannelLabel, ...], data: np.ndarray) -> str:
     """Render a (T, C) matrix as CSV text: a header of channel names, then
-    one row per sample with every float written by ``repr`` (exact on
-    reload)."""
-    return ",".join(channels) + "\n" + _rows_text(np.asarray(data, dtype=float))
+    one row per sample with every float written as ``repr`` writes it
+    (exact on reload)."""
+    return ",".join(channels) + "\n" + _rows_text(_csv_matrix(data, tuple(channels)))
 
 
 def recording_to_csv(rec: EegRecording) -> str:
@@ -320,13 +540,15 @@ def write_matrices_csv(
 ) -> list[Path]:
     """Write each (T, C) matrix to its path as ``matrix_to_csv`` text.
 
+    Every matrix is checked (``_csv_matrix``) before any file is opened.
     The rows are cut into chunks of ``CSV_CHUNK_ROWS``, formatted by
     ``_rows_text`` on every usable core (``_ordered_map``), and streamed
     in order into each file, which is written atomically. The bytes do
     not depend on how the chunks were formatted.
     """
     paths = [Path(p) for p in paths]
-    mats = [np.asarray(m, dtype=float) for m in matrices]
+    channels = tuple(channels)
+    mats = [_csv_matrix(m, channels) for m in matrices]
     if len(paths) != len(mats):
         raise UsageError(f"{len(paths)} paths for {len(mats)} matrices")
     header = ",".join(channels) + "\n"

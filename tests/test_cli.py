@@ -53,6 +53,26 @@ class TestSimulate:
         assert out.read_text().splitlines()[0] == "u1,u2"
 
 
+class TestCsvText:
+    def test_bytes_match_str_per_cell(self):
+        # float runs go through the float kernel; labels and integers stay str
+        edges = [0.1, -0.0, np.nan, np.inf, 1e-5, 1e16, 123.456, 2.5e-300, 5e-324, 7.0]
+        columns = {
+            "label": [f"c{i}" for i in range(10)],
+            "x": np.array(edges),
+            "y": [float(i) / 3 for i in range(10)],
+            "count": np.arange(10),
+            "z": np.array(edges[::-1]),
+            "w": [1, 2.5, 3, 4, 5, 6, 7, 8, 9, 10],  # mixed: float64 once an array
+        }
+        cells = [map(str, np.asarray(col).tolist()) for col in columns.values()]
+        want = "\n".join([",".join(columns), *map(",".join, zip(*cells))]) + "\n"
+        assert cli._csv(columns) == want
+
+    def test_empty_columns(self):
+        assert cli._csv({"a": np.array([]), "b": []}) == "a,b\n"
+
+
 class TestValidationFirst:
     def test_unknown_flag_exits_2(self, rec_csv, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -124,6 +144,29 @@ class TestValidationFirst:
     def test_bad_value_exits_2_before_writing(self, rec_csv, tmp_path, capsys, argv):
         out = tmp_path / "out"
         rc = run([*argv, "--input", rec_csv, "--outdir", out])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"eegx {argv[0]}: error: ") and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "meta, argv",
+        [
+            ({"fs": "abc"}, ["decompose"]),
+            ({"fs": [1]}, ["decompose"]),
+            ({"fs": "abc", "onset_index": 500}, ["chi", "--epoch", "pre", "--onset-seconds", "5"]),
+            ({"fs": 100.0, "onset_index": 1.7}, ["decompose"]),
+            ({"fs": 100.0, "onset_index": "x"}, ["report"]),
+        ],
+        ids=["fs-text", "fs-list", "fs-text-onset-seconds", "onset-float", "onset-text"],
+    )
+    def test_bad_sidecar_exits_2_before_writing(self, tmp_path, capsys, meta, argv):
+        rec = gen_synthetic_eeg(2, 2_000, 0.5, seed=0)
+        path = tmp_path / "rec.csv"
+        save_recording(rec, path)
+        (tmp_path / "rec.csv.meta.json").write_text(json.dumps(meta))
+        out = tmp_path / "out"
+        rc = run([*argv, "--input", path, "--outdir", out])
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith(f"eegx {argv[0]}: error: ") and "Traceback" not in err

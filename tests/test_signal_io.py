@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -79,6 +80,25 @@ class TestRecordingValidation:
     def test_non_finite_fs(self, fs):
         with pytest.raises(ValidationError, match="finite and positive"):
             EegRecording(channels=("A",), fs=fs, data=np.zeros((3, 1)))
+
+    @pytest.mark.parametrize("fs", ["abc", "250", [1], None, True])
+    def test_non_numeric_fs(self, fs):
+        with pytest.raises(ValidationError, match="sampling rate must be a number"):
+            EegRecording(channels=("A",), fs=fs, data=np.zeros((3, 1)))
+
+    @pytest.mark.parametrize("fs", [np.float32(250), np.int64(250), 250, Fraction(500, 2)])
+    def test_real_fs(self, fs):
+        rec = EegRecording(channels=("A",), fs=fs, data=np.zeros((3, 1)))
+        assert rec.fs == 250.0 and type(rec.fs) is float
+
+    @pytest.mark.parametrize("onset", [1.7, 2.0, "x", "2", [2]])
+    def test_non_integer_onset(self, onset):
+        with pytest.raises(ValidationError, match="onset_index must be an integer"):
+            make_rec(T=10, onset=onset)
+
+    def test_numpy_integer_onset(self):
+        rec = make_rec(T=10, onset=np.int64(4))
+        assert rec.onset_index == 4 and type(rec.onset_index) is int
 
     def test_data_is_read_only(self):
         rec = make_rec()
@@ -361,6 +381,30 @@ class TestMatrixCsvWriter:
             sio.write_matrices_csv([tmp_path / "m.csv"], _channels(2), [data])
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "data, error",
+        [
+            (np.ones((2, 3)), ValidationError),  # three columns for two channels
+            (np.ones(4), ValidationError),
+            (np.ones((2, 2, 1)), ValidationError),
+            ([[1.0, 2.0], [3.0]], ValidationError),
+            (np.array([["a", "b"]]), DataError),
+            (np.array([[1.0, 2.0]], dtype=object), DataError),
+            (np.ones((2, 2), dtype=complex), DataError),
+        ],
+        ids=["columns", "1-D", "3-D", "ragged", "text", "object", "complex"],
+    )
+    def test_bad_matrix_rejected_before_writing(self, data, error, tmp_path):
+        with pytest.raises(error):
+            sio.matrix_to_csv(("a", "b"), data)
+        paths = [tmp_path / "ok.csv", tmp_path / "bad.csv"]
+        with pytest.raises(error):
+            sio.write_matrices_csv(paths, ("a", "b"), [np.ones((3, 2)), data])
+        assert list(tmp_path.iterdir()) == []
+
+    def test_integer_matrix_written_as_floats(self):
+        assert sio.matrix_to_csv(("a",), np.array([[1], [-2]])) == "a\n1.0\n-2.0\n"
+
     def test_import_does_not_load_multiprocessing(self):
         src = Path(eegx.__file__).resolve().parents[1]
         code = "import sys, eegx, eegx.cli; sys.exit('multiprocessing' in sys.modules)"
@@ -389,3 +433,92 @@ class TestMatrixCsvWriter:
         done = subprocess.run([sys.executable, "-c", code, *argv], env=env,
                               capture_output=True, text=True, timeout=120)
         assert done.stdout.split() == ["0", "False"], done.stderr
+
+
+def _repr_rows(block) -> str:
+    """CSV rows of a block with one ``repr`` call per value."""
+    return "".join(",".join(repr(float(v)) for v in row) + "\n" for row in block)
+
+
+def _blocks(dtype, elements):
+    return st.integers(1, 4).flatmap(
+        lambda c: hnp.arrays(dtype, st.tuples(st.integers(1, 6), st.just(c)), elements=elements)
+    )
+
+
+def _neighbours(values):
+    values = np.asarray(values, dtype=float)
+    return np.concatenate(
+        [values, np.nextafter(values, 0.0), np.nextafter(values, np.inf)]
+    )
+
+
+def _with_signs(values, seed=0):
+    values = np.asarray(values, dtype=float)
+    return values * np.random.default_rng(seed).choice([-1.0, 1.0], values.size)
+
+
+class TestFloatText:
+    """``_rows_text`` against one ``repr`` per value."""
+
+    @given(block=_blocks(float, st.floats(allow_subnormal=True)))
+    @settings(max_examples=300, deadline=None)
+    def test_any_float(self, block):
+        # NaN, +-inf, -0.0 and subnormals included
+        assert sio._rows_text(block) == _repr_rows(block)
+
+    @given(block=_blocks(np.int64, st.integers(-(2**63), 2**63 - 1)))
+    @settings(max_examples=300, deadline=None)
+    def test_any_bit_pattern(self, block):
+        block = block.view(np.float64)
+        assert sio._rows_text(block) == _repr_rows(block)
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            # binade bottoms, where the rounding interval is asymmetric
+            _neighbours(np.ldexp(1.0, np.arange(-20, 60))),
+            _neighbours([float(f"1e{k}") for k in range(-6, 18)]),
+            # the borders of the positional range and the decade roll-over
+            [1e-4, 9.999999999999999e-05, 0.00009999999999999999, 0.0001000000000000001,
+             1e16, 9999999999999998.0, 1e16 + 2, 1e15, 999999999999999.9],
+            # x * 10**k ends in .5 exactly: the tie goes to the even digit
+            [1e15 + 0.25, 1e15 + 0.75, 2**51 + 0.25, 0.5, 0.125, 2.5, 1e-3 + 2**-62,
+             600000000000000.25, 600000000000000.75],  # the last two tie at the tens digit
+            # fast-path and fallback values in one row, both signs
+            _with_signs([0.1, 0.0, -0.0, 5e-324, 1e300, np.nan, np.inf, -np.inf, 123.456, 1e-5,
+                         2.2250738585072014e-308, 1.7976931348623157e308]),
+        ],
+        ids=["powers-of-two", "powers-of-ten", "borders", "ties", "mixed"],
+    )
+    def test_seeded_classes(self, values):
+        values = np.asarray(values, dtype=float)
+        for block in (values[:, None], _with_signs(values, 1)[:, None], values[None, :]):
+            assert sio._rows_text(block) == _repr_rows(block)
+
+    def test_fast_domain_sweep(self):
+        # 200 000 bit patterns spread over every double in [1e-4, 1e16)
+        lo, hi = np.array([1e-4, 1e16]).view(np.int64)
+        bits = np.random.default_rng(2024).integers(lo, hi, 200_000, dtype=np.int64)
+        block = _with_signs(bits.view(np.float64), 2).reshape(-1, 4)
+        assert sio._fast_path(block).all()
+        want = _repr_rows(block).encode().splitlines()
+        assert sio._rows_text(block).encode().splitlines() == want
+
+    def test_fast_path_covers_band_values(self, monkeypatch):
+        # a kernel that sent every value to repr would pass every byte test
+        rec = eegx.gen_synthetic_eeg(3, 8_000, 0.6, seed=5)
+        with pytest.warns(UserWarning, match="capped"):
+            bands = eegx.decompose_bands(rec).bands
+        values = np.concatenate(list(bands.values()))
+        assert sio._fast_path(values).mean() >= 0.999
+        calls = []
+        monkeypatch.setattr(sio, "repr", lambda v: calls.append(v) or repr(v), raising=False)
+        text = sio._rows_text(values)
+        assert len(calls) == np.count_nonzero(~sio._fast_path(values))
+        assert text == _repr_rows(values)
+
+    @pytest.mark.parametrize("rows", [0, 1, sio.CSV_CHUNK_ROWS + 1])
+    def test_float_rows(self, rows):
+        block = np.random.default_rng(rows).standard_normal((rows, 2))
+        assert sio._float_rows(block) == _repr_rows(block).splitlines()
