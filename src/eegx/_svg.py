@@ -13,26 +13,20 @@ _MARGIN_BOTTOM = 20
 _MARGIN_RIGHT = 20
 
 
-def _color(value: float, vmin: float, vmax: float) -> str:
-    """Linear white -> dark red ramp; grey for NaN."""
+def _color(value: float) -> str:
+    """Linear white -> dark red ramp over [0, 1]; grey for NaN."""
     if not math.isfinite(value):
         return "#bbbbbb"
-    t = 0.0 if vmax <= vmin else (value - vmin) / (vmax - vmin)
-    t = min(1.0, max(0.0, t))
+    t = min(1.0, max(0.0, value))
     r = 255
     g = round(245 * (1.0 - t))
     b = round(240 * (1.0 - t))
     return f"#{r:02x}{g:02x}{b:02x}"
 
 
-def heatmap_svg(
-    values: np.ndarray,
-    labels: tuple[str, ...],
-    title: str,
-    vmin: float = 0.0,
-    vmax: float = 1.0,
-) -> str:
-    """Render a labeled square heatmap as an SVG document string."""
+def heatmap_svg(values: np.ndarray, labels: tuple[str, ...], title: str) -> str:
+    """Render a labeled square heatmap of values in [0, 1] as an SVG
+    document string."""
     values = np.asarray(values, dtype=float)
     n = values.shape[0]
     width = _MARGIN_LEFT + n * _CELL + _MARGIN_RIGHT
@@ -44,7 +38,7 @@ def heatmap_svg(
         f'<text x="{width / 2:g}" y="20" text-anchor="middle" '
         f'font-family="sans-serif" font-size="14">{title}</text>',
         f'<text x="{width - _MARGIN_RIGHT}" y="38" text-anchor="end" '
-        f'font-family="sans-serif" font-size="10">scale {vmin:g}..{vmax:g}</text>',
+        f'font-family="sans-serif" font-size="10">scale 0..1</text>',
     ]
     for j, lab in enumerate(labels):
         x = _MARGIN_LEFT + j * _CELL + _CELL / 2
@@ -65,7 +59,7 @@ def heatmap_svg(
             y = _MARGIN_TOP + i * _CELL
             parts.append(
                 f'<rect x="{x}" y="{y}" width="{_CELL}" height="{_CELL}" '
-                f'fill="{_color(v, vmin, vmax)}" stroke="#888" stroke-width="0.5"/>'
+                f'fill="{_color(v)}" stroke="#888" stroke-width="0.5"/>'
             )
             label = "--" if not math.isfinite(v) else f"{v:.2f}"
             parts.append(

@@ -12,6 +12,7 @@ import argparse
 import itertools
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,20 +25,13 @@ from . import preprocess as pp
 from . import signal_io as sio
 from . import spectral as sp
 from ._svg import heatmap_svg
-from .errors import EegxError, FitError, UsageError, ValidationError, check_int
+from .errors import EegxError, FitError, UsageError, check_int
 
 
 def _emit(path: Path, text: str) -> Path:
     sio.write_text_atomic(path, (text,))
     print(f"wrote {path}")
     return path
-
-
-def _emit_matrices(paths: list[Path], channels, matrices) -> list[Path]:
-    sio.write_matrices_csv(paths, channels, matrices)
-    for p in paths:
-        print(f"wrote {p}")
-    return paths
 
 
 def _csv(columns: dict) -> str:
@@ -82,16 +76,6 @@ def _samples(seconds: float, fs: float, flag: str) -> int:
     return int(round(n))
 
 
-def _resolve_onset(args, fs: float) -> int | None:
-    onset = getattr(args, "onset", None)
-    onset_seconds = getattr(args, "onset_seconds", None)
-    if onset is not None and onset_seconds is not None:
-        raise UsageError("pass either --onset or --onset-seconds, not both")
-    if onset_seconds is not None:
-        return _samples(onset_seconds, fs, "--onset-seconds")
-    return onset
-
-
 def _run_length(args, fs: float) -> int:
     """Declustering run length: ``--run-length``, by default half a second."""
     if args.run_length is None:
@@ -107,17 +91,16 @@ def _check_level(value: float, flag: str) -> None:
 
 
 def _load_input(args) -> sio.EegRecording:
-    fs = getattr(args, "fs", None)
-    if fs is None:
-        meta = sio.read_sidecar(args.input)
-        fs = meta.get("fs")
-        if fs is None:
-            raise ValidationError(
-                "sampling rate required: pass --fs or provide a .meta.json sidecar"
-            )
-    fs = sio._check_fs(fs)  # a sidecar's fs may be any JSON value
-    onset = _resolve_onset(args, fs)
-    return sio.load_recording(args.input, fs=fs, onset_index=onset)
+    """The ``--input`` recording, with ``--fs`` and ``--onset`` (or
+    ``--onset-seconds``) in place of the sidecar's values."""
+    onset = getattr(args, "onset", None)
+    onset_seconds = getattr(args, "onset_seconds", None)
+    if onset is not None and onset_seconds is not None:
+        raise UsageError("pass either --onset or --onset-seconds, not both")
+    rec = sio.load_recording(args.input, fs=args.fs, onset_index=onset)
+    if onset_seconds is None:
+        return rec
+    return replace(rec, onset_index=_samples(onset_seconds, rec.fs, "--onset-seconds"))
 
 
 def _load_epoch(args) -> sio.EegRecording:
@@ -142,7 +125,10 @@ def _write_bands(rec: sio.EegRecording, order: int, directory: Path, stem: str):
     """Band-passed channels, ``<directory>/<stem><band>.csv`` per feasible band."""
     deco = pp.decompose_bands(rec, order=order)
     paths = [directory / f"{stem}{band_id}.csv" for band_id in deco.bands]
-    return deco, _emit_matrices(paths, rec.channels, deco.bands.values())
+    sio.write_matrices_csv(paths, rec.channels, deco.bands.values())
+    for p in paths:
+        print(f"wrote {p}")
+    return deco, paths
 
 
 def _write_gpd_fit(x, threshold_quantile, run_length: int, channel, band, path: Path):
@@ -241,23 +227,16 @@ def _write_ht_sim(model, cond_channel, level, n_sim: int, seed: int, prefix: Pat
 
 
 def cmd_simulate(args) -> int:
-    params: dict = {}
-    if args.kind == "synthetic_eeg":
-        params = {
-            "channels": args.channels,
-            "T": args.t,
-            "onset_fraction": args.onset_fraction,
-        }
-    elif args.kind in ("gpd", "exponential"):
-        params = {"n": args.n, "sigma": args.sigma}
-        if args.kind == "gpd":
-            params["xi"] = args.xi
-    elif args.kind == "gaussian_copula_pair":
-        params = {"n": args.n, "rho": args.rho}
-    else:
-        params = {"n": args.n}
-    spec = sim.SimSpec(kind=args.kind, seed=args.seed, params=params)
-    result = sim.generate(spec)
+    params = {
+        "channels": args.channels,
+        "T": args.t,
+        "onset_fraction": args.onset_fraction,
+        "n": args.n,
+        "sigma": args.sigma,
+        "xi": args.xi,
+        "rho": args.rho,
+    }
+    result = sim.generate(sim.SimSpec(kind=args.kind, seed=args.seed, params=params))
 
     if isinstance(result, sio.EegRecording):
         rec = result
@@ -268,10 +247,9 @@ def cmd_simulate(args) -> int:
     else:
         rec = sio.EegRecording(channels=("y",), fs=1.0, data=result[:, None])
 
-    out = Path(args.out)
-    _emit_matrices([out], rec.channels, [rec.data])
-    meta = {"fs": rec.fs, "onset_index": rec.onset_index}
-    _emit(sio.sidecar_path(out), _json_text(meta))
+    out = sio.save_recording(rec, args.out)
+    print(f"wrote {out}")
+    print(f"wrote {sio.sidecar_path(out)}")
     return 0
 
 

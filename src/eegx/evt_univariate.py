@@ -137,15 +137,18 @@ def _gpd_information(sigma: float, xi: float, y: np.ndarray) -> np.ndarray:
     g = np.empty_like(a)
     small = np.abs(a) < _G_SERIES_A
     a_s, a_l, w_l = a[small], a[~small], w[~small]
-    g[~small] = (2.0 * np.log1p(a_l) - 2.0 * a_l / w_l - (a_l / w_l) ** 2) / a_l**3
     g_s = np.full_like(a_s, _G_SERIES[-1])
     for c in _G_SERIES[-2::-1]:  # Horner, in place
         g_s *= a_s
         g_s += c
     g[small] = g_s
-    i_ss = ((1.0 + xi) * (tw + tw / w).sum() - y.size) / sigma**2
-    i_sx = ((1.0 + xi) * (tw**2).sum() - tw.sum()) / sigma
-    i_xx = (t**3 * g - tw**2).sum()
+    # on extreme spreads these overflow or divide by zero; the caller
+    # checks the result and warns that it is not positive definite
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        g[~small] = (2.0 * np.log1p(a_l) - 2.0 * a_l / w_l - (a_l / w_l) ** 2) / a_l**3
+        i_ss = ((1.0 + xi) * (tw + tw / w).sum() - y.size) / sigma**2
+        i_sx = ((1.0 + xi) * (tw**2).sum() - tw.sum()) / sigma
+        i_xx = (t**3 * g - tw**2).sum()
     return np.array([[i_ss, i_sx], [i_sx, i_xx]])
 
 

@@ -110,13 +110,7 @@ def _ar2_noise(n: int, rng: np.random.Generator) -> np.ndarray:
     return lfilter([1.0], a, eps)[AR_BURN_IN:]
 
 
-def gen_synthetic_eeg(
-    channels: int,
-    T: int,
-    onset_fraction: float,
-    seed: int,
-    channel_names: tuple[str, ...] | None = None,
-) -> EegRecording:
+def gen_synthetic_eeg(channels: int, T: int, onset_fraction: float, seed: int) -> EegRecording:
     """Seizure-like multichannel recording for end-to-end pipeline tests.
 
     Pre-onset each channel is independent AR(2) Gaussian noise (light
@@ -126,6 +120,7 @@ def gen_synthetic_eeg(
     the post epoch has heavier marginal tails and strong cross-channel
     extremal dependence.
 
+    Channels take the ``DEFAULT_CHANNEL_NAMES`` in order, then X0, X1, ...
     The nominal sampling rate is 100 Hz.
     """
     if channels < 2:
@@ -138,15 +133,7 @@ def gen_synthetic_eeg(
             f"onset fraction {onset_fraction} puts the onset at sample {onset}, "
             f"outside [2, {T - 2}]"
         )
-    if channel_names is None:
-        if channels <= len(DEFAULT_CHANNEL_NAMES):
-            channel_names = DEFAULT_CHANNEL_NAMES[:channels]
-        else:
-            channel_names = DEFAULT_CHANNEL_NAMES + tuple(
-                f"X{i}" for i in range(channels - len(DEFAULT_CHANNEL_NAMES))
-            )
-    if len(channel_names) != channels:
-        raise ValidationError("channel_names length must equal channels")
+    extra = tuple(f"X{i}" for i in range(channels - len(DEFAULT_CHANNEL_NAMES)))
 
     seq = np.random.SeedSequence(check_int(seed, "seed", 0))
     child_seqs = seq.spawn(channels + 1)  # one per channel, one for the factor
@@ -161,7 +148,7 @@ def gen_synthetic_eeg(
     data[onset:] += factor[:, None] * loadings[None, :]
 
     return EegRecording(
-        channels=tuple(channel_names),
+        channels=(DEFAULT_CHANNEL_NAMES + extra)[:channels],
         fs=100.0,
         data=data,
         onset_index=onset,

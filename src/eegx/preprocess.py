@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DesignError, SizeError, ValidationError
-from .signal_io import EegRecording
+from .signal_io import EegRecording, _check_fs
 
 #: Canonical EEG bands (Hz): delta, theta, alpha, beta, gamma.
 _BAND_TABLE = (
@@ -96,12 +96,6 @@ class FilterSpec:
     @property
     def padlen(self) -> int:
         return 3 * (self.order + 1)
-
-
-def _check_fs(fs: float) -> None:
-    """Reject a sampling rate that is not a finite positive number."""
-    if not (np.isfinite(fs) and fs > 0):
-        raise ValidationError(f"fs must be finite and positive, got {fs}")
 
 
 def _check_order(order: int) -> None:

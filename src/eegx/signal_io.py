@@ -1,13 +1,23 @@
 """Load, validate, slice, and epoch multichannel EEG recordings.
 
-File format: header-bearing CSV of raw amplitudes (UTF-8, comma
-separated, '.' decimal). Sampling rate and onset index live outside the
-CSV, either passed by the caller or read from an optional JSON sidecar
-``<path>.meta.json`` with keys ``fs`` and ``onset_index``. Matrices are
-written by ``write_matrices_csv``, which formats row chunks on every
-usable core and streams them, in order, into atomically replaced files.
-``_ordered_map`` is the package's one process pool: the CSV writer and
-the chi bootstrap both run through it.
+This module owns the recording file format: it alone writes, reads and
+checks CSV headers and sidecars. A recording is a header-bearing CSV of
+raw amplitudes (UTF-8, comma separated, '.' decimal). Sampling rate and
+onset index live outside the CSV, either passed by the caller or read
+from an optional JSON sidecar ``<path>.meta.json`` with keys ``fs`` and
+``onset_index``, which ``save_recording`` writes atomically next to the
+CSV. Bytes that are not UTF-8 are a ``FormatError``; a path that is not
+a regular file is a ``ValidationError``.
+
+A header is written only if ``load_recording`` reads the same names
+back (``_header``): every name is a nonempty string with no ',', '\r'
+or '\n', no leading or trailing whitespace, and an encoding in UTF-8;
+the names are distinct, and not all of them parse as numbers.
+
+Matrices are written by ``write_matrices_csv``, which formats row chunks
+on every usable core and streams them, in order, into atomically
+replaced files. ``_ordered_map`` is the package's one process pool: the
+CSV writer and the chi bootstrap both run through it.
 
 Every float is written as ``repr`` writes it, so a reload is exact. The
 text comes from a vectorised kernel (``_rows_text``): for finite values
@@ -93,7 +103,9 @@ class EegRecording:
             )
         if not np.isfinite(data).all():
             t, c = np.argwhere(~np.isfinite(data))[0]
-            raise DataError(f"non-finite amplitude at sample {t + 1}, channel {chans[c]!r}")
+            raise DataError(
+                f"non-finite amplitude at row {t + 1}, column {c + 1} (channel {chans[c]!r})"
+            )
         data.flags.writeable = False
         object.__setattr__(self, "data", data)
 
@@ -159,15 +171,29 @@ def sidecar_path(path: str | Path) -> Path:
     return Path(str(path) + ".meta.json")
 
 
+@contextlib.contextmanager
+def _utf8_text(path: Path):
+    """``path`` open for reading as UTF-8 text: a ``ValidationError`` if it
+    is not a regular file, a ``FormatError`` for bytes that do not decode."""
+    if not path.is_file():
+        raise ValidationError(f"{path} is not a regular file")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path} is not UTF-8 text: {exc}") from None
+
+
 def read_sidecar(path: str | Path) -> dict:
     """Read ``<path>.meta.json`` if present. Returns {} when absent."""
     sp = sidecar_path(path)
     if not sp.exists():
         return {}
-    try:
-        meta = json.loads(sp.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"malformed sidecar {sp}: {exc}") from exc
+    with _utf8_text(sp) as fh:
+        try:
+            meta = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"malformed sidecar {sp}: {exc}") from exc
     if not isinstance(meta, dict):
         raise FormatError(f"sidecar {sp} must hold a JSON object")
     return meta
@@ -200,14 +226,10 @@ def _locate_bad_cell(lines: list[str], n_cols: int) -> None:
                 f"row {i + 1} has {len(parts)} fields, expected {n_cols}"
             )
         for j, tok in enumerate(parts):
-            try:
-                v = float(tok)
-            except ValueError:
+            if not _is_float(tok):
                 raise DataError(
                     f"non-numeric value {tok.strip()!r} at row {i + 1}, column {j + 1}"
-                ) from None
-            if not np.isfinite(v):
-                raise DataError(f"non-finite value at row {i + 1}, column {j + 1}")
+                )
 
 
 def load_recording(
@@ -223,11 +245,12 @@ def load_recording(
     Raises
     ------
     FormatError
-        Malformed header or ragged rows.
+        Malformed header or ragged rows; bytes that are not UTF-8.
     DataError
         Non-numeric, NaN, or Inf cell (named by row/column).
     ValidationError
-        Duplicate channel names, missing sampling rate, bad onset.
+        A path that is not a regular file, duplicate channel names,
+        missing or bad sampling rate, bad onset.
     """
     p = Path(path)
     if not p.exists():
@@ -242,8 +265,9 @@ def load_recording(
         raise ValidationError(
             f"sampling rate required: pass fs or provide {sidecar_path(p).name}"
         )
+    _check_fs(fs)  # before the file is parsed; a sidecar's fs may be any JSON value
 
-    with open(p, "r", encoding="utf-8") as fh:
+    with _utf8_text(p) as fh:
         header_line = fh.readline()
         if header_line == "":
             raise FormatError(f"{p} is empty")
@@ -262,27 +286,17 @@ def load_recording(
         raise FormatError(
             f"data rows have {data.shape[1]} columns but header names {len(channels)}"
         )
-    if not np.isfinite(data).all():
-        t, c = np.argwhere(~np.isfinite(data))[0]
-        raise DataError(f"non-finite value at row {t + 1}, column {c + 1}")
-
     return EegRecording(channels=channels, fs=fs, data=data, onset_index=onset_index)
 
 
-def save_recording(
-    rec: EegRecording, path: str | Path, write_sidecar: bool = True
-) -> Path:
-    """Write a recording to CSV (and its metadata sidecar).
-
-    Floats are written with ``repr``, so load -> save -> load is exact.
-    """
+def save_recording(rec: EegRecording, path: str | Path) -> Path:
+    """Write a recording to CSV and its metadata to the sidecar, each
+    atomically. Floats are written with ``repr``, so load -> save -> load
+    is exact; channel names must pass ``_header``."""
     p = Path(path)
     write_matrices_csv([p], rec.channels, [rec.data])
-    if write_sidecar:
-        meta = {"fs": rec.fs, "onset_index": rec.onset_index}
-        sidecar_path(p).write_text(
-            json.dumps(meta, sort_keys=True) + "\n", encoding="utf-8"
-        )
+    meta = {"fs": rec.fs, "onset_index": rec.onset_index}
+    write_text_atomic(sidecar_path(p), (json.dumps(meta, sort_keys=True) + "\n",))
     return p
 
 
@@ -476,35 +490,44 @@ def _float_rows(matrix: np.ndarray) -> list[str]:
     return "".join(texts).split("\n")[:-1]
 
 
-def _csv_matrix(matrix, channels: tuple[ChannelLabel, ...]) -> np.ndarray:
-    """``matrix`` as a float array with one column per channel, or a
-    ``ValidationError`` (shape) or ``DataError`` (dtype) saying why not."""
+def _header(channels: tuple[ChannelLabel, ...]) -> str:
+    """The CSV header line naming ``channels``, or a ``ValidationError``
+    if ``load_recording`` would not read the same names back."""
     if not channels:
         raise ValidationError("a CSV matrix needs at least one channel")
+    for name in channels:
+        if not isinstance(name, str) or not name:
+            raise ValidationError(f"channel name {name!r} is not a nonempty string")
+        if any(c in name for c in ",\r\n"):
+            raise ValidationError(f"channel name {name!r} holds a comma or a line break")
+        if name != name.strip():
+            raise ValidationError(f"channel name {name!r} starts or ends with whitespace")
+        try:
+            name.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValidationError(f"channel name {name!r} does not encode as UTF-8") from None
+    if len(set(channels)) != len(channels):
+        raise ValidationError(f"duplicate channel names in {list(channels)}")
+    if all(_is_float(n) for n in channels):
+        raise ValidationError(f"channel names {list(channels)} all read as numbers")
+    return ",".join(channels) + "\n"
+
+
+def _csv_matrix(matrix, n_channels: int) -> np.ndarray:
+    """``matrix`` as a float array with ``n_channels`` columns, or a
+    ``ValidationError`` (shape) or ``DataError`` (dtype) saying why not."""
     try:
         arr = np.asarray(matrix)
     except ValueError as exc:  # ragged nested sequences
         raise ValidationError(f"matrix is not rectangular: {exc}") from None
-    if arr.ndim != 2 or arr.shape[1] != len(channels):
+    if arr.ndim != 2 or arr.shape[1] != n_channels:
         raise ValidationError(
-            f"matrix of shape {arr.shape} is not 2-D with {len(channels)} columns, "
+            f"matrix of shape {arr.shape} is not 2-D with {n_channels} columns, "
             f"one per channel"
         )
     if arr.dtype.kind not in "biuf":
         raise DataError(f"matrix must be numeric, got dtype {arr.dtype}")
     return arr.astype(float, copy=False)
-
-
-def matrix_to_csv(channels: tuple[ChannelLabel, ...], data: np.ndarray) -> str:
-    """Render a (T, C) matrix as CSV text: a header of channel names, then
-    one row per sample with every float written as ``repr`` writes it
-    (exact on reload)."""
-    return ",".join(channels) + "\n" + _rows_text(_csv_matrix(data, tuple(channels)))
-
-
-def recording_to_csv(rec: EegRecording) -> str:
-    """Render the recording as CSV text (header + one row per sample)."""
-    return matrix_to_csv(rec.channels, rec.data)
 
 
 def write_text_atomic(path: str | Path, parts: Iterable[str]) -> Path:
@@ -538,9 +561,11 @@ def write_matrices_csv(
     channels: tuple[ChannelLabel, ...],
     matrices: Iterable[np.ndarray],
 ) -> list[Path]:
-    """Write each (T, C) matrix to its path as ``matrix_to_csv`` text.
+    """Write each (T, C) matrix to its path as CSV: the header naming
+    ``channels``, then one row per sample, every float as ``repr`` writes it.
 
-    Every matrix is checked (``_csv_matrix``) before any file is opened.
+    The names (``_header``) and every matrix (``_csv_matrix``) are checked
+    before any file is opened.
     The rows are cut into chunks of ``CSV_CHUNK_ROWS``, formatted by
     ``_rows_text`` on every usable core (``_ordered_map``), and streamed
     in order into each file, which is written atomically. The bytes do
@@ -548,10 +573,10 @@ def write_matrices_csv(
     """
     paths = [Path(p) for p in paths]
     channels = tuple(channels)
-    mats = [_csv_matrix(m, channels) for m in matrices]
+    header = _header(channels)
+    mats = [_csv_matrix(m, len(channels)) for m in matrices]
     if len(paths) != len(mats):
         raise UsageError(f"{len(paths)} paths for {len(mats)} matrices")
-    header = ",".join(channels) + "\n"
     chunks = [
         m[i : i + CSV_CHUNK_ROWS] for m in mats for i in range(0, len(m), CSV_CHUNK_ROWS)
     ]

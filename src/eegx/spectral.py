@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SizeError, UsageError, ValidationError
-from .preprocess import BandDefinition, _check_fs
+from .preprocess import BandDefinition
+from .signal_io import _check_fs
 
 __all__ = ["SpectrumEstimate", "periodogram", "welch", "band_power"]
 

@@ -16,6 +16,9 @@ def rec_csv(tmp_path_factory):
     return path
 
 
+_SIDECAR = "rec.csv.meta.json"
+
+
 def run(argv):
     return main([str(a) for a in argv])
 
@@ -30,6 +33,10 @@ class TestSimulate:
         meta = json.loads((tmp_path / "sim.csv.meta.json").read_text())
         assert meta["fs"] == 100.0
         assert meta["onset_index"] == 1400
+        # the sidecar is save_recording's
+        assert (tmp_path / "sim.csv.meta.json").read_bytes() == (
+            b'{"fs": 100.0, "onset_index": 1400}\n'
+        )
 
     def test_scalar_kind(self, tmp_path):
         out = tmp_path / "gpd.csv"
@@ -150,21 +157,35 @@ class TestValidationFirst:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "meta, argv",
+        "name, content, argv",
         [
-            ({"fs": "abc"}, ["decompose"]),
-            ({"fs": [1]}, ["decompose"]),
-            ({"fs": "abc", "onset_index": 500}, ["chi", "--epoch", "pre", "--onset-seconds", "5"]),
-            ({"fs": 100.0, "onset_index": 1.7}, ["decompose"]),
-            ({"fs": 100.0, "onset_index": "x"}, ["report"]),
+            (_SIDECAR, {"fs": "abc"}, ["decompose"]),
+            (_SIDECAR, {"fs": [1]}, ["decompose"]),
+            (_SIDECAR, {"fs": "abc", "onset_index": 500},
+             ["chi", "--epoch", "pre", "--onset-seconds", "5"]),
+            (_SIDECAR, {"fs": 100.0, "onset_index": 1.7}, ["decompose"]),
+            (_SIDECAR, {"fs": 100.0, "onset_index": "x"}, ["report"]),
+            (_SIDECAR, b'{"fs": 100.0, "note": "\xff"}', ["decompose"]),
+            (_SIDECAR, None, ["decompose"]),
+            ("rec.csv", b"\xff\xfeT\x003\x00\n\x001\x00\n\x00", ["decompose", "--fs", "100"]),
+            ("rec.csv", None, ["decompose", "--fs", "100"]),
         ],
-        ids=["fs-text", "fs-list", "fs-text-onset-seconds", "onset-float", "onset-text"],
+        ids=["fs-text", "fs-list", "fs-text-onset-seconds", "onset-float", "onset-text",
+             "sidecar-not-utf8", "sidecar-directory", "csv-not-utf8", "csv-directory"],
     )
-    def test_bad_sidecar_exits_2_before_writing(self, tmp_path, capsys, meta, argv):
+    def test_bad_sidecar_exits_2_before_writing(self, tmp_path, capsys, name, content, argv):
+        # file ``name`` of a saved recording is replaced by ``content``:
+        # JSON of a dict, raw bytes, or a directory for None
         rec = gen_synthetic_eeg(2, 2_000, 0.5, seed=0)
         path = tmp_path / "rec.csv"
         save_recording(rec, path)
-        (tmp_path / "rec.csv.meta.json").write_text(json.dumps(meta))
+        (tmp_path / name).unlink()
+        if content is None:
+            (tmp_path / name).mkdir()
+        elif isinstance(content, bytes):
+            (tmp_path / name).write_bytes(content)
+        else:
+            (tmp_path / name).write_text(json.dumps(content))
         out = tmp_path / "out"
         rc = run([*argv, "--input", path, "--outdir", out])
         err = capsys.readouterr().err

@@ -9,6 +9,8 @@ likelihood, and where both reach the same one they must agree on the
 parameters.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy import optimize
@@ -179,6 +181,12 @@ def test_gpd_shape_boundary():
 @pytest.mark.parametrize("y", [np.r_[np.full(10, 1e-300), 1.0], np.r_[np.ones(10), 1e300]])
 def test_gpd_extreme_spread(y):
     # Grimshaw's bound on theta*y_max overflows a float here
-    fit = fit_gpd(y)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fit = fit_gpd(y)
+    # eegx's own warning, and no numpy RuntimeWarning from the information
+    assert [str(w.message) for w in caught] == [
+        "GPD observed information not positive definite; standard errors unavailable"
+    ]
     assert np.isfinite(fit.nll)
     assert fit.nll <= reference_fit_gpd(y)[2] + 1e-9

@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -18,6 +18,7 @@ from eegx import (
     ChannelLookupError,
     DataError,
     EegRecording,
+    EegxError,
     FormatError,
     UsageError,
     ValidationError,
@@ -26,7 +27,7 @@ from eegx import (
     select_channels,
     split_at_onset,
 )
-from eegx.signal_io import read_sidecar, recording_to_csv, sidecar_path
+from eegx.signal_io import read_sidecar, sidecar_path
 
 
 def make_rec(T=10, C=3, onset=None, seed=0):
@@ -181,6 +182,37 @@ class TestLoadSave:
     def test_read_sidecar_missing(self, tmp_path):
         assert read_sidecar(tmp_path / "none.csv") == {}
 
+    def test_undecodable_csv(self, tmp_path):
+        p = tmp_path / "utf16.csv"
+        p.write_bytes(b"\xff\xfeA\x00\n\x001\x00\n\x002\x00\n\x00")
+        with pytest.raises(FormatError, match="not UTF-8"):
+            load_recording(p, fs=1.0)
+
+    def test_undecodable_sidecar(self, tmp_path):
+        p = tmp_path / "side.csv"
+        p.write_text("A\n1\n2\n")
+        sidecar_path(p).write_bytes(b'{"fs": 100.0, "note": "\xff"}')
+        with pytest.raises(FormatError, match="not UTF-8"):
+            read_sidecar(p)
+        with pytest.raises(FormatError, match="not UTF-8"):
+            load_recording(p)
+
+    def test_directory_input(self, tmp_path):
+        with pytest.raises(ValidationError, match="not a regular file"):
+            load_recording(tmp_path, fs=1.0)
+
+    def test_directory_sidecar(self, tmp_path):
+        p = tmp_path / "side.csv"
+        p.write_text("A\n1\n2\n")
+        sidecar_path(p).mkdir()
+        with pytest.raises(ValidationError, match="not a regular file"):
+            load_recording(p, fs=1.0)
+
+    def test_sidecar_bytes(self, tmp_path):
+        p = save_recording(make_rec(T=4, C=2, onset=2), tmp_path / "r.csv")
+        assert sidecar_path(p).read_bytes() == b'{"fs": 100.0, "onset_index": 2}\n'
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["r.csv", "r.csv.meta.json"]
+
     def test_roundtrip_exact(self, tmp_path):
         rec = EegRecording(
             channels=("A", "B"),
@@ -193,8 +225,64 @@ class TestLoadSave:
         rec2 = load_recording(p)
         assert np.array_equal(rec.data, rec2.data)
         assert rec2.fs == rec.fs and rec2.onset_index == rec.onset_index
-        # serialized text is bit-identical after a load/save cycle
-        assert recording_to_csv(rec2) == p.read_text()
+        # the files are bit-identical after a load/save cycle
+        save_recording(rec2, tmp_path / "rt2.csv")
+        assert (tmp_path / "rt2.csv").read_bytes() == p.read_bytes()
+        assert sidecar_path(tmp_path / "rt2.csv").read_bytes() == sidecar_path(p).read_bytes()
+
+
+def _loads_back_raw(names, data, path) -> bool:
+    """Whether a header of ``names`` joined by commas, written without any
+    check, loads back as exactly ``names``: the oracle of the header rule."""
+    rows = "".join(",".join(map(repr, row)) + "\n" for row in data.tolist())
+    try:
+        path.write_bytes((",".join(names) + "\n" + rows).encode("utf-8"))
+        return load_recording(path, fs=1.0).channels == names
+    except (UnicodeEncodeError, EegxError):
+        return False
+
+
+_NAME_CHARS = st.one_of(st.characters(), st.sampled_from(list(",\r\n \t\x0b\x85\udcffT3.e-+0")))
+_NAMES = st.one_of(
+    st.text(_NAME_CHARS, max_size=4),
+    st.floats().map(repr),
+    st.sampled_from(["T3", "Fp1", " T3", "T3 ", "1", "nan", "1_0"]),
+)
+
+
+class TestHeaderRule:
+    @given(names=st.lists(_NAMES, min_size=1, max_size=4).map(tuple))
+    @example(names=("T3,x", "F4"))
+    @example(names=("T3\nx", "F4"))
+    @example(names=(" T3", "F4"))
+    @example(names=("1", "2"))
+    @example(names=("\udcff", "F4"))
+    @settings(max_examples=300, deadline=None)
+    def test_names_round_trip_or_fail_before_writing(self, names, tmp_path_factory):
+        # a name set is written iff it loads back as it was
+        d = tmp_path_factory.mktemp("names")
+        data = np.arange(2.0 * len(names)).reshape(2, -1) - 1.5
+        try:
+            save_recording(EegRecording(channels=names, fs=100.0, data=data), d / "r.csv")
+        except ValidationError:
+            assert list(d.iterdir()) == []
+            assert not _loads_back_raw(names, data, d / "raw.csv")
+        else:
+            back = load_recording(d / "r.csv")
+            assert back.channels == names
+            assert np.array_equal(back.data, data)
+
+    @pytest.mark.parametrize(
+        "channels",
+        [("T3,x", "F4"), ("T3", "F4\r"), ("T3", "F4 "), ("1", "2.5"), ("T3", "\udcff"),
+         ("T3", "T3"), ("T3", ""), ("T3", 4)],
+        ids=["comma", "cr", "space", "numeric", "surrogate", "duplicate", "empty", "not-text"],
+    )
+    def test_band_writer_refuses_before_writing(self, channels, tmp_path):
+        paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        with pytest.raises(ValidationError, match="channel name"):
+            sio.write_matrices_csv(paths, channels, [np.ones((3, 2))] * 2)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSplitSelect:
@@ -319,9 +407,7 @@ class TestMatrixCsvWriter:
         with mock.patch.object(sio, "CSV_CHUNK_ROWS", 3), \
                 mock.patch.object(sio, "_usable_cores", lambda: cores):
             sio.write_matrices_csv([path], channels, [data])
-        want = _reference_csv(channels, data)
-        assert sio.matrix_to_csv(channels, data) == want
-        assert path.read_bytes() == want.encode()
+        assert path.read_bytes() == _reference_csv(channels, data).encode()
 
     @pytest.mark.parametrize("rows", [1, sio.CSV_CHUNK_ROWS - 1, sio.CSV_CHUNK_ROWS,
                                       sio.CSV_CHUNK_ROWS + 1])
@@ -395,15 +481,14 @@ class TestMatrixCsvWriter:
         ids=["columns", "1-D", "3-D", "ragged", "text", "object", "complex"],
     )
     def test_bad_matrix_rejected_before_writing(self, data, error, tmp_path):
-        with pytest.raises(error):
-            sio.matrix_to_csv(("a", "b"), data)
         paths = [tmp_path / "ok.csv", tmp_path / "bad.csv"]
         with pytest.raises(error):
             sio.write_matrices_csv(paths, ("a", "b"), [np.ones((3, 2)), data])
         assert list(tmp_path.iterdir()) == []
 
-    def test_integer_matrix_written_as_floats(self):
-        assert sio.matrix_to_csv(("a",), np.array([[1], [-2]])) == "a\n1.0\n-2.0\n"
+    def test_integer_matrix_written_as_floats(self, tmp_path):
+        sio.write_matrices_csv([tmp_path / "i.csv"], ("a",), [np.array([[1], [-2]])])
+        assert (tmp_path / "i.csv").read_bytes() == b"a\n1.0\n-2.0\n"
 
     def test_import_does_not_load_multiprocessing(self):
         src = Path(eegx.__file__).resolve().parents[1]
