@@ -24,10 +24,19 @@ def _color(value: float) -> str:
     return f"#{r:02x}{g:02x}{b:02x}"
 
 
+def _escape(text: str) -> str:
+    """``text`` with ``&``, ``<`` and ``>`` as XML entities. Not
+    ``xml.sax.saxutils.escape``: importing it loads ``urllib.request``,
+    ``http.client`` and ``ssl``."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def heatmap_svg(values: np.ndarray, labels: tuple[str, ...], title: str) -> str:
     """Render a labeled square heatmap of values in [0, 1] as an SVG
-    document string."""
+    document string; ``&``, ``<`` and ``>`` in the labels and the title
+    are written as XML entities."""
     values = np.asarray(values, dtype=float)
+    labels = [_escape(lab) for lab in labels]
     n = values.shape[0]
     width = _MARGIN_LEFT + n * _CELL + _MARGIN_RIGHT
     height = _MARGIN_TOP + n * _CELL + _MARGIN_BOTTOM
@@ -36,7 +45,7 @@ def heatmap_svg(values: np.ndarray, labels: tuple[str, ...], title: str) -> str:
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
         f'<text x="{width / 2:g}" y="20" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="14">{title}</text>',
+        f'font-family="sans-serif" font-size="14">{_escape(title)}</text>',
         f'<text x="{width - _MARGIN_RIGHT}" y="38" text-anchor="end" '
         f'font-family="sans-serif" font-size="10">scale 0..1</text>',
     ]

@@ -4,7 +4,8 @@ The CLI maps these onto exit codes: validation-type errors (bad flags,
 unreadable or malformed inputs, misuse of an operation) exit with 2,
 computation-type errors (fit failures, infeasible designs, degenerate
 data) exit with 1. ``check_int`` is the one check of integer arguments
-(counts, seeds, run lengths), so they fail the same way everywhere.
+(counts, seeds, run lengths, filter orders, segment lengths), so they
+fail the same way everywhere.
 """
 
 import operator

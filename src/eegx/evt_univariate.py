@@ -12,9 +12,10 @@ The GPD negative log-likelihood for excesses y_1..y_n is
 
 minimized over sigma > 0 and xi >= -0.5 (the usual regularity range).
 With theta = xi/sigma fixed, xi and sigma have closed forms (Grimshaw
-1993), so the fit is a 1-D profile search with no starting values and
-no randomness. The exponential limit is used whenever |xi| < 1e-6.
-Standard errors come from the closed-form observed information.
+1993), the bound on xi included, so the fit is one 1-D profile search
+with no starting values and no randomness. The exponential limit is
+used whenever |xi| < 1e-6. Standard errors come from the closed-form
+observed information.
 """
 
 from __future__ import annotations
@@ -155,14 +156,19 @@ def _gpd_information(sigma: float, xi: float, y: np.ndarray) -> np.ndarray:
 def _profile(s, y: np.ndarray):
     """Grimshaw profile of the GPD at s = log1p(theta * y_max), theta = xi/sigma.
 
-    For fixed theta the shape MLE is xi(theta) = mean(log1p(theta*y)) and
-    sigma = xi/theta, leaving NLL/n = log(sigma) + xi + 1; theta = 0 is the
-    exponential limit sigma = mean(y). Returns (NLL/n, xi, sigma) arrays.
+    For fixed theta the NLL falls in xi down to xi_hat = mean(log1p(theta*y))
+    and rises beyond it, so the shape constrained to xi >= ``XI_LOWER`` is
+    xi = max(xi_hat, XI_LOWER), with sigma = xi/theta and
+    NLL/n = log(sigma) + xi_hat * (1 + 1/xi), which is log(sigma) + xi + 1
+    off the bound; theta = 0 is the exponential limit sigma = mean(y).
+    Returns (NLL/n, xi, sigma) arrays.
     """
     theta = np.expm1(np.atleast_1d(s)) / y.max()
-    xi = np.log1p(np.multiply.outer(theta, y)).mean(axis=-1)
+    xi_hat = np.log1p(np.multiply.outer(theta, y)).mean(axis=-1)
+    xi = np.maximum(xi_hat, XI_LOWER)
     sigma = np.divide(xi, theta, out=np.full_like(xi, y.mean()), where=theta != 0)
-    return np.log(sigma) + xi + 1.0, xi, sigma
+    ratio = np.divide(xi_hat, xi, out=np.ones_like(xi), where=xi_hat < XI_LOWER)
+    return np.log(sigma) + xi_hat + ratio, xi, sigma
 
 
 def _bounded_brent(f, lo: float, hi: float, xatol: float):
@@ -236,56 +242,6 @@ def _bounded_brent(f, lo: float, hi: float, xatol: float):
     return xf, fx
 
 
-def _brent_root(f, a: float, b: float, xtol: float) -> float:
-    """A root of ``f`` in [a, b], where f(a) and f(b) differ in sign, by
-    Brent's (1973) bracketing method: inverse quadratic or secant steps
-    that stay inside the bracket, bisection otherwise.
-
-    The iteration of ``scipy.optimize.brentq`` with its default relative
-    tolerance 4 * machine epsilon; converged when the bracket is within
-    ``xtol + rtol * |x|``. Raises ``FitError`` after 100 steps, scipy's
-    default ``maxiter``.
-    """
-    rtol = 4 * np.finfo(float).eps
-    xpre, xcur = a, b
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise FitError(f"root not bracketed: f({a:g}) and f({b:g}) have the same sign")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(100):
-        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # inverse quadratic
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = f(xcur)
-    raise FitError("root search did not converge in 100 iterations")
-
-
 def _grid_brent(f, grid: np.ndarray) -> tuple[float, float]:
     """Minimize a 1-D function: the best point of ``grid`` (``f`` takes
     arrays), refined by bounded Brent between that point's neighbours.
@@ -312,16 +268,16 @@ def fit_gpd(
 
     Grimshaw's (1993) reduction: with theta = xi/sigma the likelihood is
     maximized over xi and sigma in closed form, leaving a 1-D profile in
-    s = log1p(theta * y_max). Its stationary points lie below
-    theta = 2(mean(y) - min(y))/min(y)^2, and xi >= ``XI_LOWER`` holds
-    from the theta where xi(theta) = ``XI_LOWER`` up; a coarse grid over
-    that range and a bounded Brent search around its best cell find the
-    interior optimum. A 1-D fit of sigma with xi fixed at ``XI_LOWER``
-    covers the boundary, and the lower NLL wins. Deterministic; standard
-    errors and ``cov_sigma_xi`` come from the inverse of the closed-form
-    observed information. On the boundary the xi-gradient is not zero,
-    so the full information describes no optimum: ``se_sigma`` then comes
-    from the curvature in sigma alone at fixed xi, ``se_xi`` is NaN and
+    s = log1p(theta * y_max). The constraint xi >= ``XI_LOWER`` enters that
+    profile in closed form too (see :func:`_profile`), so one search
+    covers both the interior and the boundary: a coarse grid over s from
+    ``_S_FLOOR`` up to Grimshaw's bound theta = 2(mean(y) - min(y))/min(y)^2,
+    which every stationary point lies below, and a bounded Brent search
+    around its best cell. Deterministic; standard errors and
+    ``cov_sigma_xi`` come from the inverse of the closed-form observed
+    information. On the boundary the xi-gradient is not zero, so the full
+    information describes no optimum: ``se_sigma`` then comes from the
+    curvature in sigma alone at fixed xi, ``se_xi`` is NaN and
     ``cov_sigma_xi`` is None. Where the information is not positive
     definite both standard errors are NaN, with a warning.
 
@@ -343,28 +299,16 @@ def fit_gpd(
         raise UsageError("excesses must be strictly positive and finite")
 
     ymin, ymax = float(y.min()), float(y.max())
-
-    def xi_above_lower(s):
-        return float(_profile(s, y)[1][0]) - XI_LOWER
-
-    # xi(s) rises with s. Below _S_FLOOR theta is pinned within e^-30 of
-    # -1/y_max while xi keeps falling, which only raises the profile NLL.
-    s_lo = _S_FLOOR
-    if xi_above_lower(s_lo) < 0:
-        s_lo = _brent_root(xi_above_lower, s_lo, 0.0, xtol=1e-12)
-    # Grimshaw's bound on theta, capped where expm1(s) still fits a float
+    # Below _S_FLOOR theta is pinned within e^-30 of -1/y_max, where the
+    # constrained profile only rises. Above, Grimshaw's bound on theta,
+    # capped where expm1(s) still fits a float.
     s_hi = min(np.log1p(2.0 * (float(y.mean()) / ymin - 1.0) * (ymax / ymin)), _S_CEIL)
-    s_in, v_in = _grid_brent(lambda s: _profile(s, y)[0], np.linspace(s_lo, s_hi, _N_GRID))
-
-    def boundary(s):  # xi = XI_LOWER, sigma = XI_LOWER / theta
-        return gpd_nll(XI_LOWER * ymax / np.expm1(s), XI_LOWER, y)
-
-    s_bd, v_bd = _bounded_brent(boundary, _S_FLOOR, 0.0, xatol=1e-10)
-    if v_bd <= y.size * v_in:
-        sigma_hat, xi_hat, nll = XI_LOWER * ymax / np.expm1(s_bd), XI_LOWER, v_bd
-    else:
-        _, xi_arr, sigma_arr = _profile(s_in, y)
-        sigma_hat, xi_hat, nll = sigma_arr[0], xi_arr[0], y.size * v_in
+    # the search minimizes the NLL itself, the value the fit reports
+    s_hat, nll = _grid_brent(
+        lambda s: y.size * _profile(s, y)[0], np.linspace(_S_FLOOR, s_hi, _N_GRID)
+    )
+    _, xi_arr, sigma_arr = _profile(s_hat, y)
+    sigma_hat, xi_hat = sigma_arr[0], xi_arr[0]
     if not (np.isfinite(nll) and sigma_hat > 0):
         raise FitError(f"GPD likelihood has no finite value (n={y.size})")
 

@@ -60,10 +60,9 @@ def gen_gpd(n: int, sigma: float, xi: float, seed: int) -> np.ndarray:
 
     xi = 0 degenerates to the exponential: y = -sigma * log(U).
     """
-    if sigma <= 0:
-        raise UsageError(f"sigma must be positive, got {sigma}")
-    if n < 0:
-        raise UsageError(f"n must be nonnegative, got {n}")
+    if not (np.isfinite(sigma) and sigma > 0):
+        raise UsageError(f"sigma must be finite and positive, got {sigma}")
+    n = check_int(n, "n", 0)
     rng = np.random.default_rng(check_int(seed, "seed", 0))
     u = rng.random(n)
     u = np.where(u == 0.0, 0.5 / 2**53, u)  # keep U in (0, 1)
@@ -81,6 +80,7 @@ def gen_gaussian_copula_pair(n: int, rho: float, seed: int):
     """Uniform pair with Gaussian-copula dependence of correlation rho."""
     if not -1.0 < rho < 1.0:
         raise UsageError(f"rho must lie in (-1, 1), got {rho}")
+    n = check_int(n, "n", 0)
     from scipy.special import ndtr
 
     rng = np.random.default_rng(check_int(seed, "seed", 0))
@@ -91,12 +91,14 @@ def gen_gaussian_copula_pair(n: int, rho: float, seed: int):
 
 def gen_comonotone_pair(n: int, seed: int):
     """Perfectly dependent uniform pair (both margins identical)."""
+    n = check_int(n, "n", 0)
     u = np.random.default_rng(check_int(seed, "seed", 0)).random(n)
     return u, u.copy()
 
 
 def gen_independent_pair(n: int, seed: int):
     """Independent uniform pair."""
+    n = check_int(n, "n", 0)
     rng = np.random.default_rng(check_int(seed, "seed", 0))
     return rng.random(n), rng.random(n)
 
@@ -123,10 +125,8 @@ def gen_synthetic_eeg(channels: int, T: int, onset_fraction: float, seed: int) -
     Channels take the ``DEFAULT_CHANNEL_NAMES`` in order, then X0, X1, ...
     The nominal sampling rate is 100 Hz.
     """
-    if channels < 2:
-        raise UsageError(f"need at least 2 channels, got {channels}")
-    if T < 1000:
-        raise UsageError(f"need at least 1000 samples, got {T}")
+    channels = check_int(channels, "channels", 2)
+    T = check_int(T, "T", 1000)
     onset = int(round(T * onset_fraction))
     if not 2 <= onset <= T - 2:
         raise UsageError(
@@ -160,21 +160,18 @@ def generate(spec: SimSpec):
     p = dict(spec.params)
     try:
         if spec.kind == "gpd":
-            return gen_gpd(int(p["n"]), float(p["sigma"]), float(p["xi"]), spec.seed)
+            return gen_gpd(p["n"], float(p["sigma"]), float(p["xi"]), spec.seed)
         if spec.kind == "exponential":
-            return gen_exponential(int(p["n"]), float(p["sigma"]), spec.seed)
+            return gen_exponential(p["n"], float(p["sigma"]), spec.seed)
         if spec.kind == "gaussian_copula_pair":
-            return gen_gaussian_copula_pair(int(p["n"]), float(p["rho"]), spec.seed)
+            return gen_gaussian_copula_pair(p["n"], float(p["rho"]), spec.seed)
         if spec.kind == "comonotone_pair":
-            return gen_comonotone_pair(int(p["n"]), spec.seed)
+            return gen_comonotone_pair(p["n"], spec.seed)
         if spec.kind == "independent_pair":
-            return gen_independent_pair(int(p["n"]), spec.seed)
+            return gen_independent_pair(p["n"], spec.seed)
         if spec.kind == "synthetic_eeg":
             return gen_synthetic_eeg(
-                int(p["channels"]),
-                int(p["T"]),
-                float(p["onset_fraction"]),
-                spec.seed,
+                p["channels"], p["T"], float(p["onset_fraction"]), spec.seed
             )
     except KeyError as exc:
         raise UsageError(f"missing parameter {exc} for kind {spec.kind!r}") from exc

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DesignError, SizeError, ValidationError
+from .errors import DesignError, SizeError, ValidationError, check_int
 from .signal_io import EegRecording, _check_fs
 
 #: Canonical EEG bands (Hz): delta, theta, alpha, beta, gamma.
@@ -98,9 +98,11 @@ class FilterSpec:
         return 3 * (self.order + 1)
 
 
-def _check_order(order: int) -> None:
-    if order % 2 != 0 or not 2 <= order <= 8:
+def _check_order(order: int) -> int:
+    order = check_int(order, "order", 2)
+    if order % 2 != 0 or order > 8:
         raise ValidationError(f"order must be even and in [2, 8], got {order}")
+    return order
 
 
 def effective_high_edge(band: BandDefinition, fs: float) -> float:
@@ -150,7 +152,7 @@ def design_bandpass(
     Bands reaching past Nyquist are capped; a band starting at or above
     the cap is infeasible.
     """
-    _check_order(order)
+    order = _check_order(order)
     _check_fs(fs)
 
     cap = NYQUIST_MARGIN * fs / 2.0

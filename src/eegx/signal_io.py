@@ -6,13 +6,15 @@ raw amplitudes (UTF-8, comma separated, '.' decimal). Sampling rate and
 onset index live outside the CSV, either passed by the caller or read
 from an optional JSON sidecar ``<path>.meta.json`` with keys ``fs`` and
 ``onset_index``, which ``save_recording`` writes atomically next to the
-CSV. Bytes that are not UTF-8 are a ``FormatError``; a path that is not
-a regular file is a ``ValidationError``.
+CSV. Bytes that are not UTF-8 are a ``FormatError``, a leading UTF-8
+byte-order mark is dropped, and a path that is not a regular file is a
+``ValidationError``.
 
 A header is written only if ``load_recording`` reads the same names
 back (``_header``): every name is a nonempty string with no ',', '\r'
 or '\n', no leading or trailing whitespace, and an encoding in UTF-8;
-the names are distinct, and not all of them parse as numbers.
+the names are distinct, the first does not start with U+FEFF (read back
+as a byte-order mark), and not all of them parse as numbers.
 
 Matrices are written by ``write_matrices_csv``, which formats row chunks
 on every usable core and streams them, in order, into atomically
@@ -173,12 +175,13 @@ def sidecar_path(path: str | Path) -> Path:
 
 @contextlib.contextmanager
 def _utf8_text(path: Path):
-    """``path`` open for reading as UTF-8 text: a ``ValidationError`` if it
-    is not a regular file, a ``FormatError`` for bytes that do not decode."""
+    """``path`` open for reading as UTF-8 text, a leading byte-order mark
+    dropped: a ``ValidationError`` if it is not a regular file, a
+    ``FormatError`` for bytes that do not decode."""
     if not path.is_file():
         raise ValidationError(f"{path} is not a regular file")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             yield fh
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path} is not UTF-8 text: {exc}") from None
@@ -506,6 +509,8 @@ def _header(channels: tuple[ChannelLabel, ...]) -> str:
             name.encode("utf-8")
         except UnicodeEncodeError:
             raise ValidationError(f"channel name {name!r} does not encode as UTF-8") from None
+    if channels[0].startswith("\ufeff"):  # read back as a byte-order mark
+        raise ValidationError(f"channel name {channels[0]!r} starts with U+FEFF")
     if len(set(channels)) != len(channels):
         raise ValidationError(f"duplicate channel names in {list(channels)}")
     if all(_is_float(n) for n in channels):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SizeError, UsageError, ValidationError
+from .errors import DomainError, SizeError, UsageError, ValidationError, check_int
 from .preprocess import BandDefinition
 from .signal_io import _check_fs
 
@@ -107,9 +107,7 @@ def welch(
     if x.ndim != 1:
         raise ValidationError(f"expected a 1-D series, got shape {x.shape}")
     n = x.size
-    seg_len = int(seg_len)
-    if seg_len < 2:
-        raise UsageError(f"seg_len must be >= 2, got {seg_len}")
+    seg_len = check_int(seg_len, "seg_len", 2)
     if seg_len > n:
         raise SizeError(f"seg_len {seg_len} exceeds signal length {n}")
     if not 0 <= overlap <= 0.9:

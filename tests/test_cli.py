@@ -1,9 +1,14 @@
 import json
+from xml.dom import minidom
+from xml.sax.saxutils import escape
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from eegx import cli, gen_synthetic_eeg, save_recording
+from eegx._svg import _escape, heatmap_svg
 from eegx.cli import main
 
 
@@ -271,6 +276,19 @@ class TestSubcommands:
         summary = (tmp_path / "rec.htsim.post.summary.csv").read_text().splitlines()
         assert summary[0] == "channel,scale,mean,median,q05,q95"
         assert len(summary) == 1 + 3 * 2  # three deps, two scales
+
+
+class TestHeatmapSvg:
+    @pytest.mark.parametrize("name", ["A&B", "<x>"])
+    def test_markup_in_names_is_escaped(self, name):
+        svg = heatmap_svg(np.eye(2), (name, "C"), f"chi {name}")
+        texts = [t.firstChild.data for t in minidom.parseString(svg).getElementsByTagName("text")]
+        assert texts[0] == f"chi {name}"
+        assert texts.count(name) == 2  # the column and the row label
+
+    @given(st.text(st.sampled_from("&<>;amp lt gt\"'A\u00e9")))
+    def test_escape_matches_saxutils(self, text):
+        assert _escape(text) == escape(text)
 
 
 class TestReport:

@@ -27,7 +27,6 @@ import eegx.evt_univariate as evt
 from eegx.evt_univariate import (
     XI_LOWER,
     _bounded_brent,
-    _brent_root,
     _gpd_information,
     gpd_nll,
 )
@@ -47,20 +46,9 @@ MINIMIZE_CASES = [
     (lambda x: np.log(x) + 1 / x, 0.1, 10.0),
 ]
 
-# (f, a, b) with f(a), f(b) of opposite sign
-ROOT_CASES = [
-    (lambda x: x**2 - 2, 0.0, 2.0),
-    (lambda x: np.cos(x) - x, 0.0, 1.0),
-    (lambda x: x**3 - 2 * x - 5, 2.0, 3.0),
-    (lambda x: np.exp(x) - 10, 0.0, 5.0),
-    (lambda x: np.tanh(50 * (x - 0.123)), -1.0, 1.0),
-    (lambda x: np.log1p(x) - 0.3, -0.5, 3.0),
-    (lambda x: 1 / (x + 2) - 0.4, -1.9, 5.0),
-]
-
 
 class TestBrentPorts:
-    """The in-house Brent searches repeat scipy's iterations exactly."""
+    """The in-house Brent search repeats scipy's iterations exactly."""
 
     @pytest.mark.parametrize("xatol", [1e-5, 1e-10])
     @pytest.mark.parametrize("case", range(len(MINIMIZE_CASES)))
@@ -70,27 +58,6 @@ class TestBrentPorts:
             f, bounds=(lo, hi), method="bounded", options={"xatol": xatol}
         )
         assert _bounded_brent(f, lo, hi, xatol) == (res.x, res.fun)
-
-    @pytest.mark.parametrize("xtol", [1e-12, 1e-6])
-    @pytest.mark.parametrize("case", range(len(ROOT_CASES)))
-    def test_root_matches_brentq(self, case, xtol):
-        f, a, b = ROOT_CASES[case]
-        assert _brent_root(f, a, b, xtol) == optimize.brentq(f, a, b, xtol=xtol)
-
-    def test_root_gives_up_where_brentq_does(self):
-        # a triple root at 0.5: 100 steps do not reach xtol = 1e-12
-        def f(x):
-            return (x - 0.5) ** 3
-
-        with pytest.raises(RuntimeError):
-            optimize.brentq(f, 0.0, 2.0, xtol=1e-12)
-        with pytest.raises(FitError, match="did not converge"):
-            _brent_root(f, 0.0, 2.0, 1e-12)
-        assert _brent_root(f, 0.0, 2.0, 1e-6) == optimize.brentq(f, 0.0, 2.0, xtol=1e-6)
-
-    def test_root_needs_a_bracket(self):
-        with pytest.raises(FitError, match="not bracketed"):
-            _brent_root(lambda x: x**2 + 1, -1.0, 1.0, 1e-12)
 
 
 class TestMeanResidualLife:

@@ -59,6 +59,11 @@ class TestGpdGenerator:
         with pytest.raises(UsageError):
             gen_gpd(10, -1.0, 0.1, seed=0)
 
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf])
+    def test_non_finite_sigma(self, sigma):
+        with pytest.raises(UsageError, match="sigma must be finite"):
+            gen_gpd(10, sigma, 0.1, seed=0)
+
 
 class TestCopulaGenerators:
     def test_independent_corr(self):
@@ -152,6 +157,19 @@ class TestSimSpec:
         with pytest.raises(ValidationError):
             SimSpec(kind="mystery", seed=0)
 
+    @pytest.mark.parametrize(
+        "kind,params",
+        [
+            ("gpd", {"n": 2.5, "sigma": 1.0, "xi": 0.1}),
+            ("synthetic_eeg", {"channels": 2.9, "T": 1_000, "onset_fraction": 0.5}),
+            ("synthetic_eeg", {"channels": 2, "T": 1_000.7, "onset_fraction": 0.5}),
+        ],
+        ids=["n", "channels", "T"],
+    )
+    def test_non_integer_size_param(self, kind, params):
+        with pytest.raises(UsageError, match="must be an integer"):
+            generate(SimSpec(kind=kind, seed=0, params=params))
+
     def test_missing_param(self):
         with pytest.raises(UsageError, match="missing parameter"):
             generate(SimSpec(kind="gpd", seed=0, params={"n": 10}))
@@ -182,3 +200,31 @@ class TestSimSpec:
 def test_bad_seed(make, seed):
     with pytest.raises(UsageError, match="seed"):
         make(seed)
+
+
+@pytest.mark.parametrize(
+    "name,make",
+    [
+        ("n", lambda n: gen_gpd(n, 1.0, 0.1, 0)),
+        ("n", lambda n: gen_gaussian_copula_pair(n, 0.5, 0)),
+        ("n", lambda n: gen_comonotone_pair(n, 0)),
+        ("n", lambda n: gen_independent_pair(n, 0)),
+        ("channels", lambda n: gen_synthetic_eeg(n, 2_000, 0.5, seed=0)),
+        ("T", lambda n: gen_synthetic_eeg(2, n, 0.5, seed=0)),
+    ],
+    ids=["gpd", "copula", "comonotone", "independent", "synthetic_eeg-channels", "synthetic_eeg-T"],
+)
+@pytest.mark.parametrize("n", [-1, 2.5, 2000.5, None])
+def test_bad_size(name, make, n):
+    with pytest.raises(UsageError, match=f"^{name} must be"):
+        make(n)
+
+
+def test_numpy_integer_sizes():
+    n = np.int64(5)
+    assert gen_gpd(n, 1.0, 0.1, 0).shape == (5,)
+    assert all(u.shape == (5,) for u in gen_gaussian_copula_pair(n, 0.5, 0))
+    assert all(u.shape == (5,) for u in gen_comonotone_pair(n, 0))
+    assert all(u.shape == (5,) for u in gen_independent_pair(n, 0))
+    rec = gen_synthetic_eeg(np.int64(2), np.int64(1_000), 0.5, seed=0)
+    assert rec.n_channels == 2 and rec.n_samples == 1_000

@@ -143,9 +143,16 @@ class TestDesign:
 
     def test_odd_or_extreme_order(self):
         alpha = band_by_id("alpha")
-        for order in (3, 1, 10, 0):
+        for order in (3, 1, 10, 0, 4.0, "4", None):
             with pytest.raises(ValidationError):
                 design_bandpass(alpha, 100.0, order)
+        rec = EegRecording(channels=("A",), fs=100.0, data=np.ones((400, 1)))
+        with pytest.raises(ValidationError, match="order must be an integer"):
+            decompose_bands(rec, order=4.0)
+
+    def test_numpy_integer_order(self):
+        spec = design_bandpass(band_by_id("alpha"), 100.0, np.int64(4))
+        assert spec.order == 4 and type(spec.order) is int
 
     def test_sections_normalized_and_stable(self):
         for band in DEFAULT_BANDS:

@@ -1,12 +1,15 @@
-"""The 1-D profile fitters against the multi-start simplex fits they replaced.
+"""The 1-D profile fitters against the earlier fits they replaced.
 
-``reference_fit_gpd`` and ``reference_fit_ht`` are the earlier
+``reference_fit_gpd`` and ``reference_fit_ht`` are the multi-start
 estimators, kept here only as references: a PWM start plus three
 seed-jittered Nelder-Mead restarts on (log sigma, xi) for the GPD, and a
 5 x 3 Nelder-Mead start grid on (alpha, beta) with a |beta| tie-break for
-the conditional model. The profile fits must never reach a worse
-likelihood, and where both reach the same one they must agree on the
-parameters.
+the conditional model. ``three_search_fit_gpd`` is the GPD profile fit
+before the bound xi >= -0.5 entered the profile: a root search for the
+lowest admissible s, an interior profile search above it, and a separate
+fit with xi pinned at the bound. The profile fits must never reach a
+worse likelihood, and where both reach the same one they must agree on
+the parameters.
 """
 
 import warnings
@@ -25,7 +28,7 @@ from eegx import (
     uniform_scores,
 )
 from eegx.cond_extremes import BETA_MAX, BETA_MIN, S_FLOOR
-from eegx.evt_univariate import XI_LOWER, gpd_nll
+from eegx.evt_univariate import _N_GRID, _S_CEIL, _S_FLOOR, XI_LOWER, gpd_nll
 
 # the tolerances perfbench/workloads.py applies to its pinned fits
 XI_TOL = 1e-5
@@ -82,6 +85,55 @@ def reference_fit_gpd(y, seed=0, n_restarts=3):
     return float(np.exp(best.x[0])), float(best.x[1]), float(best.fun)
 
 
+def _unconstrained_profile(s, y):
+    """Grimshaw profile (NLL/n, xi, sigma) at s = log1p(theta * y_max),
+    with no bound on xi."""
+    theta = np.expm1(np.atleast_1d(s)) / y.max()
+    xi = np.log1p(np.multiply.outer(theta, y)).mean(axis=-1)
+    sigma = np.divide(xi, theta, out=np.full_like(xi, y.mean()), where=theta != 0)
+    return np.log(sigma) + xi + 1.0, xi, sigma
+
+
+def _grid_then_bounded(f, grid):
+    """Best grid point of ``f``, refined by bounded Brent between its neighbours."""
+    values = f(grid)
+    k = int(np.argmin(np.where(np.isfinite(values), values, np.inf)))
+    res = optimize.minimize_scalar(
+        lambda x: float(f(x)[0]),
+        bounds=(grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)]),
+        method="bounded",
+        options={"xatol": 1e-10},
+    )
+    return (res.x, res.fun) if res.fun < values[k] else (grid[k], values[k])
+
+
+def three_search_fit_gpd(y):
+    """(sigma, xi, nll): the lower of an interior profile fit above the s
+    where xi(s) = XI_LOWER and a fit of sigma with xi pinned at XI_LOWER."""
+    ymin, ymax = y.min(), y.max()
+
+    def xi_above_lower(s):
+        return float(_unconstrained_profile(s, y)[1][0]) - XI_LOWER
+
+    s_lo = _S_FLOOR
+    if xi_above_lower(s_lo) < 0:
+        s_lo = optimize.brentq(xi_above_lower, s_lo, 0.0, xtol=1e-12)
+    s_hi = min(np.log1p(2.0 * (y.mean() / ymin - 1.0) * (ymax / ymin)), _S_CEIL)
+    s_in, v_in = _grid_then_bounded(
+        lambda s: _unconstrained_profile(s, y)[0], np.linspace(s_lo, s_hi, _N_GRID)
+    )
+    boundary = optimize.minimize_scalar(
+        lambda s: gpd_nll(XI_LOWER * ymax / np.expm1(s), XI_LOWER, y),
+        bounds=(_S_FLOOR, 0.0),
+        method="bounded",
+        options={"xatol": 1e-10},
+    )
+    if boundary.fun <= y.size * v_in:
+        return XI_LOWER * ymax / np.expm1(boundary.x), XI_LOWER, boundary.fun
+    _, xi, sigma = _unconstrained_profile(s_in, y)
+    return sigma[0], xi[0], y.size * v_in
+
+
 def _profile_nll(alpha, beta, y, y_dep):
     """Pseudo-NLL with (mu, s) profiled out; returns (nll, mu, s)."""
     logy = np.log(y)
@@ -127,16 +179,50 @@ GPD_CASES = [
 ]
 
 
+def _gpd_sample(xi, n, seed):
+    return gen_exponential(n, 1.0, seed=seed) if xi == 0 else gen_gpd(n, 1.0, xi, seed=seed)
+
+
 @pytest.mark.filterwarnings("ignore::UserWarning")
 @pytest.mark.parametrize("xi,n,seed", GPD_CASES)
 def test_gpd_profile_matches_reference(xi, n, seed):
-    y = gen_exponential(n, 1.0, seed=seed) if xi == 0 else gen_gpd(n, 1.0, xi, seed=seed)
+    y = _gpd_sample(xi, n, seed)
     sigma_ref, xi_ref, nll_ref = reference_fit_gpd(y)
     fit = fit_gpd(y)
     assert fit.nll <= nll_ref + 1e-9
     if abs(fit.nll - nll_ref) <= SAME_NLL:
         assert abs(fit.xi - xi_ref) <= XI_TOL
         assert abs(fit.sigma - sigma_ref) <= SIGMA_RTOL * sigma_ref
+
+
+THREE_SEARCH_CASES = [
+    pytest.param(_gpd_sample(xi, n, seed), id=f"gpd-{xi}-{n}-{seed}") for xi, n, seed in GPD_CASES
+] + [
+    pytest.param(np.random.default_rng(0).uniform(0.0, 1.0, 200), id="uniform-200"),
+    pytest.param(np.random.default_rng(3).uniform(0.0, 2.0, 500), id="uniform-500"),
+    pytest.param(np.ones(20), id="constant-20"),
+    pytest.param(np.full(50, 1e-3), id="constant-50"),
+    # Grimshaw's bound on theta*y_max overflows a float: s_hi is capped
+    pytest.param(np.r_[np.full(10, 1e-300), 1.0], id="spread-tiny-min"),
+    pytest.param(np.r_[np.ones(10), 1e300], id="spread-huge-max"),
+]
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")  # in the reference's steps
+@pytest.mark.parametrize("y", THREE_SEARCH_CASES)
+def test_gpd_one_search_matches_three_search_reference(y):
+    sigma_ref, xi_ref, nll_ref = three_search_fit_gpd(y)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fit = fit_gpd(y)
+    warned = any("boundary" in str(w.message) for w in caught)
+    assert fit.nll <= nll_ref + 1e-9
+    if abs(fit.nll - nll_ref) <= SAME_NLL:
+        assert abs(fit.xi - xi_ref) <= XI_TOL
+        assert abs(fit.sigma - sigma_ref) <= SIGMA_RTOL * sigma_ref
+    # the same fits land on the bound, with the same warning
+    assert (fit.xi == XI_LOWER) == (xi_ref == XI_LOWER)
+    assert warned == (xi_ref <= XI_LOWER + 1e-6)
 
 
 HT_CASES = [

@@ -197,6 +197,15 @@ class TestLoadSave:
         with pytest.raises(FormatError, match="not UTF-8"):
             load_recording(p)
 
+    def test_byte_order_mark(self, tmp_path):
+        # as spreadsheet programs often save UTF-8 files
+        p = tmp_path / "bom.csv"
+        p.write_bytes(b"\xef\xbb\xbfT3,F4\n1,2\n3,4\n")
+        sidecar_path(p).write_bytes(b'\xef\xbb\xbf{"fs": 100.0}\n')
+        rec = load_recording(p)
+        assert rec.channels == ("T3", "F4") and rec.fs == 100.0
+        assert np.array_equal(rec.data, [[1.0, 2.0], [3.0, 4.0]])
+
     def test_directory_input(self, tmp_path):
         with pytest.raises(ValidationError, match="not a regular file"):
             load_recording(tmp_path, fs=1.0)
@@ -257,6 +266,7 @@ class TestHeaderRule:
     @example(names=(" T3", "F4"))
     @example(names=("1", "2"))
     @example(names=("\udcff", "F4"))
+    @example(names=("\ufeffT3", "F4"))
     @settings(max_examples=300, deadline=None)
     def test_names_round_trip_or_fail_before_writing(self, names, tmp_path_factory):
         # a name set is written iff it loads back as it was
@@ -275,8 +285,9 @@ class TestHeaderRule:
     @pytest.mark.parametrize(
         "channels",
         [("T3,x", "F4"), ("T3", "F4\r"), ("T3", "F4 "), ("1", "2.5"), ("T3", "\udcff"),
-         ("T3", "T3"), ("T3", ""), ("T3", 4)],
-        ids=["comma", "cr", "space", "numeric", "surrogate", "duplicate", "empty", "not-text"],
+         ("T3", "T3"), ("T3", ""), ("T3", 4), ("\ufeffT3", "F4")],
+        ids=["comma", "cr", "space", "numeric", "surrogate", "duplicate", "empty", "not-text",
+             "byte-order-mark"],
     )
     def test_band_writer_refuses_before_writing(self, channels, tmp_path):
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]

@@ -88,6 +88,17 @@ class TestWelch:
         with pytest.raises(SizeError):
             welch(np.zeros(100), 1.0, seg_len=101)
 
+    @pytest.mark.parametrize("seg_len", [100.7, 100.0, "100", None])
+    def test_non_integer_seg_len(self, seg_len):
+        from eegx import UsageError
+
+        with pytest.raises(UsageError, match="seg_len must be an integer"):
+            welch(np.zeros(1000), 10.0, seg_len=seg_len)
+
+    def test_numpy_integer_seg_len(self):
+        w = welch(np.zeros(1000), 10.0, seg_len=np.int64(100))
+        assert w.power.shape == (51,)
+
     def test_bad_overlap(self):
         from eegx import UsageError
 
