@@ -33,6 +33,7 @@ from .errors import (
     UsageError,
     ValidationError,
     check_int,
+    check_real,
 )
 from .evt_univariate import (
     GpdFit,
@@ -100,10 +101,23 @@ class MarginalTransform:
 
 
 def _ecdf_interp(xs: np.ndarray, x) -> np.ndarray:
-    """Interpolated empirical CDF: x_(i) -> i/(n+1), linear in between."""
+    """Interpolated empirical CDF: x_(i) -> i/(n+1), linear in between.
+
+    ``np.interp`` is elementwise, so the queries are evaluated in sorted
+    order and scattered back: consecutive queries then land on
+    neighbouring knots, where interp's guessed search hits and memory
+    access stays local, instead of one cold binary search per sample of
+    an unsorted epoch. Every value, NaN and repeated knots included, is
+    the float the unsorted call returns; the result has the shape of
+    ``x``.
+    """
     n = xs.size
     p_at = np.arange(1, n + 1) / (n + 1.0)
-    return np.interp(x, xs, p_at, left=p_at[0], right=p_at[-1])
+    x = np.asarray(x, dtype=float)
+    order = np.argsort(x, axis=None)
+    out = np.empty(x.size)
+    out[order] = np.interp(x.ravel()[order], xs, p_at, left=p_at[0], right=p_at[-1])
+    return out.reshape(x.shape)
 
 
 def fit_marginal(
@@ -141,7 +155,7 @@ def fit_marginal(
 def _probability(mt: MarginalTransform, x: np.ndarray) -> np.ndarray:
     """Semiparametric CDF values, clamped to [1/(2n), 1 - 1/(2n)]."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    p = np.array(_ecdf_interp(mt.sorted_sample, x), copy=True)
+    p = _ecdf_interp(mt.sorted_sample, x)
     above = x > mt.u
     if np.any(above):
         sigma, xi = mt.gpd.sigma, mt.gpd.xi
@@ -229,26 +243,30 @@ def _profile_beta(beta, y: np.ndarray, y_dep: np.ndarray):
     The residual r = a - alpha*b, a = y_dep/y^beta, b = y^(1-beta), has
     variance quadratic in alpha, minimized on [-1, 1] by clipping
     cov(a, b)/var(b); mu and s are its mean and spread. Returns
-    (nll, alpha, mu, s) arrays over ``beta``.
+    (nll, alpha, mu, s) arrays over ``beta``. The means are written as
+    ``np.add.reduce(...) / n``, which is what ``ndarray.mean`` computes,
+    without its per-call overhead.
     """
     beta = np.atleast_1d(beta)
+    n = y.size
     logy = np.log(y)
     w = np.exp(np.multiply.outer(beta, logy))
     a = y_dep / w
     b = y / w
-    da = a - a.mean(axis=-1, keepdims=True)
-    db = b - b.mean(axis=-1, keepdims=True)
-    alpha = np.clip((da * db).mean(axis=-1) / (db * db).mean(axis=-1), -1.0, 1.0)
+    da = a - np.add.reduce(a, axis=-1, keepdims=True) / n
+    db = b - np.add.reduce(b, axis=-1, keepdims=True) / n
+    cov = np.add.reduce(da * db, axis=-1) / n
+    var = np.add.reduce(db * db, axis=-1) / n
+    alpha = np.clip(cov / var, -1.0, 1.0)
     r = a - alpha[:, None] * b
-    mu = r.mean(axis=-1)
-    s = np.maximum(np.sqrt(((r - mu[:, None]) ** 2).mean(axis=-1)), S_FLOOR)
-    n = y.size
+    mu = np.add.reduce(r, axis=-1) / n
+    s = np.maximum(np.sqrt(np.add.reduce((r - mu[:, None]) ** 2, axis=-1) / n), S_FLOOR)
     nll = n * np.log(s) + beta * logy.sum() + 0.5 * n * (1.0 + np.log(2.0 * np.pi))
     return nll, alpha, mu, s
 
 
 def _check_cond_quantile(q: float) -> None:
-    if not 0.9 <= q <= 0.999:  # NaN fails too
+    if not 0.9 <= check_real(q, "conditioning quantile") <= 0.999:  # NaN fails too
         raise UsageError(f"conditioning quantile must lie in [0.9, 0.999], got {q}")
 
 

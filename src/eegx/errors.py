@@ -4,10 +4,12 @@ The CLI maps these onto exit codes: validation-type errors (bad flags,
 unreadable or malformed inputs, misuse of an operation) exit with 2,
 computation-type errors (fit failures, infeasible designs, degenerate
 data) exit with 1. ``check_int`` is the one check of integer arguments
-(counts, seeds, run lengths, filter orders, segment lengths), so they
-fail the same way everywhere.
+(counts, seeds, run lengths, filter orders, segment lengths) and
+``check_real`` the one check of scalar real arguments (quantiles,
+levels, return periods), so they fail the same way everywhere.
 """
 
+import numbers
 import operator
 
 
@@ -70,3 +72,12 @@ def check_int(value, name: str, minimum: int) -> int:
     if value < minimum:
         raise UsageError(f"{name} must be >= {minimum}, got {value}")
     return value
+
+
+def check_real(value, name: str) -> float:
+    """``value`` as a ``float``; a :class:`UsageError` naming ``name`` when
+    it is not a real number (strings, arrays and complex numbers
+    included). Range checks stay with the caller."""
+    if not isinstance(value, numbers.Real):
+        raise UsageError(f"{name} must be a real number, got {value!r}")
+    return float(value)

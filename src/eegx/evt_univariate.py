@@ -34,6 +34,7 @@ from .errors import (
     UsageError,
     ValidationError,
     check_int,
+    check_real,
 )
 
 XI_ZERO_TOL = 1e-6  # |xi| below this: use the exponential limit
@@ -489,9 +490,11 @@ def return_level(fit: GpdFit, m: float, obs_per_unit: float = 1.0) -> float:
 
     defined only when ``n * zeta_u > 1``.
     """
+    m = check_real(m, "m")
+    obs_per_unit = check_real(obs_per_unit, "obs_per_unit")
     if not (np.isfinite(m) and np.isfinite(obs_per_unit)):
         raise UsageError(f"m and obs_per_unit must be finite, got {m}, {obs_per_unit}")
-    n_obs = float(m) * float(obs_per_unit)
+    n_obs = m * obs_per_unit
     mz = n_obs * fit.zeta_u
     if mz <= 1.0:
         raise DomainError(
@@ -503,7 +506,7 @@ def return_level(fit: GpdFit, m: float, obs_per_unit: float = 1.0) -> float:
 
 
 def _check_threshold_quantile(q: float) -> None:
-    if not 0.8 <= q <= 0.999:  # NaN fails too
+    if not 0.8 <= check_real(q, "threshold quantile") <= 0.999:  # NaN fails too
         raise UsageError(f"threshold quantile must lie in [0.8, 0.999], got {q}")
 
 

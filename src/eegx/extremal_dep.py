@@ -51,6 +51,7 @@ from .errors import (
     UsageError,
     ValidationError,
     check_int,
+    check_real,
 )
 
 MIN_JOINT_EXCEEDANCES = 5
@@ -291,7 +292,7 @@ def chi_matrices(
     Parameters
     ----------
     data : EegRecording or ndarray (T x C)
-        Finite amplitudes.
+        Finite amplitudes, T >= 2.
     levels : sequence of float
         Quantile levels, each in (0, 1).
     n_boot : int
@@ -326,6 +327,8 @@ def chi_matrices(
         raise ValidationError("channel label count must match data columns")
     if matrix.shape[1] < 2:
         raise ValidationError("need at least 2 channels for pairwise dependence")
+    if matrix.shape[0] < 2:
+        raise SizeError(f"need at least 2 observations, got {matrix.shape[0]}")
     if not np.isfinite(matrix).all():
         raise DataError("chi needs finite data; found NaN or Inf")
     try:
@@ -335,7 +338,7 @@ def chi_matrices(
     if not levels:
         raise UsageError("need at least one quantile level")
     for u in levels:
-        if not 0.0 < u < 1.0:
+        if not 0.0 < check_real(u, "quantile level") < 1.0:
             raise UsageError(f"quantile level must lie in (0, 1), got {u}")
     n_boot = check_int(n_boot, "n_boot", 0)
     seed = check_int(seed, "seed", 0)

@@ -1,5 +1,7 @@
-"""The benchmark's tracer wraps eegx functions by module and attribute
-name; every one it names must exist, or a traced run fails partway."""
+"""The benchmark, seen from the test suite. Its tracer wraps eegx
+functions by module and attribute name; every one it names must exist,
+or a traced run fails partway. Its ``cohort`` workload checks pinned
+fits; a change that moves one fails here, not only in a benchmark run."""
 
 import importlib
 import sys
@@ -8,23 +10,38 @@ from pathlib import Path
 
 import pytest
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _tracer_layers():
-    """``tracer.LAYERS``, from the source read as text: nothing is written
-    under perfbench/, not even bytecode."""
-    module = types.ModuleType("_perfbench_tracer")
+def _load(name: str) -> types.ModuleType:
+    """``perfbench/<name>.py``, from the source read as text: nothing is
+    written under perfbench/, not even bytecode."""
+    path = PERFBENCH / f"{name}.py"
+    module = types.ModuleType(f"_perfbench_{name}")
+    module.__file__ = str(path)  # workloads finds expected.json beside itself
     sys.modules[module.__name__] = module  # its dataclasses look their module up
     try:
-        exec(compile(TRACER.read_text(), str(TRACER), "exec"), module.__dict__)
+        exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
     finally:
         del sys.modules[module.__name__]
-    return module.LAYERS
+    return module
 
 
 @pytest.mark.parametrize(
-    "module,attr", sorted({(layer.module, layer.attr) for layer in _tracer_layers()})
+    "module,attr", sorted({(layer.module, layer.attr) for layer in _load("tracer").LAYERS})
 )
 def test_traced_function_exists(module, attr):
     assert callable(getattr(importlib.import_module(module), attr, None))
+
+
+def test_cohort_pass_meets_its_checks(tmp_path):
+    # one seed-0 pass: every contrast runs, post beats pre, and every GPD
+    # and HT fit matches expected.json
+    workloads = _load("workloads")
+    cohort = workloads.Cohort(workloads.DEFAULT_SEED, tmp_path)
+    cohort.make_inputs()
+    outcomes = cohort.run_pass(tmp_path)
+    checks = cohort.checks(tmp_path)
+    assert [c.name for c in checks] == ["post_exceeds_pre", "expected_gpd", "expected_ht"]
+    bad = [(o.name, o.detail) for o in outcomes + checks if not o.ok]
+    assert len(outcomes) == cohort.n_recordings and not bad

@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from eegx import (
@@ -25,7 +25,8 @@ from eegx import (
     to_laplace,
     uniform_scores,
 )
-from eegx.cond_extremes import _probability
+from eegx import cond_extremes
+from eegx.cond_extremes import _ecdf_interp, _probability
 
 
 def laplace_margins(u):
@@ -122,6 +123,95 @@ class TestMarginalTransform:
     def test_too_small(self):
         with pytest.raises(SizeError):
             fit_marginal(np.arange(10.0), 0.95)
+
+
+def _ecdf_interp_unsorted(xs, x):
+    """The empirical CDF as one ``np.interp`` over the queries in their
+    own order: the reference the sorted-query form must equal."""
+    n = xs.size
+    p_at = np.arange(1, n + 1) / (n + 1.0)
+    return np.interp(x, xs, p_at, left=p_at[0], right=p_at[-1])
+
+
+def _tied_sample(seed, n, decimals, top, bottom):
+    """A sorted, rounded sample with ``top`` extra copies of its maximum and
+    ``bottom`` of its minimum, so both end knots repeat."""
+    x = np.round(np.random.default_rng(seed).standard_normal(n), decimals)
+    return np.sort(np.concatenate([x, np.full(top, x.max()), np.full(bottom, x.min())]))
+
+
+def _same_floats(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+class TestSortedEcdf:
+    """``_ecdf_interp`` evaluates its queries in sorted order; every float
+    must be the one the unsorted ``np.interp`` returns."""
+
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(2, 300),
+        decimals=st.integers(0, 2),
+        top=st.integers(0, 5),
+        bottom=st.integers(0, 5),
+        n_query=st.integers(0, 400),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_equals_unsorted_interp(self, seed, n, decimals, top, bottom, n_query):
+        xs = _tied_sample(seed, n, decimals, top, bottom)
+        rng = np.random.default_rng(seed + 1)
+        pool = np.concatenate([
+            xs,  # every knot, repeated ones included
+            np.round(rng.uniform(xs[0] - 1.0, xs[-1] + 1.0, 50), decimals + 1),
+            [xs[0] - 5.0, xs[-1] + 5.0, np.inf, -np.inf, np.nan, -0.0],
+        ])
+        x = rng.choice(pool, n_query)  # unsorted, with repeats
+        assert _same_floats(_ecdf_interp(xs, x), _ecdf_interp_unsorted(xs, x))
+        assert _same_floats(_ecdf_interp(xs, xs), _ecdf_interp_unsorted(xs, xs))
+
+    @pytest.mark.parametrize("query", [
+        0.0, np.float64(0.5), np.nan, np.inf, -np.inf, [0.25], np.array([np.nan]),
+        np.array([[1.0, -3.0, np.nan], [0.0, 0.0, np.inf]]),
+        np.zeros((2, 0)), np.array(7, dtype=np.int64),
+    ])
+    def test_shapes_and_specials(self, query):
+        xs = np.array([-1.0, -1.0, 0.0, 0.0, 0.0, 0.5, 2.0, 2.0])
+        got = _ecdf_interp(xs, query)
+        assert _same_floats(got, _ecdf_interp_unsorted(xs, query))
+        assert got.shape == np.shape(query)
+
+    def test_repeated_knot_takes_last_count(self):
+        # at a tie group np.interp returns the value of its last knot:
+        # the count of sample values <= x over n + 1
+        xs = np.array([1.0, 2.0, 2.0, 2.0, 3.0])
+        assert np.array_equal(_ecdf_interp(xs, [3.0, 2.0, 1.0]), np.array([5, 4, 1]) / 6.0)
+
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(200, 3_000),
+        decimals=st.integers(0, 2),
+        q=st.sampled_from([0.8, 0.9, 0.95]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_laplace_of_sample_unchanged(self, seed, n, decimals, q):
+        # to_laplace(x, fit_marginal(x)) on rounded, tie-heavy data, against
+        # the same transform computed with the unsorted np.interp
+        x = np.round(np.random.default_rng(seed).standard_t(4, n), decimals)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a fit on a parameter bound
+            try:
+                mt = fit_marginal(x, q)
+            except SizeError:  # too few excesses above a tied threshold
+                reject()
+            got = to_laplace(x, mt)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(cond_extremes, "_ecdf_interp", _ecdf_interp_unsorted)
+                mt_ref = fit_marginal(x, q)
+                want = to_laplace(x, mt_ref)
+        assert (mt.u, mt.zeta_u, mt.gpd.sigma, mt.gpd.xi) == (
+            mt_ref.u, mt_ref.zeta_u, mt_ref.gpd.sigma, mt_ref.gpd.xi)
+        assert _same_floats(got, want)
 
 
 class TestFitHt:
@@ -379,6 +469,25 @@ class TestInputContract:
         x[5] = bad
         with pytest.raises(DataError):
             fit_marginal(x, 0.95)
+
+    @pytest.mark.parametrize("q", ["0.95", None, np.array([0.95]), 0.95j])
+    def test_fit_ht_rejects_non_numeric_quantile(self, q):
+        x = laplace_margins(np.random.default_rng(14).random(2_000))
+        with pytest.raises(UsageError, match="conditioning quantile must be a real number"):
+            fit_ht(x, x, cond_quantile=q)
+
+    @pytest.mark.parametrize("q", ["0.95", None, [0.95]])
+    def test_fit_marginal_rejects_non_numeric_quantile(self, q):
+        x = np.random.default_rng(15).standard_normal(1_000)
+        with pytest.raises(UsageError, match="threshold quantile must be a real number"):
+            fit_marginal(x, q)
+
+    def test_numpy_float_quantiles_accepted(self):
+        x = np.random.default_rng(16).standard_normal(2_000)
+        assert fit_marginal(x, np.float64(0.95)).u == fit_marginal(x, 0.95).u
+        u1, u2 = gen_gaussian_copula_pair(5_000, 0.5, seed=11)
+        yc, yd = laplace_margins(u1), laplace_margins(u2)
+        assert fit_ht(yc, yd, np.float32(0.95)).n_exceed > 0
 
     def test_conditional_model_needs_two_channels(self):
         x = np.random.default_rng(13).standard_normal(2_000)

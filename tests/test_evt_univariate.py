@@ -479,6 +479,26 @@ class TestInputContract:
         cs = decluster_runs(np.ones(10), 0.5, np.int64(3))
         assert cs.run_length_r == 3 and type(cs.run_length_r) is int
 
+    @pytest.mark.parametrize("m,obs,name", [
+        ("x", 1.0, "m"), (None, 1.0, "m"), (np.array([1e4]), 1.0, "m"),
+        (1e4, "2", "obs_per_unit"), (1e4, 1j, "obs_per_unit"),
+    ])
+    def test_return_level_rejects_non_numeric(self, m, obs, name):
+        fit = GpdFit(threshold_u=0.0, sigma=1.0, xi=0.1, zeta_u=0.01, n_exceed=100,
+                     se_sigma=0.1, se_xi=0.01, nll=0.0)
+        with pytest.raises(UsageError, match=f"{name} must be a real number"):
+            return_level(fit, m, obs_per_unit=obs)
+
+    def test_return_level_accepts_numpy_scalars(self):
+        fit = GpdFit(threshold_u=0.0, sigma=1.0, xi=0.1, zeta_u=0.01, n_exceed=100,
+                     se_sigma=0.1, se_xi=0.01, nll=0.0)
+        assert return_level(fit, np.int64(10_000), np.float32(2.0)) == return_level(fit, 10_000, 2.0)
+
+    @pytest.mark.parametrize("q", ["0.95", None])
+    def test_channel_tail_rejects_non_numeric_quantile(self, q):
+        with pytest.raises(UsageError, match="threshold quantile must be a real number"):
+            fit_channel_tail(gen_exponential(1_000, 1.0, seed=17), q)
+
     @pytest.mark.parametrize("m,obs", [(np.nan, 1.0), (np.inf, 1.0), (1e4, np.nan)])
     def test_return_level_rejects_non_finite(self, m, obs):
         fit = GpdFit(threshold_u=0.0, sigma=1.0, xi=0.1, zeta_u=0.01, n_exceed=100,

@@ -10,6 +10,7 @@ from scipy import stats
 
 from eegx import (
     DataError,
+    SizeError,
     SparseTailError,
     UsageError,
     ValidationError,
@@ -263,11 +264,24 @@ class TestChiMatrices:
         with pytest.raises(UsageError, match="block"):
             chi_matrices(m, (0.9,), n_boot=5, mean_block_len=np.nan)
 
-    @pytest.mark.parametrize("levels", [(), (0.9, 1.0), (0.0,), 0.9])
+    @pytest.mark.parametrize("levels", [
+        (), (0.9, 1.0), (0.0,), 0.9,
+        "a", ("0.9",), (0.9, None), (np.array([0.9]),),  # a string is a sequence of levels
+    ])
     def test_rejects_bad_levels(self, levels):
         m = np.random.default_rng(2).standard_normal((200, 2))
         with pytest.raises(UsageError):
             chi_matrices(m, levels, n_boot=0)
+
+    def test_accepts_numpy_float_levels(self):
+        m = np.random.default_rng(2).standard_normal((200, 2))
+        got = chi_matrices(m, np.array([0.9, 0.95]), n_boot=0)
+        _matrices_equal(got, chi_matrices(m, (0.9, 0.95), n_boot=0))
+
+    @pytest.mark.parametrize("rows", [0, 1])
+    def test_rejects_fewer_than_two_rows(self, rows):
+        with pytest.raises(SizeError, match="at least 2 observations"):
+            chi_matrix(np.ones((rows, 2)), 0.9, n_boot=0)
 
     def test_every_sample_exceeds(self):
         # u below the lowest score 1/(n+1): both paths give chi = chibar = 1
