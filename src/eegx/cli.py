@@ -118,17 +118,23 @@ def _prefix(args) -> Path:
 
 # ---------------------------------------------------------------------------
 # stage writers: one per artifact, called by its subcommand and by report.
-# Each returns (what it computed, the paths it wrote).
+# Each returns (what it computed, the paths it wrote); ``_write_bands``
+# returns a function that does, once the pool has written its files.
 
 
-def _write_bands(rec: sio.EegRecording, order: int, directory: Path, stem: str):
-    """Band-passed channels, ``<directory>/<stem><band>.csv`` per feasible band."""
+def _write_bands(pool: sio._Pool, rec: sio.EegRecording, order: int, directory: Path, stem: str):
+    """Band-passed channels, ``<directory>/<stem><band>.csv`` per feasible
+    band, each file written by a task of ``pool``."""
     deco = pp.decompose_bands(rec, order=order)
     paths = [directory / f"{stem}{band_id}.csv" for band_id in deco.bands]
-    sio.write_matrices_csv(paths, rec.channels, deco.bands.values())
-    for p in paths:
-        print(f"wrote {p}")
-    return deco, paths
+    written = sio._submit_matrices_csv(pool, paths, rec.channels, deco.bands.values())
+
+    def finish():
+        for p in written():
+            print(f"wrote {p}")
+        return deco, paths
+
+    return finish
 
 
 def _write_gpd_fit(x, threshold_quantile, run_length: int, channel, band, path: Path):
@@ -149,10 +155,9 @@ def _write_gpd_fit(x, threshold_quantile, run_length: int, channel, band, path: 
     return fit, [_emit(path, _json_text(payload))]
 
 
-def _write_chi(view, levels, n_boot: int, seed: int, prefix: Path, title_suffix: str):
-    """Chi at every level from one bootstrap: ``<prefix>.u<u>.svg`` per
-    level, then all levels' rows in ``<prefix>.csv``."""
-    matrices = ed.chi_matrices(view, levels, n_boot=n_boot, seed=seed)
+def _write_chi(matrices, prefix: Path, title_suffix: str):
+    """``ed.chi_matrices`` output, every level from one bootstrap:
+    ``<prefix>.u<u>.svg`` per level, then all levels' rows in ``<prefix>.csv``."""
     paths = []
     for cm in matrices:
         svg = heatmap_svg(cm.chi_values, cm.channels, f"chi(u={cm.u:g}){title_suffix}")
@@ -255,7 +260,9 @@ def cmd_simulate(args) -> int:
 
 def cmd_decompose(args) -> int:
     rec = _load_input(args)
-    deco, _ = _write_bands(rec, args.order, Path(args.outdir), f"{Path(args.input).stem}.")
+    stem = f"{Path(args.input).stem}."
+    with sio._Pool() as pool:
+        deco, _ = _write_bands(pool, rec, args.order, Path(args.outdir), stem)()
     if deco.omitted:
         print(f"bands omitted (infeasible at fs={rec.fs:g}): {list(deco.omitted)}")
     return 0
@@ -338,7 +345,7 @@ def cmd_chi(args) -> int:
     tag = "" if args.epoch == "all" else f".{args.epoch}"
     levels = args.u or list(ed.DEFAULT_U_GRID)
     prefix = Path(f"{_prefix(args)}.chi{tag}")
-    _write_chi(view, levels, args.n_boot, args.seed, prefix, tag)
+    _write_chi(ed.chi_matrices(view, levels, n_boot=args.n_boot, seed=args.seed), prefix, tag)
     return 0
 
 
@@ -399,30 +406,31 @@ def cmd_report(args) -> int:
     outdir = Path(args.outdir)
     stages = []
 
-    def _run_stage(name: str, params: dict, write, inputs: dict | None):
-        """Record stage ``name``: ``write(tag, item)`` -> (result, paths) per item of
-        ``inputs``. Returns results by tag; None if it or its input stage failed."""
+    def _stage(name: str, params: dict):
+        """Add stage ``name`` to the manifest. Returns ``run(write, inputs)``,
+        which records ``write(tag, item)`` -> (result, paths) per item of
+        ``inputs`` on the stage and returns the results by tag; None if the
+        stage failed, in this run or an earlier one, or its input stage did."""
         entry = {"name": name, "params": params, "outputs": [], "status": "ok"}
         stages.append(entry)
-        results, paths = {}, []
-        try:
-            if inputs is None:
-                raise UsageError("an upstream stage failed")
-            for tag, item in inputs.items():
-                results[tag], written = write(tag, item)
-                paths += written
-        except Exception as exc:  # recorded, so the manifest is still written
-            entry["status"] = f"error: {type(exc).__name__}: {exc}"
-            return None
-        entry["outputs"] = [str(p.relative_to(outdir)) for p in paths]
-        return results
 
-    bands = _run_stage(
-        "decompose",
-        {"order": args.order, "omitting_infeasible": True},
-        lambda _, whole: _write_bands(whole, args.order, outdir / "bands", ""),
-        {"all": rec},
-    )
+        def run(write, inputs: dict | None):
+            if entry["status"] != "ok":
+                return None
+            results, paths = {}, []
+            try:
+                if inputs is None:
+                    raise UsageError("an upstream stage failed")
+                for tag, item in inputs.items():
+                    results[tag], written = write(tag, item)
+                    paths += written
+            except Exception as exc:  # recorded, so the manifest is still written
+                entry["status"] = f"error: {type(exc).__name__}: {exc}"
+                return None
+            entry["outputs"] += [str(p.relative_to(outdir)) for p in paths]
+            return results
+
+        return run
 
     # per-band GPD tail fits; degenerate band/channel combos are recorded
     # and skipped, the stage fails only if nothing fits
@@ -443,36 +451,48 @@ def cmd_report(args) -> int:
             raise FitError("no band/channel tail could be fitted")
         return None, paths
 
-    gpd_params = {
-        "threshold_quantile": args.threshold_quantile,
-        "run_length": run_length,
-        "skipped": gpd_skipped,
-    }
-    _run_stage("fit_gpd", gpd_params, _gpd_tails, bands)
-    _run_stage(
-        "chi",
-        {"u": levels, "n_boot": args.n_boot, "seed": args.seed},
-        lambda tag, view: _write_chi(
-            view, levels, args.n_boot, args.seed, outdir / "chi" / tag, f" {tag}"
-        ),
-        epochs,
+    decompose = _stage("decompose", {"order": args.order, "omitting_infeasible": True})
+    fit_gpd = _stage(
+        "fit_gpd",
+        {
+            "threshold_quantile": args.threshold_quantile,
+            "run_length": run_length,
+            "skipped": gpd_skipped,
+        },
     )
-    models = _run_stage(
-        "ht_fit",
-        {"cond_channel": cond_channel, "quantile": args.ht_quantile},
-        lambda tag, view: _write_ht_fit(
-            view, cond_channel, args.ht_quantile, args.threshold_quantile, outdir / "ht" / tag
-        ),
-        epochs,
-    )
-    _run_stage(
-        "ht_sim",
-        {"level": args.level, "n_sim": args.n_sim, "seed": args.seed},
-        lambda tag, model: _write_ht_sim(
-            model, cond_channel, args.level, args.n_sim, args.seed, outdir / "sim" / tag
-        ),
-        models,
-    )
+    chi = _stage("chi", {"u": levels, "n_boot": args.n_boot, "seed": args.seed})
+    ht_fit = _stage("ht_fit", {"cond_channel": cond_channel, "quantile": args.ht_quantile})
+    ht_sim = _stage("ht_sim", {"level": args.level, "n_sim": args.n_sim, "seed": args.seed})
+
+    # One pool for the pass: the workers write the band files, then score
+    # both epochs' chi replicates while the parent fits GPD and HT. Each
+    # stage collects its own work, so a failure in it is its status.
+    with sio._Pool() as pool:
+        writing = decompose(
+            lambda _, whole: (_write_bands(pool, whole, args.order, outdir / "bands", ""), []),
+            {"all": rec},
+        )
+        scoring = chi(
+            lambda _, view: (
+                ed._submit_chi_matrices(pool, view, levels, args.n_boot, args.seed), []
+            ),
+            epochs,
+        )
+        bands = decompose(lambda _, finish: finish(), writing)
+        fit_gpd(_gpd_tails, bands)
+        models = ht_fit(
+            lambda tag, view: _write_ht_fit(
+                view, cond_channel, args.ht_quantile, args.threshold_quantile, outdir / "ht" / tag
+            ),
+            epochs,
+        )
+        ht_sim(
+            lambda tag, model: _write_ht_sim(
+                model, cond_channel, args.level, args.n_sim, args.seed, outdir / "sim" / tag
+            ),
+            models,
+        )
+        chi(lambda tag, finish: _write_chi(finish(), outdir / "chi" / tag, f" {tag}"), scoring)
 
     manifest = {
         "version": "1",

@@ -32,6 +32,7 @@ from .errors import (
     SizeError,
     UsageError,
     ValidationError,
+    check_floats,
     check_int,
     check_real,
 )
@@ -131,7 +132,7 @@ def fit_marginal(
     the GPD is fitted to all excesses above it (no declustering: the
     transform must preserve the sample's probability calibration).
     """
-    x = np.asarray(x, dtype=float).ravel()
+    x = check_floats(x, "marginal sample").ravel()
     if x.size < 20:
         raise SizeError(f"marginal transform needs >= 20 observations, got {x.size}")
     _check_threshold_quantile(threshold_quantile)
@@ -178,8 +179,11 @@ def _probability(mt: MarginalTransform, x: np.ndarray) -> np.ndarray:
 
 
 def to_laplace(x, mt: MarginalTransform):
-    """Map data-scale values to standard Laplace scale."""
-    scalar = np.ndim(x) == 0
+    """Map data-scale values to standard Laplace scale; NaN has no image."""
+    x = check_floats(x, "to_laplace input")
+    if np.isnan(x).any():
+        raise DataError("to_laplace input contains NaN")
+    scalar = x.ndim == 0
     out = laplace_quantile(_probability(mt, x))
     return float(out[0]) if scalar else out
 

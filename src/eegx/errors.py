@@ -4,13 +4,17 @@ The CLI maps these onto exit codes: validation-type errors (bad flags,
 unreadable or malformed inputs, misuse of an operation) exit with 2,
 computation-type errors (fit failures, infeasible designs, degenerate
 data) exit with 1. ``check_int`` is the one check of integer arguments
-(counts, seeds, run lengths, filter orders, segment lengths) and
+(counts, seeds, run lengths, filter orders, segment lengths),
 ``check_real`` the one check of scalar real arguments (quantiles,
-levels, return periods), so they fail the same way everywhere.
+levels, return periods) and ``check_floats`` the check of array
+arguments that must convert to floats, so they fail the same way
+everywhere.
 """
 
 import numbers
 import operator
+
+import numpy as np
 
 
 class EegxError(Exception):
@@ -81,3 +85,13 @@ def check_real(value, name: str) -> float:
     if not isinstance(value, numbers.Real):
         raise UsageError(f"{name} must be a real number, got {value!r}")
     return float(value)
+
+
+def check_floats(value, name: str) -> np.ndarray:
+    """``value`` as a float array; a :class:`DataError` naming ``name``
+    when it does not convert (strings, ragged sequences). Shape and
+    finiteness checks stay with the caller."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{name} must hold real numbers: {exc}") from None

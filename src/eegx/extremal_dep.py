@@ -29,10 +29,13 @@ every multiplicity 1, and every level is scored on the same resamples.
 
 Replicate b draws from the b-th child of ``SeedSequence(seed).spawn``
 and depends on nothing else but the sorted columns, so the replicates
-are cut into one contiguous block per usable core and scored in
-``signal_io``'s fork pool (``_replicates``); the parent joins the
-blocks in order, and the intervals do not depend on the cut. There is
-no setting, and ``n_boot=0`` starts no pool.
+are cut into one contiguous block per usable core and scored on
+``signal_io``'s pool (``_replicates``); the parent joins the blocks in
+order, and the intervals do not depend on the cut. ``chi_matrices``
+opens a pool for the call; ``report`` submits both epochs' blocks
+(``_submit_chi_matrices``) to the pool of its pass and fits the
+conditional models while they are scored. There is no setting, and
+``n_boot=0`` starts no pool.
 """
 
 from __future__ import annotations
@@ -311,6 +314,16 @@ def chi_matrices(
 
     Sparse pairs (under 5 joint exceedances) are flagged, not fatal.
     """
+    with sio._Pool() as pool:
+        return _submit_chi_matrices(pool, data, levels, n_boot, seed, mean_block_len, channels)()
+
+
+def _submit_chi_matrices(
+    pool: sio._Pool, data, levels, n_boot, seed, mean_block_len=None, channels=None
+):
+    """Check ``chi_matrices``' arguments and start its bootstrap on
+    ``pool``; returns a function that waits for the replicates and returns
+    what ``chi_matrices`` returns."""
     if isinstance(data, sio.EegRecording):
         matrix = data.data
         labels = data.channels
@@ -345,25 +358,28 @@ def chi_matrices(
 
     n, c = matrix.shape
     cols = _sorted_columns(matrix)
-    joint = _exceedance_counts(cols, np.ones(n, dtype=np.intp), levels)
-    points = zip(joint, *_chi_arrays(joint, n))
-
     if n_boot > 0:
         _check_mean_block(mean_block_len)
         seeds = np.random.SeedSequence(seed).spawn(n_boot)
         parts = min(sio._usable_cores(), n_boot)
         cuts = [k * n_boot // parts for k in range(parts + 1)]
         tasks = [(cols, seeds[a:b], mean_block_len, levels) for a, b in zip(cuts, cuts[1:])]
-        blocks = sio._ordered_map(_replicates, tasks)
-        chi_b, chibar_b = (np.concatenate(reps, axis=1) for reps in zip(*blocks))
-        cis = [(_interval(chi_b[k]), _interval(chibar_b[k])) for k in range(len(levels))]
-    else:
-        nan = np.full((c, c), np.nan)
-        cis = [((nan, nan), (nan, nan))] * len(levels)
+        blocks = pool.submit(_replicates, tasks)
+    joint = _exceedance_counts(cols, np.ones(n, dtype=np.intp), levels)
+    points = list(zip(joint, *_chi_arrays(joint, n)))
 
-    return tuple(
-        _chi_result(labels, u, *point, *ci) for u, point, ci in zip(levels, points, cis)
-    )
+    def finish() -> tuple[ChiMatrix, ...]:
+        if n_boot > 0:
+            chi_b, chibar_b = (np.concatenate(reps, axis=1) for reps in zip(*blocks()))
+            cis = [(_interval(chi_b[k]), _interval(chibar_b[k])) for k in range(len(levels))]
+        else:
+            nan = np.full((c, c), np.nan)
+            cis = [((nan, nan), (nan, nan))] * len(levels)
+        return tuple(
+            _chi_result(labels, u, *point, *ci) for u, point, ci in zip(levels, points, cis)
+        )
+
+    return finish
 
 
 def _replicates(task) -> tuple[np.ndarray, np.ndarray]:

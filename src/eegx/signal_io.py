@@ -16,10 +16,11 @@ or '\n', no leading or trailing whitespace, and an encoding in UTF-8;
 the names are distinct, the first does not start with U+FEFF (read back
 as a byte-order mark), and not all of them parse as numbers.
 
-Matrices are written by ``write_matrices_csv``, which formats row chunks
-on every usable core and streams them, in order, into atomically
-replaced files. ``_ordered_map`` is the package's one process pool: the
-CSV writer and the chi bootstrap both run through it.
+Matrices are written by ``write_matrices_csv``: each file is formatted
+and written atomically by one worker, which hands back only its path.
+``_Pool`` is the package's one process pool, a handle on which work is
+submitted now and collected in order later; the CSV writer and the chi
+bootstrap both run on it, and ``report`` opens one for its whole pass.
 
 Every float is written as ``repr`` writes it, so a reload is exact. The
 text comes from a vectorised kernel (``_rows_text``): for finite values
@@ -570,53 +571,105 @@ def write_matrices_csv(
     ``channels``, then one row per sample, every float as ``repr`` writes it.
 
     The names (``_header``) and every matrix (``_csv_matrix``) are checked
-    before any file is opened.
-    The rows are cut into chunks of ``CSV_CHUNK_ROWS``, formatted by
-    ``_rows_text`` on every usable core (``_ordered_map``), and streamed
-    in order into each file, which is written atomically. The bytes do
-    not depend on how the chunks were formatted.
+    before any file is opened. Each file is then written atomically by
+    one task of a ``_Pool`` opened for the call (``_write_csv``), so the
+    files are written on every usable core. The bytes do not depend on
+    where they were written.
     """
+    with _Pool() as pool:
+        return _submit_matrices_csv(pool, paths, channels, matrices)()
+
+
+def _submit_matrices_csv(pool: _Pool, paths, channels, matrices):
+    """Check ``write_matrices_csv``'s arguments and start writing its files
+    on ``pool``; returns a function that waits for the files and returns
+    their paths."""
     paths = [Path(p) for p in paths]
     channels = tuple(channels)
     header = _header(channels)
     mats = [_csv_matrix(m, len(channels)) for m in matrices]
     if len(paths) != len(mats):
         raise UsageError(f"{len(paths)} paths for {len(mats)} matrices")
-    chunks = [
-        m[i : i + CSV_CHUNK_ROWS] for m in mats for i in range(0, len(m), CSV_CHUNK_ROWS)
-    ]
-    with contextlib.closing(_ordered_map(_rows_text, chunks)) as texts:
-        for path, m in zip(paths, mats):
-            n_chunks = -(-len(m) // CSV_CHUNK_ROWS)
-            write_text_atomic(path, itertools.chain([header], itertools.islice(texts, n_chunks)))
-    return paths
+    return pool.submit(_write_csv, [(p, header, m) for p, m in zip(paths, mats)])
 
 
-def _ordered_map(fn, items: list):
-    """Yield ``fn(item)`` for every item, in order, computed on every
-    usable core: a fork process pool, or in-process when there is one
-    core, one item, or no ``fork``. ``fn`` must be a module-level
-    function, since the pool sends it to the workers by name. Closing
-    the generator stops the pool."""
-    workers = min(_usable_cores(), len(items))
-    if workers > 1:
-        import multiprocessing
+def _write_csv(task) -> Path:
+    """Write ``task`` = (path, header line, matrix) as CSV through
+    ``write_text_atomic``; the rows are formatted by ``_rows_text``
+    ``CSV_CHUNK_ROWS`` at a time, so no more of the text is held at once.
+    Only the path goes back: text sent to the caller would pile up there
+    while it waits (about 19 MB of band text on a report pass)."""
+    path, header, matrix = task
+    rows = (
+        _rows_text(matrix[i : i + CSV_CHUNK_ROWS]) for i in range(0, len(matrix), CSV_CHUNK_ROWS)
+    )
+    return write_text_atomic(path, itertools.chain([header], rows))
 
-        if "fork" in multiprocessing.get_all_start_methods():
-            from concurrent.futures import ProcessPoolExecutor
 
-            # fork, not spawn: a spawned worker imports numpy and eegx
-            # afresh (about 0.17 s for eegx.cli), which costs more than
-            # the formatting it takes over; report would pay it in each
-            # of its three pools (the band CSVs, then the chi bootstrap
-            # of each epoch), against a chi saving of about 0.5 s in all.
-            # The executor forks every worker before it starts its own
-            # thread, and the workers only run ``fn``.
-            ctx = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(workers, mp_context=ctx) as pool:
-                yield from pool.map(fn, items)
-            return
-    yield from map(fn, items)
+class _Pool:
+    """The package's one process pool: work is submitted now and collected
+    in order later, so the caller can go on meanwhile. Used as a context
+    manager; leaving the block cancels the work nobody collected and waits
+    for the workers to exit.
+
+    The pool forks its workers at the first ``submit`` of more than one
+    item, one per usable core but no more than the items. Until then, and
+    for good on one usable core or without ``fork``, ``submit`` runs
+    nothing: the items are computed in-process when they are collected.
+    """
+
+    def __init__(self):
+        self._executor = None
+
+    def __enter__(self) -> _Pool:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        if self._executor is not None:
+            self._executor.shutdown(wait=True, cancel_futures=True)
+
+    def submit(self, fn, items: list):
+        """Start ``fn(item)`` for every item; returns a function that waits
+        for the results and returns them in order. ``fn`` must be a
+        module-level function, since the pool sends it to the workers by
+        name. When one item fails, collecting raises its exception and
+        cancels the items not yet started."""
+        if self._executor is None and len(items) > 1:
+            self._executor = _fork_executor(len(items))
+        if self._executor is None:
+            return lambda: list(map(fn, items))
+        futures = [self._executor.submit(fn, item) for item in items]
+
+        def collect():
+            try:
+                return [f.result() for f in futures]
+            finally:  # after a failure the rest is not needed
+                for f in futures:
+                    f.cancel()
+
+        return collect
+
+
+def _fork_executor(items: int):
+    """A fork process pool with a worker per usable core, but no more than
+    ``items``; None on one usable core or where there is no ``fork``."""
+    workers = min(_usable_cores(), items)
+    if workers < 2:
+        return None
+    import multiprocessing
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return None
+    from concurrent.futures import ProcessPoolExecutor
+
+    # fork, not spawn: a spawned worker imports numpy and eegx afresh
+    # (about 0.17 s for eegx.cli), which costs more than the band file it
+    # writes; report, with one pool for its band files and both epochs'
+    # chi bootstraps, would pay it once per worker against a chi saving
+    # of about 0.5 s. The executor forks every worker at its first
+    # submit, before it starts its own thread, and the workers only run
+    # the submitted functions.
+    return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
 
 
 def split_at_onset(rec: EegRecording) -> EpochPair:

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 from xml.dom import minidom
 from xml.sax.saxutils import escape
 
@@ -8,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from eegx import cli, gen_synthetic_eeg, save_recording
+from eegx import signal_io as sio
 from eegx._svg import _escape, heatmap_svg
 from eegx.cli import main
 
@@ -370,3 +372,62 @@ class TestReport:
         assert files_a == files_b
         for rel in files_a:
             assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
+
+    @staticmethod
+    def _statuses(out):
+        manifest = json.loads((out / "manifest.json").read_text())
+        return {s["name"]: s["status"] for s in manifest["stages"]}
+
+    def test_bytes_do_not_depend_on_core_count(self, rec_csv, tmp_path, monkeypatch):
+        trees = {}
+        for cores in (1, 2, 3):
+            monkeypatch.setattr(sio, "_usable_cores", lambda: cores)
+            out = tmp_path / f"cores{cores}"
+            rc = run(["report", "--input", rec_csv, "--cond-channel", "T3",
+                      "--n-boot", "7", "--n-sim", "200", "--seed", "4", "--outdir", out])
+            assert rc == 0
+            trees[cores] = {p.relative_to(out): p.read_bytes()
+                            for p in sorted(out.rglob("*")) if p.is_file()}
+        assert len(trees[1]) > 30
+        assert trees[2] == trees[1]
+        assert trees[3] == trees[1]
+
+    def test_stage_failure_with_pool_open(self, rec_csv, tmp_path, monkeypatch):
+        # ht_fit dies while the workers still hold chi's replicate blocks
+        pool_open = []
+
+        def crash(*args, **kwargs):
+            pool_open.append(bool(multiprocessing.active_children()))
+            raise RuntimeError("fit died")
+
+        monkeypatch.setattr(sio, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(cli, "_write_ht_fit", crash)
+        out = tmp_path / "report"
+        rc = run(["report", "--input", rec_csv, "--cond-channel", "T3",
+                  "--n-boot", "50", "--n-sim", "200", "--outdir", out])
+        assert rc == 1
+        assert pool_open == [True]
+        assert self._statuses(out) == {
+            "decompose": "ok",
+            "fit_gpd": "ok",
+            "chi": "ok",
+            "ht_fit": "error: RuntimeError: fit died",
+            "ht_sim": "error: UsageError: an upstream stage failed",
+        }
+        assert (out / "chi" / "post.csv").exists()
+        assert multiprocessing.active_children() == []
+
+    def test_worker_band_write_failure_is_decompose_status(self, rec_csv, tmp_path, monkeypatch):
+        monkeypatch.setattr(sio, "_usable_cores", lambda: 2)
+        out = tmp_path / "report"
+        out.mkdir()
+        (out / "bands").write_text("in the way\n")
+        rc = run(["report", "--input", rec_csv, "--cond-channel", "T3",
+                  "--n-boot", "10", "--n-sim", "200", "--outdir", out])
+        assert rc == 1
+        status = self._statuses(out)
+        assert status.pop("decompose").startswith("error: FileExistsError: ")
+        assert status.pop("fit_gpd") == "error: UsageError: an upstream stage failed"
+        assert set(status.values()) == {"ok"}  # chi, ht_fit and ht_sim
+        assert (out / "bands").read_text() == "in the way\n"
+        assert multiprocessing.active_children() == []

@@ -482,6 +482,20 @@ class TestInputContract:
         with pytest.raises(UsageError, match="threshold quantile must be a real number"):
             fit_marginal(x, q)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.array([0.0, np.nan, 1.0])])
+    def test_to_laplace_names_nan_input(self, bad):
+        mt = fit_marginal(np.random.default_rng(17).standard_normal(1_000), 0.95)
+        with pytest.raises(DataError, match="to_laplace input contains NaN"):
+            to_laplace(bad, mt)
+
+    @pytest.mark.parametrize("bad", ["a", "abc", ["1.0", "x"], [[1.0], [1.0, 2.0]]])
+    def test_arrays_that_are_not_numbers_raise_data_error(self, bad):
+        mt = fit_marginal(np.random.default_rng(18).standard_normal(1_000), 0.95)
+        with pytest.raises(DataError, match="to_laplace input must hold real numbers"):
+            to_laplace(bad, mt)
+        with pytest.raises(DataError, match="marginal sample must hold real numbers"):
+            fit_marginal(bad)
+
     def test_numpy_float_quantiles_accepted(self):
         x = np.random.default_rng(16).standard_normal(2_000)
         assert fit_marginal(x, np.float64(0.95)).u == fit_marginal(x, 0.95).u

@@ -1,7 +1,9 @@
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -529,6 +531,57 @@ class TestMatrixCsvWriter:
         done = subprocess.run([sys.executable, "-c", code, *argv], env=env,
                               capture_output=True, text=True, timeout=120)
         assert done.stdout.split() == ["0", "False"], done.stderr
+
+
+def _double(x):
+    # module level, so the pool can pickle it by name
+    if x < 0:
+        raise ValueError(f"negative: {x}")
+    return 2 * x
+
+
+def _mark(path):
+    time.sleep(0.1)
+    path.touch()
+
+
+class TestPool:
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    def test_collects_in_order(self, cores, monkeypatch):
+        monkeypatch.setattr(sio, "_usable_cores", lambda: cores)
+        with sio._Pool() as pool:
+            first = pool.submit(_double, list(range(7)))
+            second = pool.submit(_double, [10])
+            assert second() == [20]
+            assert first() == [0, 2, 4, 6, 8, 10, 12]
+
+    def test_one_item_runs_in_process_when_collected(self, monkeypatch):
+        monkeypatch.setattr(sio, "_usable_cores", lambda: 2)
+        with sio._Pool() as pool:
+            collect = pool.submit(_double, [-1])  # nothing runs yet
+            assert multiprocessing.active_children() == []
+            with pytest.raises(ValueError, match="negative: -1"):
+                collect()
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_failure_raises_when_collected(self, cores, monkeypatch):
+        monkeypatch.setattr(sio, "_usable_cores", lambda: cores)
+        with sio._Pool() as pool:
+            collect = pool.submit(_double, [1, -2, 3, 4])
+            with pytest.raises(ValueError, match="negative: -2"):
+                collect()
+            assert pool.submit(_double, [5, 6])() == [10, 12]  # the pool still works
+        assert multiprocessing.active_children() == []
+
+    def test_uncollected_work_is_cancelled_on_exit(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sio, "_usable_cores", lambda: 2)
+        paths = [tmp_path / f"{k}" for k in range(40)]  # 2 s of work on two workers
+        with pytest.raises(KeyError):
+            with sio._Pool() as pool:
+                pool.submit(_mark, paths)
+                raise KeyError("the caller failed")
+        assert multiprocessing.active_children() == []
+        assert len(list(tmp_path.iterdir())) < len(paths)
 
 
 def _repr_rows(block) -> str:
