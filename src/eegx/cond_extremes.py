@@ -56,7 +56,7 @@ def laplace_quantile(p):
 
     log(2p) for p < 1/2 and -log(2(1-p)) otherwise; p must lie in (0,1).
     """
-    p = np.asarray(p, dtype=float)
+    p = check_floats(p, "probabilities")
     if not np.all((p > 0.0) & (p < 1.0)):  # NaN fails too
         raise DomainError("Laplace quantile needs probabilities in (0, 1)")
     out = np.where(p < 0.5, np.log(2.0 * p), -np.log(2.0 * (1.0 - p)))
@@ -65,7 +65,7 @@ def laplace_quantile(p):
 
 def laplace_cdf(y):
     """CDF of the standard Laplace distribution; NaN is outside its domain."""
-    y = np.asarray(y, dtype=float)
+    y = check_floats(y, "Laplace CDF argument")
     if np.isnan(y).any():
         raise DomainError("Laplace CDF is undefined at NaN")
     out = np.where(y < 0.0, 0.5 * np.exp(y), 1.0 - 0.5 * np.exp(-y))
@@ -91,12 +91,12 @@ class MarginalTransform:
         return self.sorted_sample.size
 
     def __post_init__(self):
-        xs = np.asarray(self.sorted_sample, dtype=float)
-        if xs.ndim != 1 or xs.size < 2:
-            raise ValidationError("marginal transform needs a 1-D sample, n >= 2")
+        xs = check_floats(self.sorted_sample, "sorted_sample", ndim=1)
+        if xs.size < 2:
+            raise ValidationError("marginal transform needs a sample of n >= 2")
         if np.any(np.diff(xs) < 0):
             raise ValidationError("sorted_sample must be nondecreasing")
-        if not 0.0 < self.zeta_u < 1.0:
+        if not 0.0 < check_real(self.zeta_u, "zeta_u") < 1.0:
             raise ValidationError(f"zeta_u must lie in (0, 1), got {self.zeta_u}")
         object.__setattr__(self, "sorted_sample", xs)
 
@@ -132,12 +132,10 @@ def fit_marginal(
     the GPD is fitted to all excesses above it (no declustering: the
     transform must preserve the sample's probability calibration).
     """
-    x = check_floats(x, "marginal sample").ravel()
+    x = check_floats(x, "marginal sample", finite=True).ravel()
     if x.size < 20:
         raise SizeError(f"marginal transform needs >= 20 observations, got {x.size}")
     _check_threshold_quantile(threshold_quantile)
-    if not np.isfinite(x).all():
-        raise DataError("marginal sample contains NaN or Inf")
     u = float(np.quantile(x, threshold_quantile))
     excesses = x[x > u] - u
     if excesses.size < 10:
@@ -190,9 +188,9 @@ def to_laplace(x, mt: MarginalTransform):
 
 def from_laplace(y, mt: MarginalTransform):
     """Inverse of :func:`to_laplace` (up to rank resolution in the body)."""
-    scalar = np.ndim(y) == 0
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    p = laplace_cdf(y)
+    y = check_floats(y, "from_laplace input")
+    scalar = y.ndim == 0
+    p = laplace_cdf(np.atleast_1d(y))
     lo = 1.0 / (2.0 * mt.n)
     p = np.clip(p, lo, 1.0 - lo)
     out = np.empty_like(p)
@@ -229,14 +227,14 @@ class HtFit:
     exceed_indices: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if not -1.0 <= self.alpha <= 1.0:
+        if not -1.0 <= check_real(self.alpha, "alpha") <= 1.0:
             raise ValidationError(f"alpha must lie in [-1, 1], got {self.alpha}")
-        if not BETA_MIN <= self.beta < 1.0:
+        if not BETA_MIN <= check_real(self.beta, "beta") < 1.0:
             raise ValidationError(f"beta must lie in [{BETA_MIN}, 1), got {self.beta}")
-        if not self.s > 0:
+        if not check_real(self.s, "s") > 0:
             raise ValidationError(f"s must be positive, got {self.s}")
-        z = np.asarray(self.residuals_z, dtype=float)
-        if z.size != self.n_exceed:
+        z = check_floats(self.residuals_z, "residuals_z")
+        if z.size != check_int(self.n_exceed, "n_exceed", 0):
             raise ValidationError("residual count must equal n_exceed")
         object.__setattr__(self, "residuals_z", z)
 
@@ -291,13 +289,11 @@ def fit_ht(
     bounded Brent search around its best cell. Deterministic: no
     randomness is involved.
     """
-    yc = np.asarray(y_cond, dtype=float).ravel()
-    yd = np.asarray(y_dep, dtype=float).ravel()
+    yc = check_floats(y_cond, "conditioning series", finite=True).ravel()
+    yd = check_floats(y_dep, "dependent series", finite=True).ravel()
     if yc.shape != yd.shape:
         raise ValidationError("conditioning and dependent series must align")
     _check_cond_quantile(cond_quantile)
-    if not (np.isfinite(yc).all() and np.isfinite(yd).all()):
-        raise DataError("conditioning and dependent series must be finite")
     t_q = laplace_quantile(cond_quantile)
     keep = yc > t_q
     n_exc = int(np.count_nonzero(keep))
@@ -393,10 +389,14 @@ class ConditionalSample:
     back_transformed: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.draws.shape != (self.cond_draws.size, len(self.dep_channels)):
+        cond_draws = check_floats(self.cond_draws, "cond_draws", ndim=1)
+        draws = check_floats(self.draws, "draws", ndim=2)
+        if draws.shape != (cond_draws.size, len(self.dep_channels)):
             raise ValidationError("draw matrix shape must be (n_sim, n_dep)")
-        if np.any(self.cond_draws <= self.cond_level_laplace):
+        if np.any(cond_draws <= check_real(self.cond_level_laplace, "conditioning level")):
             raise ValidationError("every conditioning draw must exceed the level")
+        object.__setattr__(self, "cond_draws", cond_draws)
+        object.__setattr__(self, "draws", draws)
 
 
 def simulate_conditional(
@@ -430,7 +430,7 @@ def simulate_conditional(
                 raise UsageError("fits were made on different exceedance sets")
     if n_exc == 0:
         raise UsageError("empty residual set")
-    if not 0.0 < level_q < 1.0:
+    if not 0.0 < check_real(level_q, "level") < 1.0:  # NaN fails too
         raise UsageError(f"level must lie in (0, 1), got {level_q}")
     t_level = laplace_quantile(level_q)
     if t_level < fits[0].cond_threshold_laplace - 1e-12:

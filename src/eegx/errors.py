@@ -1,14 +1,16 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the one check of
+each kind of argument.
 
 The CLI maps these onto exit codes: validation-type errors (bad flags,
 unreadable or malformed inputs, misuse of an operation) exit with 2,
 computation-type errors (fit failures, infeasible designs, degenerate
-data) exit with 1. ``check_int`` is the one check of integer arguments
-(counts, seeds, run lengths, filter orders, segment lengths),
-``check_real`` the one check of scalar real arguments (quantiles,
-levels, return periods) and ``check_floats`` the check of array
-arguments that must convert to floats, so they fail the same way
-everywhere.
+data) exit with 1. ``check_int`` checks integer arguments (counts,
+seeds, run lengths, orders) and ``check_real`` scalar real ones
+(quantiles, levels, thresholds): anything else is a ``UsageError``.
+``check_floats`` converts array arguments: text, ragged, object or
+complex input is a ``DataError``, the wrong number of dimensions a
+``ValidationError``, and NaN or Inf, where finite values are asked
+for, a ``DataError``. Size and range checks stay with the callers.
 """
 
 import numbers
@@ -87,11 +89,23 @@ def check_real(value, name: str) -> float:
     return float(value)
 
 
-def check_floats(value, name: str) -> np.ndarray:
-    """``value`` as a float array; a :class:`DataError` naming ``name``
-    when it does not convert (strings, ragged sequences). Shape and
-    finiteness checks stay with the caller."""
+def check_floats(value, name: str, ndim: int | None = None, finite: bool = False) -> np.ndarray:
+    """``value`` as a float array, named ``name`` in the error: a
+    :class:`DataError` when it does not hold real numbers (text, ragged
+    sequences, object and complex arrays), a :class:`ValidationError`
+    when ``ndim`` is given and the array has another number of
+    dimensions, and a :class:`DataError` when ``finite`` is set and a
+    value is NaN or Inf. Booleans and integers convert. Converts without
+    a copy where ``value`` already is a float array."""
     try:
-        return np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
+        arr = np.asarray(value)
+    except (TypeError, ValueError) as exc:  # ragged nested sequences
         raise DataError(f"{name} must hold real numbers: {exc}") from None
+    if arr.dtype.kind not in "biuf":
+        raise DataError(f"{name} must hold real numbers, got dtype {arr.dtype}")
+    arr = arr.astype(float, copy=False)
+    if ndim is not None and arr.ndim != ndim:
+        raise ValidationError(f"{name} must be {ndim}-D, got shape {arr.shape}")
+    if finite and not np.isfinite(arr).all():
+        raise DataError(f"{name} must be finite; found NaN or Inf")
+    return arr

@@ -27,12 +27,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    DataError,
     DomainError,
     FitError,
     SizeError,
     UsageError,
     ValidationError,
+    check_floats,
     check_int,
     check_real,
 )
@@ -67,9 +67,9 @@ class GpdFit:
     cov_sigma_xi: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if not self.sigma > 0:
+        if not check_real(self.sigma, "sigma") > 0:
             raise ValidationError(f"sigma must be positive, got {self.sigma}")
-        if not 0 < self.zeta_u <= 1:
+        if not 0 < check_real(self.zeta_u, "zeta_u") <= 1:
             raise ValidationError(f"zeta_u must lie in (0, 1], got {self.zeta_u}")
 
 
@@ -291,9 +291,9 @@ def fit_gpd(
     FitError
         No finite likelihood value.
     """
-    y = np.asarray(excesses, dtype=float)
-    if y.ndim != 1:
-        raise ValidationError(f"excesses must be 1-D, got shape {y.shape}")
+    y = check_floats(excesses, "excesses", ndim=1)
+    threshold_u = check_real(threshold_u, "threshold_u")
+    zeta_u = check_real(zeta_u, "zeta_u")
     if y.size < 10:
         raise SizeError(f"need at least 10 excesses to fit a GPD, got {y.size}")
     if np.any(y <= 0) or not np.isfinite(y).all():
@@ -340,10 +340,10 @@ def fit_gpd(
         )
 
     return GpdFit(
-        threshold_u=float(threshold_u),
+        threshold_u=threshold_u,
         sigma=sigma_hat,
         xi=xi_hat,
-        zeta_u=float(zeta_u),
+        zeta_u=zeta_u,
         n_exceed=int(y.size),
         se_sigma=se_sigma,
         se_xi=se_xi,
@@ -354,10 +354,8 @@ def fit_gpd(
 
 def _diagnostic_inputs(data, grid) -> tuple[np.ndarray, np.ndarray]:
     """Flattened finite data and the sorted, nonempty, finite threshold grid."""
-    x = np.asarray(data, dtype=float).ravel()
-    grid = np.asarray(grid, dtype=float).ravel()
-    if not np.isfinite(x).all():
-        raise DataError("data contains NaN or Inf")
+    x = check_floats(data, "data", finite=True).ravel()
+    grid = check_floats(grid, "threshold grid").ravel()
     if grid.size == 0:
         raise UsageError("threshold grid must be nonempty")
     if not np.isfinite(grid).all():
@@ -452,11 +450,9 @@ def decluster_runs(
     or a run length that is not an integer >= 1 raises ``UsageError``.
     """
     r = check_int(run_length_r, "run length", 1)
-    if not np.isfinite(threshold_u):
+    if not np.isfinite(check_real(threshold_u, "threshold")):
         raise UsageError(f"threshold must be finite, got {threshold_u}")
-    x = np.asarray(data, dtype=float).ravel()
-    if not np.isfinite(x).all():
-        raise DataError("data contains NaN or Inf")
+    x = check_floats(data, "data", finite=True).ravel()
     exc_idx = np.flatnonzero(x > threshold_u)
     if exc_idx.size == 0:
         return ClusterSet(
@@ -526,12 +522,10 @@ def fit_channel_tail(
     only merges directly adjacent exceedances, appropriate for roughly
     independent data.
     """
-    x = np.asarray(series, dtype=float).ravel()
+    x = check_floats(series, "series", finite=True).ravel()
     _check_threshold_quantile(threshold_quantile)
     if x.size == 0:
         raise SizeError("cannot fit the tail of an empty series")
-    if not np.isfinite(x).all():
-        raise DataError("series contains NaN or Inf")
     u = float(np.quantile(x, threshold_quantile))
     clusters = decluster_runs(x, u, run_length_r)
     if clusters.n_clusters == 0:

@@ -53,6 +53,7 @@ from .errors import (
     SparseTailError,
     UsageError,
     ValidationError,
+    check_floats,
     check_int,
     check_real,
 )
@@ -96,9 +97,7 @@ def uniform_scores(x: np.ndarray) -> np.ndarray:
 
     NaN has no rank and is rejected.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValidationError(f"expected a 1-D series, got shape {x.shape}")
+    x = check_floats(x, "series", ndim=1)
     if x.size < 2:
         raise SizeError(f"need at least 2 observations, got {x.size}")
     if np.isnan(x).any():
@@ -119,14 +118,12 @@ def chi_u(
     Raises :class:`SparseTailError` when fewer than 5 joint exceedances
     are available; pick a lower ``u`` in that case.
     """
-    sx = np.asarray(scores_x, dtype=float)
-    sy = np.asarray(scores_y, dtype=float)
-    if sx.shape != sy.shape or sx.ndim != 1:
-        raise ValidationError("score series must be 1-D and of equal length")
-    if not 0.0 < u < 1.0:
+    sx = check_floats(scores_x, "scores", ndim=1, finite=True)
+    sy = check_floats(scores_y, "scores", ndim=1, finite=True)
+    if sx.shape != sy.shape:
+        raise ValidationError("score series must be of equal length")
+    if not 0.0 < check_real(u, "quantile level") < 1.0:
         raise UsageError(f"quantile level must lie in (0, 1), got {u}")
-    if np.isnan(sx).any() or np.isnan(sy).any():
-        raise DataError("scores contain NaN")
     exceeds = (np.column_stack([sx, sy]) > u).astype(np.float64)
     joint = exceeds.T @ exceeds
     n_joint = int(joint[0, 1])
@@ -179,7 +176,7 @@ def _bootstrap_weights(n: int, mean_block: float, rng: np.random.Generator) -> n
 
 
 def _check_mean_block(mean_block) -> None:
-    if not mean_block >= 1:  # NaN fails too
+    if not check_real(mean_block, "mean block length") >= 1:  # NaN fails too
         raise UsageError(f"mean block length must be >= 1, got {mean_block}")
 
 
@@ -330,9 +327,7 @@ def _submit_chi_matrices(
         if mean_block_len is None:
             mean_block_len = max(1.0, data.fs)
     else:
-        matrix = np.asarray(data, dtype=float)
-        if matrix.ndim != 2:
-            raise ValidationError(f"expected (T x C) data, got shape {matrix.shape}")
+        matrix = check_floats(data, "data", ndim=2, finite=True)  # a recording is finite
         labels = channels or tuple(f"ch{i}" for i in range(matrix.shape[1]))
         if mean_block_len is None:
             mean_block_len = 1.0
@@ -342,8 +337,6 @@ def _submit_chi_matrices(
         raise ValidationError("need at least 2 channels for pairwise dependence")
     if matrix.shape[0] < 2:
         raise SizeError(f"need at least 2 observations, got {matrix.shape[0]}")
-    if not np.isfinite(matrix).all():
-        raise DataError("chi needs finite data; found NaN or Inf")
     try:
         levels = tuple(levels)
     except TypeError:

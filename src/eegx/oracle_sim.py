@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import UsageError, ValidationError, check_int
+from .errors import UsageError, ValidationError, check_int, check_real
 from .signal_io import EegRecording
 
 #: AR(2) coefficients for the pre-onset background: a gently resonant,
@@ -60,8 +60,11 @@ def gen_gpd(n: int, sigma: float, xi: float, seed: int) -> np.ndarray:
 
     xi = 0 degenerates to the exponential: y = -sigma * log(U).
     """
+    sigma, xi = check_real(sigma, "sigma"), check_real(xi, "xi")
     if not (np.isfinite(sigma) and sigma > 0):
         raise UsageError(f"sigma must be finite and positive, got {sigma}")
+    if not np.isfinite(xi):
+        raise UsageError(f"xi must be finite, got {xi}")
     n = check_int(n, "n", 0)
     rng = np.random.default_rng(check_int(seed, "seed", 0))
     u = rng.random(n)
@@ -78,7 +81,8 @@ def gen_exponential(n: int, sigma: float, seed: int) -> np.ndarray:
 
 def gen_gaussian_copula_pair(n: int, rho: float, seed: int):
     """Uniform pair with Gaussian-copula dependence of correlation rho."""
-    if not -1.0 < rho < 1.0:
+    rho = check_real(rho, "rho")
+    if not -1.0 < rho < 1.0:  # NaN fails too
         raise UsageError(f"rho must lie in (-1, 1), got {rho}")
     n = check_int(n, "n", 0)
     from scipy.special import ndtr
@@ -127,6 +131,9 @@ def gen_synthetic_eeg(channels: int, T: int, onset_fraction: float, seed: int) -
     """
     channels = check_int(channels, "channels", 2)
     T = check_int(T, "T", 1000)
+    onset_fraction = check_real(onset_fraction, "onset fraction")
+    if not 0.0 < onset_fraction < 1.0:  # NaN fails too; round() cannot take it
+        raise UsageError(f"onset fraction must lie in (0, 1), got {onset_fraction}")
     onset = int(round(T * onset_fraction))
     if not 2 <= onset <= T - 2:
         raise UsageError(
@@ -160,19 +167,17 @@ def generate(spec: SimSpec):
     p = dict(spec.params)
     try:
         if spec.kind == "gpd":
-            return gen_gpd(p["n"], float(p["sigma"]), float(p["xi"]), spec.seed)
+            return gen_gpd(p["n"], p["sigma"], p["xi"], spec.seed)
         if spec.kind == "exponential":
-            return gen_exponential(p["n"], float(p["sigma"]), spec.seed)
+            return gen_exponential(p["n"], p["sigma"], spec.seed)
         if spec.kind == "gaussian_copula_pair":
-            return gen_gaussian_copula_pair(p["n"], float(p["rho"]), spec.seed)
+            return gen_gaussian_copula_pair(p["n"], p["rho"], spec.seed)
         if spec.kind == "comonotone_pair":
             return gen_comonotone_pair(p["n"], spec.seed)
         if spec.kind == "independent_pair":
             return gen_independent_pair(p["n"], spec.seed)
         if spec.kind == "synthetic_eeg":
-            return gen_synthetic_eeg(
-                p["channels"], p["T"], float(p["onset_fraction"]), spec.seed
-            )
+            return gen_synthetic_eeg(p["channels"], p["T"], p["onset_fraction"], spec.seed)
     except KeyError as exc:
         raise UsageError(f"missing parameter {exc} for kind {spec.kind!r}") from exc
     raise ValidationError(f"unknown simulation kind {spec.kind!r}")

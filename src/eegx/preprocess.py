@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DesignError, SizeError, ValidationError, check_int
+from .errors import DesignError, SizeError, ValidationError, check_floats, check_int, check_real
 from .signal_io import EegRecording, _check_fs
 
 #: Canonical EEG bands (Hz): delta, theta, alpha, beta, gamma.
@@ -44,7 +44,8 @@ class BandDefinition:
     high_hz: float
 
     def __post_init__(self):
-        if not (0 < self.low_hz < self.high_hz):
+        low, high = check_real(self.low_hz, "low_hz"), check_real(self.high_hz, "high_hz")
+        if not 0 < low < high:
             raise ValidationError(
                 f"band {self.id!r}: need 0 < low < high, got ({self.low_hz}, {self.high_hz})"
             )
@@ -80,8 +81,8 @@ class FilterSpec:
     high_hz_effective: float
 
     def __post_init__(self):
-        sos = np.asarray(self.sos, dtype=float)
-        if sos.ndim != 2 or sos.shape[1] != 6:
+        sos = check_floats(self.sos, "sos", ndim=2)
+        if sos.shape[1] != 6:
             raise ValidationError(f"sos must be (n, 6), got {sos.shape}")
         if not np.allclose(sos[:, 3], 1.0):
             raise ValidationError("each section's leading denominator coefficient must be 1")
@@ -179,9 +180,7 @@ def design_bandpass(
 
 def detrend(x: np.ndarray) -> np.ndarray:
     """Remove the least-squares linear trend from a series."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValidationError(f"detrend expects a 1-D series, got shape {x.shape}")
+    x = check_floats(x, "series", ndim=1, finite=True)
     n = x.size
     if n < 2:
         raise SizeError(f"detrend needs at least 2 samples, got {n}")
@@ -301,9 +300,7 @@ def apply_zero_phase(x: np.ndarray, spec: FilterSpec) -> np.ndarray:
     1e-18), less the forward output past the end, which the backward
     pass does not see.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValidationError(f"expected a 1-D series, got shape {x.shape}")
+    x = check_floats(x, "series", ndim=1, finite=True)
     return _zero_phase(x[:, None], [spec])[0][:, 0]
 
 

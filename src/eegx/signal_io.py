@@ -52,6 +52,7 @@ from .errors import (
     FormatError,
     UsageError,
     ValidationError,
+    check_floats,
     check_int,
 )
 
@@ -95,9 +96,7 @@ class EegRecording:
             raise ValidationError(f"duplicate channel names: {dupes}")
         object.__setattr__(self, "fs", _check_fs(self.fs))
 
-        data = np.array(self.data, dtype=float)
-        if data.ndim != 2:
-            raise ValidationError(f"data must be 2-D (T x C), got shape {data.shape}")
+        data = check_floats(self.data, "data", ndim=2).copy()  # stored read-only
         if data.shape[0] < 2:
             raise ValidationError(f"recording needs at least 2 samples, got {data.shape[0]}")
         if data.shape[1] != len(chans):
@@ -520,20 +519,14 @@ def _header(channels: tuple[ChannelLabel, ...]) -> str:
 
 
 def _csv_matrix(matrix, n_channels: int) -> np.ndarray:
-    """``matrix`` as a float array with ``n_channels`` columns, or a
-    ``ValidationError`` (shape) or ``DataError`` (dtype) saying why not."""
-    try:
-        arr = np.asarray(matrix)
-    except ValueError as exc:  # ragged nested sequences
-        raise ValidationError(f"matrix is not rectangular: {exc}") from None
-    if arr.ndim != 2 or arr.shape[1] != n_channels:
+    """``matrix`` as a float array with ``n_channels`` columns, or the
+    error of ``check_floats`` or a ``ValidationError`` saying why not."""
+    arr = check_floats(matrix, "matrix", ndim=2)
+    if arr.shape[1] != n_channels:
         raise ValidationError(
-            f"matrix of shape {arr.shape} is not 2-D with {n_channels} columns, "
-            f"one per channel"
+            f"matrix of shape {arr.shape} does not have {n_channels} columns, one per channel"
         )
-    if arr.dtype.kind not in "biuf":
-        raise DataError(f"matrix must be numeric, got dtype {arr.dtype}")
-    return arr.astype(float, copy=False)
+    return arr
 
 
 def write_text_atomic(path: str | Path, parts: Iterable[str]) -> Path:

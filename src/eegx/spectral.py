@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SizeError, UsageError, ValidationError, check_int
+from .errors import DomainError, SizeError, UsageError, ValidationError
+from .errors import check_floats, check_int, check_real
 from .preprocess import BandDefinition
 from .signal_io import _check_fs
 
@@ -28,10 +29,10 @@ class SpectrumEstimate:
     fs: float
 
     def __post_init__(self):
-        f = np.asarray(self.freqs_hz, dtype=float)
-        p = np.asarray(self.power, dtype=float)
-        if f.shape != p.shape or f.ndim != 1:
-            raise ValidationError("freqs_hz and power must be 1-D and equal length")
+        f = check_floats(self.freqs_hz, "freqs_hz", ndim=1)
+        p = check_floats(self.power, "power", ndim=1)
+        if f.shape != p.shape:
+            raise ValidationError("freqs_hz and power must be of equal length")
         if np.any(np.diff(f) <= 0):
             raise ValidationError("frequency grid must be strictly ascending")
         if np.any(p < 0):
@@ -70,9 +71,7 @@ def periodogram(x: np.ndarray, fs: float) -> SpectrumEstimate:
         Density-scaled power at ``k * fs / n`` for k = 0 .. floor(n/2);
         its integral over frequency reproduces the sample variance.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValidationError(f"expected a 1-D series, got shape {x.shape}")
+    x = check_floats(x, "series", ndim=1, finite=True)
     n = x.size
     if n < 2:
         raise SizeError(f"periodogram needs at least 2 samples, got {n}")
@@ -103,14 +102,12 @@ def welch(
     overlap : float
         Fractional overlap between consecutive segments, in [0, 0.9].
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValidationError(f"expected a 1-D series, got shape {x.shape}")
+    x = check_floats(x, "series", ndim=1, finite=True)
     n = x.size
     seg_len = check_int(seg_len, "seg_len", 2)
     if seg_len > n:
         raise SizeError(f"seg_len {seg_len} exceeds signal length {n}")
-    if not 0 <= overlap <= 0.9:
+    if not 0 <= check_real(overlap, "overlap") <= 0.9:  # NaN fails too
         raise UsageError(f"overlap must lie in [0, 0.9], got {overlap}")
     _check_fs(fs)
 
