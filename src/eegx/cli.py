@@ -25,7 +25,7 @@ from . import preprocess as pp
 from . import signal_io as sio
 from . import spectral as sp
 from ._svg import heatmap_svg
-from .errors import EegxError, FitError, UsageError, check_int
+from .errors import EegxError, FitError, UsageError, check_int, check_real
 
 
 def _emit(path: Path, text: str) -> Path:
@@ -70,24 +70,14 @@ def _sanitize_float(x: float):
 
 def _samples(seconds: float, fs: float, flag: str) -> int:
     """``seconds`` at ``fs`` Hz as a whole number of samples."""
-    n = seconds * fs
-    if not np.isfinite(n):
-        raise UsageError(f"{flag} {seconds:g} at fs={fs:g} Hz is not a finite sample count")
-    return int(round(n))
+    return int(round(check_real(seconds * fs, f"{flag} in samples at fs={fs:g} Hz")))
 
 
 def _run_length(args, fs: float) -> int:
     """Declustering run length: ``--run-length``, by default half a second."""
     if args.run_length is None:
         return max(1, int(round(fs / 2)))
-    if args.run_length < 1:
-        raise UsageError(f"--run-length must be at least 1, got {args.run_length}")
-    return args.run_length
-
-
-def _check_level(value: float, flag: str) -> None:
-    if not 0.0 < value < 1.0:  # NaN fails too
-        raise UsageError(f"{flag} must lie in (0, 1), got {value:g}")
+    return check_int(args.run_length, "--run-length", 1)
 
 
 def _load_input(args) -> sio.EegRecording:
@@ -390,12 +380,12 @@ def cmd_report(args) -> int:
     run_length = _run_length(args, rec.fs)
     levels = args.u or list(ed.DEFAULT_U_GRID)
     # every numeric option is checked here, since each stage writes files
-    pp._check_order(args.order)
-    evt._check_threshold_quantile(args.threshold_quantile)
-    ce._check_cond_quantile(args.ht_quantile)
+    pp._check_order(args.order, "--order")
+    check_real(args.threshold_quantile, "--threshold-quantile", evt.THRESHOLD_QUANTILES)
+    check_real(args.ht_quantile, "--ht-quantile", ce.COND_QUANTILES)
     for u in levels:
-        _check_level(u, "--u")
-    _check_level(args.level, "--level")
+        check_real(u, "--u", "(0, 1)")
+    check_real(args.level, "--level", "(0, 1)")
     if args.level < args.ht_quantile:
         raise UsageError(f"--level {args.level:g} lies below --ht-quantile {args.ht_quantile:g}")
     check_int(args.seed, "--seed", 0)

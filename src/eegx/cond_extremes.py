@@ -36,25 +36,21 @@ from .errors import (
     check_int,
     check_real,
 )
-from .evt_univariate import (
-    GpdFit,
-    XI_ZERO_TOL,
-    _check_threshold_quantile,
-    _grid_brent,
-    fit_gpd,
-)
+from .evt_univariate import THRESHOLD_QUANTILES, XI_ZERO_TOL, GpdFit, _grid_brent, fit_gpd
 from .signal_io import EegRecording
 
 S_FLOOR = 1e-8  # lower bound on the residual spread in the pseudo-likelihood
 BETA_MAX = 1.0 - 1e-6
 BETA_MIN = -3.0
 _N_BETA_GRID = 41  # coarse beta grid ahead of the Brent refinement
+#: Allowed conditioning quantiles, as :func:`eegx.errors.check_real` takes them.
+COND_QUANTILES = "[0.9, 0.999]"
 
 
 def laplace_quantile(p):
     """Quantile of the standard Laplace distribution.
 
-    log(2p) for p < 1/2 and -log(2(1-p)) otherwise; p must lie in (0,1).
+    log(2p) for p < 1/2 and -log(2(1-p)) otherwise, for p in (0, 1).
     """
     p = check_floats(p, "probabilities")
     if not np.all((p > 0.0) & (p < 1.0)):  # NaN fails too
@@ -91,13 +87,13 @@ class MarginalTransform:
         return self.sorted_sample.size
 
     def __post_init__(self):
-        xs = check_floats(self.sorted_sample, "sorted_sample", ndim=1)
+        xs = check_floats(self.sorted_sample, "sorted_sample", ndim=1, finite=True)
         if xs.size < 2:
             raise ValidationError("marginal transform needs a sample of n >= 2")
         if np.any(np.diff(xs) < 0):
             raise ValidationError("sorted_sample must be nondecreasing")
-        if not 0.0 < check_real(self.zeta_u, "zeta_u") < 1.0:
-            raise ValidationError(f"zeta_u must lie in (0, 1), got {self.zeta_u}")
+        check_real(self.u, "u")
+        check_real(self.zeta_u, "zeta_u", "(0, 1)")
         object.__setattr__(self, "sorted_sample", xs)
 
 
@@ -135,7 +131,7 @@ def fit_marginal(
     x = check_floats(x, "marginal sample", finite=True).ravel()
     if x.size < 20:
         raise SizeError(f"marginal transform needs >= 20 observations, got {x.size}")
-    _check_threshold_quantile(threshold_quantile)
+    check_real(threshold_quantile, "threshold quantile", THRESHOLD_QUANTILES)
     u = float(np.quantile(x, threshold_quantile))
     excesses = x[x > u] - u
     if excesses.size < 10:
@@ -227,13 +223,13 @@ class HtFit:
     exceed_indices: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if not -1.0 <= check_real(self.alpha, "alpha") <= 1.0:
-            raise ValidationError(f"alpha must lie in [-1, 1], got {self.alpha}")
-        if not BETA_MIN <= check_real(self.beta, "beta") < 1.0:
-            raise ValidationError(f"beta must lie in [{BETA_MIN}, 1), got {self.beta}")
-        if not check_real(self.s, "s") > 0:
-            raise ValidationError(f"s must be positive, got {self.s}")
-        z = check_floats(self.residuals_z, "residuals_z")
+        check_real(self.alpha, "alpha", "[-1, 1]")
+        check_real(self.beta, "beta", f"[{BETA_MIN}, 1)")
+        check_real(self.mu, "mu")
+        check_real(self.s, "s", "(0, inf)")
+        check_real(self.cond_threshold_laplace, "cond_threshold_laplace")
+        check_real(self.nll, "nll")
+        z = check_floats(self.residuals_z, "residuals_z", finite=True)
         if z.size != check_int(self.n_exceed, "n_exceed", 0):
             raise ValidationError("residual count must equal n_exceed")
         object.__setattr__(self, "residuals_z", z)
@@ -267,11 +263,6 @@ def _profile_beta(beta, y: np.ndarray, y_dep: np.ndarray):
     return nll, alpha, mu, s
 
 
-def _check_cond_quantile(q: float) -> None:
-    if not 0.9 <= check_real(q, "conditioning quantile") <= 0.999:  # NaN fails too
-        raise UsageError(f"conditioning quantile must lie in [0.9, 0.999], got {q}")
-
-
 def fit_ht(
     y_cond: np.ndarray,
     y_dep: np.ndarray,
@@ -293,7 +284,7 @@ def fit_ht(
     yd = check_floats(y_dep, "dependent series", finite=True).ravel()
     if yc.shape != yd.shape:
         raise ValidationError("conditioning and dependent series must align")
-    _check_cond_quantile(cond_quantile)
+    check_real(cond_quantile, "conditioning quantile", COND_QUANTILES)
     t_q = laplace_quantile(cond_quantile)
     keep = yc > t_q
     n_exc = int(np.count_nonzero(keep))
@@ -389,8 +380,8 @@ class ConditionalSample:
     back_transformed: np.ndarray | None = None
 
     def __post_init__(self):
-        cond_draws = check_floats(self.cond_draws, "cond_draws", ndim=1)
-        draws = check_floats(self.draws, "draws", ndim=2)
+        cond_draws = check_floats(self.cond_draws, "cond_draws", ndim=1, finite=True)
+        draws = check_floats(self.draws, "draws", ndim=2, finite=True)
         if draws.shape != (cond_draws.size, len(self.dep_channels)):
             raise ValidationError("draw matrix shape must be (n_sim, n_dep)")
         if np.any(cond_draws <= check_real(self.cond_level_laplace, "conditioning level")):
@@ -430,8 +421,7 @@ def simulate_conditional(
                 raise UsageError("fits were made on different exceedance sets")
     if n_exc == 0:
         raise UsageError("empty residual set")
-    if not 0.0 < check_real(level_q, "level") < 1.0:  # NaN fails too
-        raise UsageError(f"level must lie in (0, 1), got {level_q}")
+    check_real(level_q, "level", "(0, 1)")
     t_level = laplace_quantile(level_q)
     if t_level < fits[0].cond_threshold_laplace - 1e-12:
         raise UsageError(

@@ -5,12 +5,16 @@ The CLI maps these onto exit codes: validation-type errors (bad flags,
 unreadable or malformed inputs, misuse of an operation) exit with 2,
 computation-type errors (fit failures, infeasible designs, degenerate
 data) exit with 1. ``check_int`` checks integer arguments (counts,
-seeds, run lengths, orders) and ``check_real`` scalar real ones
-(quantiles, levels, thresholds): anything else is a ``UsageError``.
-``check_floats`` converts array arguments: text, ragged, object or
-complex input is a ``DataError``, the wrong number of dimensions a
-``ValidationError``, and NaN or Inf, where finite values are asked
-for, a ``DataError``. Size and range checks stay with the callers.
+seeds, run lengths, orders) against a minimum, and ``check_real``
+scalar real arguments and record fields against an interval written as
+in mathematics, ``"(0, 1]"`` or ``"[1, inf)"``, by default ``"(-inf,
+inf)"``, a finite real: anything else, booleans included, is a
+``UsageError``. ``check_floats`` converts array arguments: text,
+ragged, object or complex input is a ``DataError``, the wrong number of
+dimensions a ``ValidationError``, and NaN or Inf, where finite values
+are asked for, a ``DataError``. Checks that relate two values (an edge
+below another, a length within a sample size) and size minima stay
+with the callers.
 """
 
 import numbers
@@ -69,9 +73,11 @@ class SparseTailError(EegxError):
 
 def check_int(value, name: str, minimum: int) -> int:
     """``value`` as an ``int``; a :class:`UsageError` naming ``name`` when
-    it is not an integer (floats and strings included) or is below
-    ``minimum``."""
+    it is not an integer (booleans, floats and strings included) or is
+    below ``minimum``."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         value = operator.index(value)
     except TypeError:
         raise UsageError(f"{name} must be an integer, got {value!r}") from None
@@ -80,13 +86,23 @@ def check_int(value, name: str, minimum: int) -> int:
     return value
 
 
-def check_real(value, name: str) -> float:
-    """``value`` as a ``float``; a :class:`UsageError` naming ``name`` when
-    it is not a real number (strings, arrays and complex numbers
-    included). Range checks stay with the caller."""
-    if not isinstance(value, numbers.Real):
+def check_real(value, name: str, interval: str = "(-inf, inf)") -> float:
+    """``value`` as a ``float`` that lies in ``interval``, written as in
+    mathematics (``"(0, 1]"``, ``"[0.8, 0.999]"``, ``"[1, inf)"``); a
+    :class:`UsageError` naming ``name`` when it is not a real number
+    (booleans, strings, arrays and complex numbers included) or lies
+    outside. NaN lies in no interval and an infinity in none open at it,
+    so the default asks for a finite real."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise UsageError(f"{name} must be a real number, got {value!r}")
-    return float(value)
+    x = float(value)
+    lo, hi = (float(end) for end in interval[1:-1].split(","))
+    if not (
+        (lo <= x if interval[0] == "[" else lo < x)
+        and (x <= hi if interval[-1] == "]" else x < hi)
+    ):
+        raise UsageError(f"{name} must lie in {interval}, got {x}")
+    return x
 
 
 def check_floats(value, name: str, ndim: int | None = None, finite: bool = False) -> np.ndarray:

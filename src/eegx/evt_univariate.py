@@ -31,7 +31,6 @@ from .errors import (
     FitError,
     SizeError,
     UsageError,
-    ValidationError,
     check_floats,
     check_int,
     check_real,
@@ -45,6 +44,8 @@ _N_GRID = 64  # coarse profile grid ahead of the Brent refinement
 _G_SERIES_A = 0.2  # |a| below this: g(a) of _gpd_information by series, where
 # its closed form cancels; 26 terms reach double precision for |a| < 0.2
 _G_SERIES = np.array([(-1) ** (k + 1) * (2.0 / k + k - 3) for k in range(3, 29)])
+#: Allowed threshold quantiles of a tail fit, as :func:`eegx.errors.check_real` takes them.
+THRESHOLD_QUANTILES = "[0.8, 0.999]"
 
 
 @dataclass(frozen=True)
@@ -66,11 +67,12 @@ class GpdFit:
     nll: float
     cov_sigma_xi: np.ndarray | None = field(default=None, repr=False)
 
-    def __post_init__(self):
-        if not check_real(self.sigma, "sigma") > 0:
-            raise ValidationError(f"sigma must be positive, got {self.sigma}")
-        if not 0 < check_real(self.zeta_u, "zeta_u") <= 1:
-            raise ValidationError(f"zeta_u must lie in (0, 1], got {self.zeta_u}")
+    def __post_init__(self):  # se_sigma and se_xi are NaN where undefined
+        check_real(self.threshold_u, "threshold_u")
+        check_real(self.sigma, "sigma", "(0, inf)")
+        check_real(self.xi, "xi")
+        check_real(self.zeta_u, "zeta_u", "(0, 1]")
+        check_real(self.nll, "nll")
 
 
 @dataclass(frozen=True)
@@ -450,8 +452,7 @@ def decluster_runs(
     or a run length that is not an integer >= 1 raises ``UsageError``.
     """
     r = check_int(run_length_r, "run length", 1)
-    if not np.isfinite(check_real(threshold_u, "threshold")):
-        raise UsageError(f"threshold must be finite, got {threshold_u}")
+    check_real(threshold_u, "threshold")
     x = check_floats(data, "data", finite=True).ravel()
     exc_idx = np.flatnonzero(x > threshold_u)
     if exc_idx.size == 0:
@@ -486,11 +487,7 @@ def return_level(fit: GpdFit, m: float, obs_per_unit: float = 1.0) -> float:
 
     defined only when ``n * zeta_u > 1``.
     """
-    m = check_real(m, "m")
-    obs_per_unit = check_real(obs_per_unit, "obs_per_unit")
-    if not (np.isfinite(m) and np.isfinite(obs_per_unit)):
-        raise UsageError(f"m and obs_per_unit must be finite, got {m}, {obs_per_unit}")
-    n_obs = m * obs_per_unit
+    n_obs = check_real(m, "m") * check_real(obs_per_unit, "obs_per_unit")
     mz = n_obs * fit.zeta_u
     if mz <= 1.0:
         raise DomainError(
@@ -501,11 +498,6 @@ def return_level(fit: GpdFit, m: float, obs_per_unit: float = 1.0) -> float:
     return fit.threshold_u + fit.sigma / fit.xi * (mz**fit.xi - 1.0)
 
 
-def _check_threshold_quantile(q: float) -> None:
-    if not 0.8 <= check_real(q, "threshold quantile") <= 0.999:  # NaN fails too
-        raise UsageError(f"threshold quantile must lie in [0.8, 0.999], got {q}")
-
-
 def fit_channel_tail(
     series: np.ndarray,
     threshold_quantile: float = 0.95,
@@ -514,7 +506,7 @@ def fit_channel_tail(
     """Threshold at an empirical quantile, decluster, and fit the tail.
 
     The threshold is the type-7 empirical ``threshold_quantile`` of the
-    series (allowed range [0.8, 0.999]); cluster-peak excesses feed the
+    series (in ``THRESHOLD_QUANTILES``); cluster-peak excesses feed the
     GPD fit and ``zeta_u`` is the cluster rate n_clusters / T.
 
     ``run_length_r`` should reflect the series' dependence range, about
@@ -523,7 +515,7 @@ def fit_channel_tail(
     independent data.
     """
     x = check_floats(series, "series", finite=True).ravel()
-    _check_threshold_quantile(threshold_quantile)
+    check_real(threshold_quantile, "threshold quantile", THRESHOLD_QUANTILES)
     if x.size == 0:
         raise SizeError("cannot fit the tail of an empty series")
     u = float(np.quantile(x, threshold_quantile))

@@ -122,8 +122,7 @@ def chi_u(
     sy = check_floats(scores_y, "scores", ndim=1, finite=True)
     if sx.shape != sy.shape:
         raise ValidationError("score series must be of equal length")
-    if not 0.0 < check_real(u, "quantile level") < 1.0:
-        raise UsageError(f"quantile level must lie in (0, 1), got {u}")
+    check_real(u, "quantile level", "(0, 1)")
     exceeds = (np.column_stack([sx, sy]) > u).astype(np.float64)
     joint = exceeds.T @ exceeds
     n_joint = int(joint[0, 1])
@@ -144,6 +143,7 @@ def stationary_bootstrap_indices(
     Blocks have geometric length with the given mean and wrap around the
     end of the series.
     """
+    check_real(mean_block, "mean block length", "[1, inf)")
     restart, starts = _bootstrap_draws(n, mean_block, rng)
     pos = np.arange(n)
     last_restart = np.maximum.accumulate(np.where(restart, pos, -1))
@@ -155,7 +155,6 @@ def _bootstrap_draws(n: int, mean_block: float, rng: np.random.Generator):
     """The random draws of one stationary-bootstrap resample: where a block
     starts (always at position 0), and for every position the sample a
     block starting there begins with."""
-    _check_mean_block(mean_block)
     restart = rng.random(n) < 1.0 / float(mean_block)
     restart[0] = True
     return restart, rng.integers(0, n, size=n)
@@ -173,11 +172,6 @@ def _bootstrap_weights(n: int, mean_block: float, rng: np.random.Generator) -> n
     step = np.bincount(first, minlength=n + 1) - np.bincount(end - n * wrap, minlength=n + 1)
     step[0] += np.count_nonzero(wrap)
     return np.cumsum(step[:n])
-
-
-def _check_mean_block(mean_block) -> None:
-    if not check_real(mean_block, "mean block length") >= 1:  # NaN fails too
-        raise UsageError(f"mean block length must be >= 1, got {mean_block}")
 
 
 def _sorted_columns(matrix: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -344,15 +338,14 @@ def _submit_chi_matrices(
     if not levels:
         raise UsageError("need at least one quantile level")
     for u in levels:
-        if not 0.0 < check_real(u, "quantile level") < 1.0:
-            raise UsageError(f"quantile level must lie in (0, 1), got {u}")
+        check_real(u, "quantile level", "(0, 1)")
     n_boot = check_int(n_boot, "n_boot", 0)
     seed = check_int(seed, "seed", 0)
 
     n, c = matrix.shape
     cols = _sorted_columns(matrix)
     if n_boot > 0:
-        _check_mean_block(mean_block_len)
+        check_real(mean_block_len, "mean block length", "[1, inf)")
         seeds = np.random.SeedSequence(seed).spawn(n_boot)
         parts = min(sio._usable_cores(), n_boot)
         cuts = [k * n_boot // parts for k in range(parts + 1)]

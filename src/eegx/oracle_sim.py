@@ -60,11 +60,7 @@ def gen_gpd(n: int, sigma: float, xi: float, seed: int) -> np.ndarray:
 
     xi = 0 degenerates to the exponential: y = -sigma * log(U).
     """
-    sigma, xi = check_real(sigma, "sigma"), check_real(xi, "xi")
-    if not (np.isfinite(sigma) and sigma > 0):
-        raise UsageError(f"sigma must be finite and positive, got {sigma}")
-    if not np.isfinite(xi):
-        raise UsageError(f"xi must be finite, got {xi}")
+    sigma, xi = check_real(sigma, "sigma", "(0, inf)"), check_real(xi, "xi")
     n = check_int(n, "n", 0)
     rng = np.random.default_rng(check_int(seed, "seed", 0))
     u = rng.random(n)
@@ -81,9 +77,7 @@ def gen_exponential(n: int, sigma: float, seed: int) -> np.ndarray:
 
 def gen_gaussian_copula_pair(n: int, rho: float, seed: int):
     """Uniform pair with Gaussian-copula dependence of correlation rho."""
-    rho = check_real(rho, "rho")
-    if not -1.0 < rho < 1.0:  # NaN fails too
-        raise UsageError(f"rho must lie in (-1, 1), got {rho}")
+    rho = check_real(rho, "rho", "(-1, 1)")
     n = check_int(n, "n", 0)
     from scipy.special import ndtr
 
@@ -131,9 +125,7 @@ def gen_synthetic_eeg(channels: int, T: int, onset_fraction: float, seed: int) -
     """
     channels = check_int(channels, "channels", 2)
     T = check_int(T, "T", 1000)
-    onset_fraction = check_real(onset_fraction, "onset fraction")
-    if not 0.0 < onset_fraction < 1.0:  # NaN fails too; round() cannot take it
-        raise UsageError(f"onset fraction must lie in (0, 1), got {onset_fraction}")
+    onset_fraction = check_real(onset_fraction, "onset fraction", "(0, 1)")
     onset = int(round(T * onset_fraction))
     if not 2 <= onset <= T - 2:
         raise UsageError(

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DesignError, SizeError, ValidationError, check_floats, check_int, check_real
-from .signal_io import EegRecording, _check_fs
+from .signal_io import FS_RANGE, EegRecording
 
 #: Canonical EEG bands (Hz): delta, theta, alpha, beta, gamma.
 _BAND_TABLE = (
@@ -44,10 +44,10 @@ class BandDefinition:
     high_hz: float
 
     def __post_init__(self):
-        low, high = check_real(self.low_hz, "low_hz"), check_real(self.high_hz, "high_hz")
-        if not 0 < low < high:
+        low = check_real(self.low_hz, "low_hz", "(0, inf)")
+        if not low < check_real(self.high_hz, "high_hz", "(0, inf)"):
             raise ValidationError(
-                f"band {self.id!r}: need 0 < low < high, got ({self.low_hz}, {self.high_hz})"
+                f"band {self.id!r}: need low < high, got ({self.low_hz}, {self.high_hz})"
             )
 
 
@@ -81,7 +81,9 @@ class FilterSpec:
     high_hz_effective: float
 
     def __post_init__(self):
-        sos = check_floats(self.sos, "sos", ndim=2)
+        check_real(self.fs, "fs", FS_RANGE)
+        check_real(self.high_hz_effective, "high_hz_effective", "(0, inf)")
+        sos = check_floats(self.sos, "sos", ndim=2, finite=True)
         if sos.shape[1] != 6:
             raise ValidationError(f"sos must be (n, 6), got {sos.shape}")
         if not np.allclose(sos[:, 3], 1.0):
@@ -99,10 +101,10 @@ class FilterSpec:
         return 3 * (self.order + 1)
 
 
-def _check_order(order: int) -> int:
-    order = check_int(order, "order", 2)
+def _check_order(order: int, name: str = "order") -> int:
+    order = check_int(order, name, 2)
     if order % 2 != 0 or order > 8:
-        raise ValidationError(f"order must be even and in [2, 8], got {order}")
+        raise ValidationError(f"{name} must be even and in [2, 8], got {order}")
     return order
 
 
@@ -154,7 +156,7 @@ def design_bandpass(
     the cap is infeasible.
     """
     order = _check_order(order)
-    _check_fs(fs)
+    check_real(fs, "sampling rate", FS_RANGE)
 
     cap = NYQUIST_MARGIN * fs / 2.0
     if band.low_hz >= cap:
@@ -316,12 +318,12 @@ class BandDecomposition:
     omitted: tuple[str, ...]
 
     def __post_init__(self):
+        check_real(self.fs, "fs", FS_RANGE)
         shapes = {m.shape for m in self.bands.values()}
         if len(shapes) > 1:
             raise ValidationError(f"band matrices disagree in shape: {shapes}")
         for name, m in self.bands.items():
-            if not np.isfinite(m).all():
-                raise ValidationError(f"band {name!r} contains non-finite values")
+            check_floats(m, f"band {name!r}", finite=True)
 
 
 def decompose_bands(

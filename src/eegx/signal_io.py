@@ -37,7 +37,6 @@ from __future__ import annotations
 import contextlib
 import itertools
 import json
-import numbers
 import os
 import tempfile
 from collections.abc import Iterable
@@ -54,12 +53,15 @@ from .errors import (
     ValidationError,
     check_floats,
     check_int,
+    check_real,
 )
 
 ChannelLabel = str
 
 #: Rows per chunk handed to one worker when writing matrices as CSV.
 CSV_CHUNK_ROWS = 5_000
+#: Sampling rates in Hz, as :func:`eegx.errors.check_real` takes them.
+FS_RANGE = "(0, inf)"
 
 
 @dataclass(frozen=True)
@@ -94,7 +96,7 @@ class EegRecording:
         if len(set(chans)) != len(chans):
             dupes = sorted({c for c in chans if chans.count(c) > 1})
             raise ValidationError(f"duplicate channel names: {dupes}")
-        object.__setattr__(self, "fs", _check_fs(self.fs))
+        object.__setattr__(self, "fs", check_real(self.fs, "sampling rate", FS_RANGE))
 
         data = check_floats(self.data, "data", ndim=2).copy()  # stored read-only
         if data.shape[0] < 2:
@@ -143,16 +145,6 @@ class EegRecording:
             raise ChannelLookupError(
                 f"unknown channel {name!r}; available: {list(self.channels)}"
             ) from None
-
-
-def _check_fs(fs) -> float:
-    """A sampling rate as a float: a real number, finite and positive."""
-    if isinstance(fs, bool) or not isinstance(fs, numbers.Real):
-        raise ValidationError(f"sampling rate must be a number, got {fs!r}")
-    value = float(fs)
-    if not (np.isfinite(value) and value > 0):
-        raise ValidationError(f"sampling rate must be finite and positive, got {fs}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -268,7 +260,8 @@ def load_recording(
         raise ValidationError(
             f"sampling rate required: pass fs or provide {sidecar_path(p).name}"
         )
-    _check_fs(fs)  # before the file is parsed; a sidecar's fs may be any JSON value
+    # before the file is parsed; a sidecar's fs may be any JSON value
+    check_real(fs, "sampling rate", FS_RANGE)
 
     with _utf8_text(p) as fh:
         header_line = fh.readline()

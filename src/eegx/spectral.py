@@ -14,7 +14,7 @@ import numpy as np
 from .errors import DomainError, SizeError, UsageError, ValidationError
 from .errors import check_floats, check_int, check_real
 from .preprocess import BandDefinition
-from .signal_io import _check_fs
+from .signal_io import FS_RANGE
 
 __all__ = ["SpectrumEstimate", "periodogram", "welch", "band_power"]
 
@@ -29,8 +29,9 @@ class SpectrumEstimate:
     fs: float
 
     def __post_init__(self):
-        f = check_floats(self.freqs_hz, "freqs_hz", ndim=1)
-        p = check_floats(self.power, "power", ndim=1)
+        check_real(self.fs, "fs", FS_RANGE)
+        f = check_floats(self.freqs_hz, "freqs_hz", ndim=1, finite=True)
+        p = check_floats(self.power, "power", ndim=1, finite=True)
         if f.shape != p.shape:
             raise ValidationError("freqs_hz and power must be of equal length")
         if np.any(np.diff(f) <= 0):
@@ -75,7 +76,7 @@ def periodogram(x: np.ndarray, fs: float) -> SpectrumEstimate:
     n = x.size
     if n < 2:
         raise SizeError(f"periodogram needs at least 2 samples, got {n}")
-    _check_fs(fs)
+    check_real(fs, "sampling rate", FS_RANGE)
     xc = x - x.mean()
     power = _onesided_power(xc, fs, 1.0 / (n * fs))
     freqs = np.fft.rfftfreq(n, d=1.0 / fs)
@@ -107,9 +108,8 @@ def welch(
     seg_len = check_int(seg_len, "seg_len", 2)
     if seg_len > n:
         raise SizeError(f"seg_len {seg_len} exceeds signal length {n}")
-    if not 0 <= check_real(overlap, "overlap") <= 0.9:  # NaN fails too
-        raise UsageError(f"overlap must lie in [0, 0.9], got {overlap}")
-    _check_fs(fs)
+    check_real(overlap, "overlap", "[0, 0.9]")
+    check_real(fs, "sampling rate", FS_RANGE)
 
     if seg_len == n:
         window = np.ones(n)

@@ -214,6 +214,92 @@ class TestValidationFirst:
         assert err.startswith("eegx ht-fit: error: need at least 2 channels")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--ht-quantile", "0.5"),
+            ("--threshold-quantile", "inf"),
+            ("--order", "3"),
+            ("--run-length", "0"),
+            ("--u", "1.2"),
+            ("--level", "nan"),
+            ("--n-boot", "-1"),
+            ("--n-sim", "0"),
+            ("--seed", "-1"),
+        ],
+    )
+    def test_report_names_the_flag(self, rec_csv, tmp_path, capsys, flag, value):
+        out = tmp_path / "out"
+        rc = run(["report", "--input", rec_csv, "--outdir", out, f"{flag}={value}"])
+        assert rc == 2
+        assert f"error: {flag} must" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def small_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("small") / "rec.csv"
+    save_recording(gen_synthetic_eeg(3, 4_000, 0.6, seed=3), path)
+    return path
+
+
+#: Per subcommand, its arguments and the numeric flags fuzzed with them.
+#: The arguments make each flag count: fit-gpd filters a band, so that
+#: --order is used, and each generator parameter goes to a kind that
+#: draws with it. Few replicates and draws keep the calls quick.
+NUMERIC_FLAGS = {
+    "simulate": (["--channels", "2", "--t", "1000"],
+                 ("--seed", "--channels", "--t", "--onset-fraction")),
+    "simulate-gpd": (["--kind", "gpd", "--n", "200"], ("--n", "--sigma", "--xi")),
+    "simulate-copula": (["--kind", "gaussian_copula_pair", "--n", "200"], ("--rho",)),
+    "decompose": ([], ("--fs", "--order")),
+    "spectrum": ([], ("--fs", "--seg-seconds", "--overlap")),
+    "fit-gpd": (["--band", "alpha", "--no-diagnostics"],
+                ("--fs", "--threshold-quantile", "--run-length", "--order")),
+    "chi": (["--n-boot", "5"], ("--fs", "--onset", "--onset-seconds", "--u", "--n-boot", "--seed")),
+    "ht-fit": (["--cond-channel", "T3"],
+               ("--fs", "--onset", "--onset-seconds", "--quantile", "--marginal-quantile")),
+    "ht-sim": (["--cond-channel", "T3", "--n", "100"],
+               ("--fs", "--onset", "--onset-seconds", "--quantile", "--marginal-quantile",
+                "--level", "--n", "--seed")),
+    "report": (["--n-boot", "5", "--n-sim", "100"],
+               ("--fs", "--onset", "--onset-seconds", "--order", "--threshold-quantile",
+                "--run-length", "--u", "--n-boot", "--ht-quantile", "--level", "--n-sim",
+                "--seed")),
+}
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize(
+    "config, flag, value",
+    [
+        pytest.param(config, flag, value, id=f"{config}{flag}={value}")
+        for config, (_, flags) in NUMERIC_FLAGS.items()
+        for flag in flags
+        for value in ("nan", "inf", "-inf", "-1", "0", "1e300")
+    ],
+)
+def test_numeric_flag_fuzz(small_csv, tmp_path, config, flag, value):
+    """A bad value exits 2 before any file is written; a value the
+    subcommand can run with exits 0. Exit 1 is a computation error, such
+    as a sampling rate of 1e300 Hz at which no band-pass is stable: it
+    leaves no file, except that report keeps the manifest of its stages."""
+    args, _ = NUMERIC_FLAGS[config]
+    command = config.split("-")[0] if config.startswith("simulate") else config
+    out = tmp_path / "out"
+    out.mkdir()
+    dest = ["--out", out / "sim.csv"] if command == "simulate" else [
+        "--input", small_csv, "--outdir", out]
+    try:
+        rc = run([command, *args, *dest, f"{flag}={value}"])
+    except SystemExit as exc:  # argparse: not a number of the flag's type
+        rc = exc.code
+    written = [p for p in out.rglob("*") if p.is_file()]
+    if rc == 1 and command == "report":
+        assert out / "manifest.json" in written
+    else:
+        assert rc == 0 or (rc in (1, 2) and written == [])
+
 
 class TestSubcommands:
     def test_decompose(self, rec_csv, tmp_path):

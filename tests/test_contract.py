@@ -13,6 +13,8 @@ programming error, which Python reports. A callable that takes nothing
 else has a row with no fuzzed argument that says why.
 """
 
+import dataclasses
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -358,3 +360,104 @@ def test_check_floats_converts_without_copy():
     assert check_floats([True, 2, 3.5], "x").tolist() == [1.0, 2.0, 3.5]
     with pytest.raises(DataError, match="^x must be finite"):
         check_floats([1.0, np.nan], "x", finite=True)
+
+
+def _with_nan(values, key):
+    out = np.array(values, dtype=float)
+    out[out.size // 2] = np.nan
+    return {key: out}
+
+
+#: Calls that once returned: each scalar argument and record field is now
+#: bounded by ``check_real``, and ``check_int`` takes no bool.
+HOLES = [
+    ("fit_gpd", dict(threshold_u=np.nan)),
+    ("fit_gpd", dict(threshold_u=np.inf)),
+    ("fit_gpd", dict(threshold_u=True)),
+    ("GpdFit", dict(sigma=np.inf)),
+    ("GpdFit", dict(xi=np.nan)),
+    ("HtFit", dict(s=np.inf)),
+    ("HtFit", dict(mu=np.nan)),
+    ("SpectrumEstimate", _with_nan(F["spec"].freqs_hz, "freqs_hz")),
+    ("SpectrumEstimate", _with_nan(F["spec"].power, "power")),
+    ("SpectrumEstimate", dict(fs=-1)),
+    ("FilterSpec", dict(fs=np.nan)),
+    ("BandDefinition", dict(high_hz=np.inf)),
+    ("EegRecording", dict(onset_index=True)),
+    ("gen_gpd", dict(n=True, seed=False)),
+]
+
+
+@pytest.mark.parametrize(
+    "name, override",
+    [pytest.param(n, o, id=f"{n}-{'-'.join(o)}-{k}") for k, (n, o) in enumerate(HOLES)],
+)
+def test_probed_hole_raises(name, override, saved):
+    with pytest.raises(EegxError):
+        _call(name, {**CASES[name].kwargs, **override}, saved)
+
+
+#: Record fields that hold NaN by contract: standard errors a fit cannot give.
+NAN_BY_CONTRACT = {("GpdFit", "se_sigma"), ("GpdFit", "se_xi")}
+
+
+def _float_fields(exempt=()):
+    """(record, field) for every float field of a public record that
+    checks itself in ``__post_init__``, less ``exempt``."""
+    return [
+        (name, f.name)
+        for name in eegx.__all__
+        if dataclasses.is_dataclass(cls := getattr(eegx, name)) and "__post_init__" in vars(cls)
+        for f in dataclasses.fields(cls)
+        if f.type in ("float", float) and (name, f.name) not in exempt
+    ]
+
+
+@pytest.mark.parametrize(
+    "name, field, value",
+    [
+        pytest.param(name, field, value, id=f"{name}.{field}={value}")
+        for name, field in _float_fields(NAN_BY_CONTRACT)
+        for value in (np.nan, np.inf, -np.inf)
+    ],
+)
+def test_float_field_rejects_non_finite(name, field, value, saved):
+    with pytest.raises(EegxError):
+        _call(name, {**CASES[name].kwargs, field: value}, saved)
+
+
+def test_nan_by_contract_fields_exist():
+    assert NAN_BY_CONTRACT <= set(_float_fields())
+
+
+@pytest.mark.parametrize(
+    "value, interval, inside",
+    [
+        (0.0, "[0, 1]", True),
+        (0.0, "(0, 1]", False),
+        (1.0, "(0, 1]", True),
+        (1.0, "[0, 1)", False),
+        (np.float32(0.5), "(0, 1)", True),
+        (np.int64(7), "[1, inf)", True),
+        (np.inf, "[1, inf)", False),
+        (-1e300, "(-inf, inf)", True),
+        (-np.inf, "(-inf, inf)", False),
+        (np.nan, "(-inf, inf)", False),
+    ],
+)
+def test_check_real_interval(value, interval, inside):
+    from eegx.errors import UsageError, check_real
+
+    if inside:
+        assert check_real(value, "x", interval) == float(value)
+    else:
+        with pytest.raises(UsageError, match=rf"^x must lie in {re.escape(interval)}, got "):
+            check_real(value, "x", interval)
+
+
+@pytest.mark.parametrize("value", [True, np.bool_(False), "1", np.array(0.5), 1j, None])
+def test_check_real_refuses_non_reals(value):
+    from eegx.errors import UsageError, check_real
+
+    with pytest.raises(UsageError, match="^x must be a real number"):
+        check_real(value, "x")

@@ -61,7 +61,7 @@ class TestGpdGenerator:
 
     @pytest.mark.parametrize("sigma", [np.nan, np.inf])
     def test_non_finite_sigma(self, sigma):
-        with pytest.raises(UsageError, match="sigma must be finite"):
+        with pytest.raises(UsageError, match=r"sigma must lie in \(0, inf\)"):
             gen_gpd(10, sigma, 0.1, seed=0)
 
 

@@ -81,12 +81,12 @@ class TestRecordingValidation:
 
     @pytest.mark.parametrize("fs", [np.inf, -np.inf, np.nan])
     def test_non_finite_fs(self, fs):
-        with pytest.raises(ValidationError, match="finite and positive"):
+        with pytest.raises(ValidationError, match=r"sampling rate must lie in \(0, inf\)"):
             EegRecording(channels=("A",), fs=fs, data=np.zeros((3, 1)))
 
     @pytest.mark.parametrize("fs", ["abc", "250", [1], None, True])
     def test_non_numeric_fs(self, fs):
-        with pytest.raises(ValidationError, match="sampling rate must be a number"):
+        with pytest.raises(ValidationError, match="sampling rate must be a real number"):
             EegRecording(channels=("A",), fs=fs, data=np.zeros((3, 1)))
 
     @pytest.mark.parametrize("fs", [np.float32(250), np.int64(250), 250, Fraction(500, 2)])
