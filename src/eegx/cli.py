@@ -12,7 +12,7 @@ import argparse
 import itertools
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -68,9 +68,10 @@ def _sanitize_float(x: float):
 # input plumbing
 
 
-def _samples(seconds: float, fs: float, flag: str) -> int:
-    """``seconds`` at ``fs`` Hz as a whole number of samples."""
-    return int(round(check_real(seconds * fs, f"{flag} in samples at fs={fs:g} Hz")))
+def _samples(seconds: float, fs: float, flag: str, interval: str = "(-inf, inf)") -> int:
+    """``seconds`` at ``fs`` Hz as a whole number of samples; before
+    rounding, the samples must lie in ``interval``."""
+    return int(round(check_real(seconds * fs, f"{flag} in samples at fs={fs:g} Hz", interval)))
 
 
 def _run_length(args, fs: float) -> int:
@@ -87,10 +88,16 @@ def _load_input(args) -> sio.EegRecording:
     onset_seconds = getattr(args, "onset_seconds", None)
     if onset is not None and onset_seconds is not None:
         raise UsageError("pass either --onset or --onset-seconds, not both")
+    if args.fs is not None:
+        check_real(args.fs, "--fs", sio.FS_RANGE)
+    if onset is not None:
+        check_int(onset, "--onset", 1)
     rec = sio.load_recording(args.input, fs=args.fs, onset_index=onset)
     if onset_seconds is None:
         return rec
-    return replace(rec, onset_index=_samples(onset_seconds, rec.fs, "--onset-seconds"))
+    # rounds into the record's [1, n - 1]
+    within = f"(0.5, {rec.n_samples - 0.5})"
+    return replace(rec, onset_index=_samples(onset_seconds, rec.fs, "--onset-seconds", within))
 
 
 def _load_epoch(args) -> sio.EegRecording:
@@ -109,7 +116,8 @@ def _prefix(args) -> Path:
 # ---------------------------------------------------------------------------
 # stage writers: one per artifact, called by its subcommand and by report.
 # Each returns (what it computed, the paths it wrote); ``_write_bands``
-# returns a function that does, once the pool has written its files.
+# returns a function that does, once the pool has written its files, and
+# ``_write_gpd_fit``, which is given its fit, returns only its path.
 
 
 def _write_bands(pool: sio._Pool, rec: sio.EegRecording, order: int, directory: Path, stem: str):
@@ -127,9 +135,8 @@ def _write_bands(pool: sio._Pool, rec: sio.EegRecording, order: int, directory: 
     return finish
 
 
-def _write_gpd_fit(x, threshold_quantile, run_length: int, channel, band, path: Path):
-    """Declustered GPD fit to the upper tail of ``x``, as JSON at ``path``."""
-    fit = evt.fit_channel_tail(x, threshold_quantile, run_length)
+def _write_gpd_fit(fit: evt.GpdFit, channel, band, path: Path) -> Path:
+    """A channel's GPD tail fit, as JSON at ``path``."""
     payload = {
         "channel": channel,
         "band": band,
@@ -142,7 +149,7 @@ def _write_gpd_fit(x, threshold_quantile, run_length: int, channel, band, path: 
         "se_xi": _sanitize_float(fit.se_xi),
         "nll": fit.nll,
     }
-    return fit, [_emit(path, _json_text(payload))]
+    return _emit(path, _json_text(payload))
 
 
 def _write_chi(matrices, prefix: Path, title_suffix: str):
@@ -285,17 +292,15 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
-def _diag_columns(diag: evt.ThresholdDiagnostics, kind: str) -> dict:
-    if kind == "mrl":
-        cols = {"mrl": diag.mrl, "mrl_lo": diag.mrl_lo, "mrl_hi": diag.mrl_hi}
-    else:
-        cols = {
-            "xi": diag.xi,
-            "xi_se": diag.xi_se,
-            "sigma_star": diag.sigma_star,
-            "sigma_star_se": diag.sigma_star_se,
-        }
-    return {"threshold": diag.grid, **cols, "n_exceed": diag.n_exceed}
+def _diag_columns(diag: evt.ThresholdDiagnostics) -> dict:
+    """The threshold grid, the curves ``diag`` holds in field order, and
+    the exceedance counts, as CSV columns."""
+    curves = {
+        f.name: getattr(diag, f.name)
+        for f in fields(diag)
+        if f.name not in ("grid", "n_exceed", "flagged") and getattr(diag, f.name) is not None
+    }
+    return {"threshold": diag.grid, **curves, "n_exceed": diag.n_exceed}
 
 
 def cmd_fit_gpd(args) -> int:
@@ -313,20 +318,20 @@ def cmd_fit_gpd(args) -> int:
         matrix = rec.data
         tag = ""
 
-    for name, c in zip(channels, columns):
+    # every channel is fitted before the first write, so a failed fit leaves no file
+    results = []
+    for c in columns:
         x = matrix[:, c]
-        path = Path(f"{prefix}.gpd.{name}{tag}.json")
-        _write_gpd_fit(x, args.threshold_quantile, run_length, name, args.band, path)
+        fit = evt.fit_channel_tail(x, args.threshold_quantile, run_length)
+        diagnostics = ()
         if not args.no_diagnostics:
-            grid = np.quantile(x, np.linspace(0.80, 0.99, 20))
-            grid = np.unique(grid)
-            mrl = evt.mean_residual_life(x, grid)
-            stab = evt.parameter_stability(x, grid)
-            _emit(Path(f"{prefix}.mrl.{name}{tag}.csv"), _csv(_diag_columns(mrl, "mrl")))
-            _emit(
-                Path(f"{prefix}.stability.{name}{tag}.csv"),
-                _csv(_diag_columns(stab, "stab")),
-            )
+            grid = np.unique(np.quantile(x, np.linspace(0.80, 0.99, 20)))
+            diagnostics = (evt.mean_residual_life(x, grid), evt.parameter_stability(x, grid))
+        results.append((fit, diagnostics))
+    for name, (fit, diagnostics) in zip(channels, results):
+        _write_gpd_fit(fit, name, args.band, Path(f"{prefix}.gpd.{name}{tag}.json"))
+        for kind, diag in zip(("mrl", "stability"), diagnostics):
+            _emit(Path(f"{prefix}.{kind}.{name}{tag}.csv"), _csv(_diag_columns(diag)))
     return 0
 
 
@@ -407,17 +412,17 @@ def cmd_report(args) -> int:
         def run(write, inputs: dict | None):
             if entry["status"] != "ok":
                 return None
-            results, paths = {}, []
+            results = {}
             try:
                 if inputs is None:
                     raise UsageError("an upstream stage failed")
                 for tag, item in inputs.items():
                     results[tag], written = write(tag, item)
-                    paths += written
+                    # listed as each item returns, so a failed stage lists what it wrote
+                    entry["outputs"] += [str(p.relative_to(outdir)) for p in written]
             except Exception as exc:  # recorded, so the manifest is still written
                 entry["status"] = f"error: {type(exc).__name__}: {exc}"
                 return None
-            entry["outputs"] += [str(p.relative_to(outdir)) for p in paths]
             return results
 
         return run
@@ -432,9 +437,8 @@ def cmd_report(args) -> int:
             for c, name in enumerate(rec.channels):
                 path = outdir / "gpd" / f"{band_id}.{name}.json"
                 try:
-                    paths += _write_gpd_fit(
-                        matrix[:, c], args.threshold_quantile, run_length, name, band_id, path
-                    )[1]
+                    fit = evt.fit_channel_tail(matrix[:, c], args.threshold_quantile, run_length)
+                    paths.append(_write_gpd_fit(fit, name, band_id, path))
                 except EegxError as exc:
                     gpd_skipped.append({"band": band_id, "channel": name, "error": str(exc)})
         if not paths:

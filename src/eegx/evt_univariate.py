@@ -354,15 +354,35 @@ def fit_gpd(
     )
 
 
-def _diagnostic_inputs(data, grid) -> tuple[np.ndarray, np.ndarray]:
-    """Flattened finite data and the sorted, nonempty, finite threshold grid."""
+def _threshold_walk(data, grid, curves: tuple[str, ...], at) -> ThresholdDiagnostics:
+    """Threshold diagnostics with the named ``curves``, from one walk over
+    the sorted grid: ``at(u, excesses)`` gives the curves' values at u, or
+    None where its estimate fails, and is not called where fewer than 10
+    data exceed u. Either way the values stay NaN and u is flagged.
+    Non-finite data raise ``DataError``, an empty or non-finite grid
+    ``UsageError``."""
     x = check_floats(data, "data", finite=True).ravel()
     grid = check_floats(grid, "threshold grid").ravel()
     if grid.size == 0:
         raise UsageError("threshold grid must be nonempty")
     if not np.isfinite(grid).all():
         raise UsageError("threshold grid values must be finite")
-    return x, np.sort(grid)
+    grid = np.sort(grid)
+
+    values = np.full((len(curves), grid.size), np.nan)
+    counts = np.zeros(grid.size, dtype=int)
+    flagged = np.zeros(grid.size, dtype=bool)
+    for j, u in enumerate(grid):
+        exc = x[x > u] - u
+        counts[j] = exc.size
+        point = at(u, exc) if exc.size >= 10 else None
+        if point is None:
+            flagged[j] = True
+        else:
+            values[:, j] = point
+    return ThresholdDiagnostics(
+        grid=grid, n_exceed=counts, flagged=flagged, **dict(zip(curves, values))
+    )
 
 
 def mean_residual_life(data: np.ndarray, grid: np.ndarray) -> ThresholdDiagnostics:
@@ -372,25 +392,13 @@ def mean_residual_life(data: np.ndarray, grid: np.ndarray) -> ThresholdDiagnosti
     as NaN. Non-finite data raise ``DataError``, an empty or non-finite
     grid ``UsageError``.
     """
-    x, grid = _diagnostic_inputs(data, grid)
 
-    m = np.full(grid.size, np.nan)
-    lo = np.full(grid.size, np.nan)
-    hi = np.full(grid.size, np.nan)
-    counts = np.zeros(grid.size, dtype=int)
-    flagged = np.zeros(grid.size, dtype=bool)
-    for j, u in enumerate(grid):
-        exc = x[x > u] - u
-        counts[j] = exc.size
-        if exc.size < 10:
-            flagged[j] = True
-            continue
+    def at(_u, exc):
         mean = exc.mean()
         half = 1.96 * exc.std(ddof=1) / np.sqrt(exc.size)
-        m[j], lo[j], hi[j] = mean, mean - half, mean + half
-    return ThresholdDiagnostics(
-        grid=grid, n_exceed=counts, flagged=flagged, mrl=m, mrl_lo=lo, mrl_hi=hi
-    )
+        return mean, mean - half, mean + half
+
+    return _threshold_walk(data, grid, ("mrl", "mrl_lo", "mrl_hi"), at)
 
 
 def parameter_stability(data: np.ndarray, grid: np.ndarray) -> ThresholdDiagnostics:
@@ -402,41 +410,20 @@ def parameter_stability(data: np.ndarray, grid: np.ndarray) -> ThresholdDiagnost
     under-populated fits are flagged, not fatal; bad inputs raise as in
     :func:`mean_residual_life`.
     """
-    x, grid = _diagnostic_inputs(data, grid)
 
-    xi = np.full(grid.size, np.nan)
-    xi_se = np.full(grid.size, np.nan)
-    s_star = np.full(grid.size, np.nan)
-    s_star_se = np.full(grid.size, np.nan)
-    counts = np.zeros(grid.size, dtype=int)
-    flagged = np.zeros(grid.size, dtype=bool)
-    for j, u in enumerate(grid):
-        exc = x[x > u] - u
-        counts[j] = exc.size
-        if exc.size < 10:
-            flagged[j] = True
-            continue
+    def at(u, exc):
         try:
             fit = fit_gpd(exc, threshold_u=u)
         except (FitError, SizeError, UsageError):
-            flagged[j] = True
-            continue
-        xi[j] = fit.xi
-        xi_se[j] = fit.se_xi
-        s_star[j] = fit.sigma - fit.xi * u
+            return None
+        s_star_se = np.nan
         if fit.cov_sigma_xi is not None:
             c = fit.cov_sigma_xi
             var = c[0, 0] + u**2 * c[1, 1] - 2 * u * c[0, 1]
-            s_star_se[j] = np.sqrt(var) if var > 0 else np.nan
-    return ThresholdDiagnostics(
-        grid=grid,
-        n_exceed=counts,
-        flagged=flagged,
-        xi=xi,
-        xi_se=xi_se,
-        sigma_star=s_star,
-        sigma_star_se=s_star_se,
-    )
+            s_star_se = np.sqrt(var) if var > 0 else np.nan
+        return fit.xi, fit.se_xi, fit.sigma - fit.xi * u, s_star_se
+
+    return _threshold_walk(data, grid, ("xi", "xi_se", "sigma_star", "sigma_star_se"), at)
 
 
 def decluster_runs(

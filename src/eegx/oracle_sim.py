@@ -5,6 +5,10 @@ All randomness flows through numpy's PCG64 generator
 ``np.random.SeedSequence(seed).spawn``, so outputs are bit-reproducible
 for a given spec regardless of how generation is parallelized.
 
+One table maps each simulation kind to its generator and the
+parameters it takes; ``SIM_KINDS`` lists its keys, and :func:`generate`
+looks a kind up in it.
+
 scipy is imported inside the two generators that use it, so importing
 eegx does not load it.
 """
@@ -31,16 +35,6 @@ DEFAULT_CHANNEL_NAMES = (
     "T3", "Fp1", "Fp2", "F3", "F4", "C3", "C4", "P3", "P4", "O1",
     "O2", "F7", "F8", "T4", "T5", "T6", "Fz", "Cz", "Pz",
 )
-
-SIM_KINDS = (
-    "gpd",
-    "exponential",
-    "gaussian_copula_pair",
-    "comonotone_pair",
-    "independent_pair",
-    "synthetic_eeg",
-)
-
 
 @dataclass(frozen=True)
 class SimSpec:
@@ -154,22 +148,25 @@ def gen_synthetic_eeg(channels: int, T: int, onset_fraction: float, seed: int) -
     )
 
 
+#: Each simulation kind's generator and the ``SimSpec.params`` it takes,
+#: in argument order; the seed is passed last.
+_GENERATORS = {
+    "gpd": (gen_gpd, ("n", "sigma", "xi")),
+    "exponential": (gen_exponential, ("n", "sigma")),
+    "gaussian_copula_pair": (gen_gaussian_copula_pair, ("n", "rho")),
+    "comonotone_pair": (gen_comonotone_pair, ("n",)),
+    "independent_pair": (gen_independent_pair, ("n",)),
+    "synthetic_eeg": (gen_synthetic_eeg, ("channels", "T", "onset_fraction")),
+}
+SIM_KINDS = tuple(_GENERATORS)
+
+
 def generate(spec: SimSpec):
     """Dispatch a :class:`SimSpec` to its generator."""
+    gen, names = _GENERATORS[spec.kind]
     p = dict(spec.params)
     try:
-        if spec.kind == "gpd":
-            return gen_gpd(p["n"], p["sigma"], p["xi"], spec.seed)
-        if spec.kind == "exponential":
-            return gen_exponential(p["n"], p["sigma"], spec.seed)
-        if spec.kind == "gaussian_copula_pair":
-            return gen_gaussian_copula_pair(p["n"], p["rho"], spec.seed)
-        if spec.kind == "comonotone_pair":
-            return gen_comonotone_pair(p["n"], spec.seed)
-        if spec.kind == "independent_pair":
-            return gen_independent_pair(p["n"], spec.seed)
-        if spec.kind == "synthetic_eeg":
-            return gen_synthetic_eeg(p["channels"], p["T"], p["onset_fraction"], spec.seed)
+        args = [p[name] for name in names]
     except KeyError as exc:
         raise UsageError(f"missing parameter {exc} for kind {spec.kind!r}") from exc
-    raise ValidationError(f"unknown simulation kind {spec.kind!r}")
+    return gen(*args, spec.seed)

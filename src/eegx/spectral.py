@@ -3,6 +3,9 @@
 Power is scaled as a one-sided spectral density, so the trapezoid-free
 Riemann sum ``sum(power) * fs / n`` of a periodogram equals the sample
 variance of the (mean-centered) input exactly.
+
+The periodogram is Welch's average with one rectangular segment that
+spans the series, so both go through one segment loop.
 """
 
 from __future__ import annotations
@@ -46,17 +49,6 @@ class SpectrumEstimate:
         return float(self.freqs_hz[1] - self.freqs_hz[0])
 
 
-def _onesided_power(x: np.ndarray, fs: float, scale: float) -> np.ndarray:
-    """|rfft|^2 * scale with interior-bin doubling (DC/Nyquist kept single)."""
-    spec = np.abs(np.fft.rfft(x)) ** 2 * scale
-    n = x.size
-    if n % 2 == 0:
-        spec[1:-1] *= 2.0
-    else:
-        spec[1:] *= 2.0
-    return spec
-
-
 def periodogram(x: np.ndarray, fs: float) -> SpectrumEstimate:
     """One-sided periodogram of a mean-centered series.
 
@@ -77,10 +69,7 @@ def periodogram(x: np.ndarray, fs: float) -> SpectrumEstimate:
     if n < 2:
         raise SizeError(f"periodogram needs at least 2 samples, got {n}")
     check_real(fs, "sampling rate", FS_RANGE)
-    xc = x - x.mean()
-    power = _onesided_power(xc, fs, 1.0 / (n * fs))
-    freqs = np.fft.rfftfreq(n, d=1.0 / fs)
-    return SpectrumEstimate(freqs_hz=freqs, power=power, method="periodogram", fs=fs)
+    return _segment_average(x, fs, n, 0.0, "periodogram")
 
 
 def welch(
@@ -110,11 +99,19 @@ def welch(
         raise SizeError(f"seg_len {seg_len} exceeds signal length {n}")
     check_real(overlap, "overlap", "[0, 0.9]")
     check_real(fs, "sampling rate", FS_RANGE)
+    return _segment_average(x, fs, seg_len, overlap, "welch")
 
-    if seg_len == n:
-        window = np.ones(n)
-    else:
-        window = np.hanning(seg_len)
+
+def _segment_average(
+    x: np.ndarray, fs: float, seg_len: int, overlap: float, method: str
+) -> SpectrumEstimate:
+    """Average of the density-scaled periodograms of ``seg_len``-sample
+    segments, each mean-centered and Hann-tapered, or rectangular when
+    one segment spans ``x``. Interior bins are doubled once, after the
+    sum (DC and an even length's Nyquist bin stay single); doubling is
+    exact, so this equals doubling each segment."""
+    n = x.size
+    window = np.ones(n) if seg_len == n else np.hanning(seg_len)
     energy = float(window @ window)
     if energy == 0.0:
         raise UsageError(f"a {seg_len}-sample Hann taper has zero energy; use seg_len >= 3")
@@ -123,16 +120,12 @@ def welch(
     step = max(1, int(round(seg_len * (1.0 - overlap))))
     starts = range(0, n - seg_len + 1, step)
     acc = np.zeros(seg_len // 2 + 1)
-    count = 0
     for s in starts:
         seg = x[s : s + seg_len]
-        seg = (seg - seg.mean()) * window
-        acc += _onesided_power(seg, fs, scale)
-        count += 1
+        acc += np.abs(np.fft.rfft((seg - seg.mean()) * window)) ** 2 * scale
+    acc[1 : (seg_len + 1) // 2] *= 2.0
     freqs = np.fft.rfftfreq(seg_len, d=1.0 / fs)
-    return SpectrumEstimate(
-        freqs_hz=freqs, power=acc / count, method="welch", fs=fs
-    )
+    return SpectrumEstimate(freqs_hz=freqs, power=acc / len(starts), method=method, fs=fs)
 
 
 def _segment_integral(freqs, power, lo, hi) -> float:

@@ -1,5 +1,7 @@
 import json
 import multiprocessing
+import re
+from dataclasses import replace
 from xml.dom import minidom
 from xml.sax.saxutils import escape
 
@@ -226,13 +228,28 @@ class TestValidationFirst:
             ("--n-boot", "-1"),
             ("--n-sim", "0"),
             ("--seed", "-1"),
+            ("--fs", "nan"),
+            ("--onset", "0"),
+            ("--onset-seconds", "1e300"),
         ],
     )
     def test_report_names_the_flag(self, rec_csv, tmp_path, capsys, flag, value):
         out = tmp_path / "out"
         rc = run(["report", "--input", rec_csv, "--outdir", out, f"{flag}={value}"])
         assert rc == 2
-        assert f"error: {flag} must" in capsys.readouterr().err
+        # a flag in seconds is checked in samples, and its message says so
+        assert re.search(rf"error: {flag}( in samples at fs=100 Hz)? must", capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_onset_seconds_message_prints_a_float(self, rec_csv, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = run(["chi", "--epoch", "pre", "--input", rec_csv, "--outdir", out,
+                  "--onset-seconds=1e300"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "eegx chi: error: --onset-seconds in samples at fs=100 Hz must lie in "
+            "(0.5, 11999.5), got 1e+302\n"
+        )
         assert not out.exists()
 
 
@@ -297,6 +314,71 @@ def test_numeric_flag_fuzz(small_csv, tmp_path, config, flag, value):
     written = [p for p in out.rglob("*") if p.is_file()]
     if rc == 1 and command == "report":
         assert out / "manifest.json" in written
+    else:
+        assert rc == 0 or (rc in (1, 2) and written == [])
+
+
+@pytest.fixture(scope="module")
+def degenerate_inputs(tmp_path_factory):
+    """Recordings a subcommand must either analyse or reject cleanly, by
+    name: 3 channels of 3 000 samples (T3, Fp1, Fp2, onset at 1 800)
+    with one flaw each, or files that are not a recording."""
+    directory = tmp_path_factory.mktemp("degenerate")
+    rec = gen_synthetic_eeg(3, 3_000, 0.6, seed=5)
+    data = np.array(rec.data)
+    constant, constant_post = data.copy(), data.copy()
+    constant[:, 1] = 2.5
+    constant_post[rec.onset_index:, 1] = 2.5
+    recordings = {
+        "constant-channel": replace(rec, data=constant),
+        "constant-after-onset": replace(rec, data=constant_post),
+        "one-channel": replace(rec, channels=("T3",), data=data[:, :1]),
+        "two-samples": replace(rec, data=data[:2], onset_index=1),
+    }
+    paths = {}
+    for name, r in recordings.items():
+        paths[name] = save_recording(r, directory / f"{name}.csv")
+    lines = (directory / "constant-channel.csv").read_text().splitlines(keepends=True)
+    lines[100] = "0.5,nan,1.0\n"
+    texts = {"nan-cell": "".join(lines), "empty-file": "", "header-only": "T3,Fp1,Fp2\n"}
+    for name, text in texts.items():
+        paths[name] = directory / f"{name}.csv"
+        paths[name].write_text(text)
+        sio.sidecar_path(paths[name]).write_text('{"fs": 100.0, "onset_index": 1800}\n')
+    return paths
+
+
+DEGENERATE_COMMANDS = {
+    "decompose": ["decompose"],
+    "spectrum-welch": ["spectrum", "--method", "welch"],
+    "spectrum-periodogram": ["spectrum", "--method", "periodogram"],
+    # every cluster its own peak, so T3 fits and a flawed Fp1 fails after it
+    "fit-gpd": ["fit-gpd", "--run-length", "1"],
+    "chi": ["chi", "--n-boot", "5"],
+    "ht-fit": ["ht-fit", "--cond-channel", "T3"],
+    "ht-sim": ["ht-sim", "--cond-channel", "T3", "--n", "100"],
+    "report": ["report", "--cond-channel", "T3", "--n-boot", "5", "--n-sim", "100"],
+}
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("command", DEGENERATE_COMMANDS)
+@pytest.mark.parametrize(
+    "recording",
+    ["constant-channel", "constant-after-onset", "one-channel", "two-samples", "nan-cell",
+     "empty-file", "header-only"],
+)
+def test_degenerate_input(degenerate_inputs, tmp_path, recording, command):
+    """Every subcommand exits 0, or exits 1 or 2 with no file written;
+    a report that exits 1 writes a manifest listing every file it wrote."""
+    out = tmp_path / "out"
+    argv = DEGENERATE_COMMANDS[command]
+    rc = run([*argv, "--input", degenerate_inputs[recording], "--outdir", out])
+    written = sorted(str(p.relative_to(out)) for p in out.rglob("*") if p.is_file())
+    if rc == 1 and argv[0] == "report":
+        manifest = json.loads((out / "manifest.json").read_text())
+        listed = [rel for stage in manifest["stages"] for rel in stage["outputs"]]
+        assert written == sorted([*listed, "manifest.json"])
     else:
         assert rc == 0 or (rc in (1, 2) and written == [])
 
