@@ -90,14 +90,20 @@ def _load_input(args) -> sio.EegRecording:
         raise UsageError("pass either --onset or --onset-seconds, not both")
     if args.fs is not None:
         check_real(args.fs, "--fs", sio.FS_RANGE)
+    if onset is None and onset_seconds is None:
+        return sio.load_recording(args.input, fs=args.fs)
     if onset is not None:
         check_int(onset, "--onset", 1)
-    rec = sio.load_recording(args.input, fs=args.fs, onset_index=onset)
-    if onset_seconds is None:
-        return rec
-    # rounds into the record's [1, n - 1]
-    within = f"(0.5, {rec.n_samples - 0.5})"
-    return replace(rec, onset_index=_samples(onset_seconds, rec.fs, "--onset-seconds", within))
+    # A flag replaces the sidecar's onset, so that one is neither read nor
+    # checked: onset 1 lies in [1, n - 1] of every record (n >= 2).
+    rec = sio.load_recording(args.input, fs=args.fs, onset_index=1)
+    last = rec.n_samples - 1
+    if onset is None:
+        # rounds into [1, n - 1]
+        onset = _samples(onset_seconds, rec.fs, "--onset-seconds", f"(0.5, {last + 0.5})")
+    elif onset > last:
+        raise UsageError(f"--onset must lie in [1, {last}], got {onset}")
+    return replace(rec, onset_index=onset)
 
 
 def _load_epoch(args) -> sio.EegRecording:

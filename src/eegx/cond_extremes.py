@@ -299,6 +299,7 @@ def fit_ht(
     beta_hat, nll = _grid_brent(
         lambda b: _profile_beta(b, y, yd_exc)[0],
         np.linspace(BETA_MIN, BETA_MAX, _N_BETA_GRID),
+        y.size,
     )
     if not np.isfinite(nll):
         raise FitError(

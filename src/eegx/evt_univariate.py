@@ -41,6 +41,14 @@ XI_LOWER = -0.5  # MLE regularity bound on the shape
 _S_FLOOR = -30.0  # lowest log1p(theta * y_max) searched; e^-30 >> float resolution
 _S_CEIL = 700.0  # highest one searched; expm1(700) ~ 1e304
 _N_GRID = 64  # coarse profile grid ahead of the Brent refinement
+# Bytes of one (grid rows x n) temporary in _grid_brent, which bounds a fit's
+# memory by O(n), not O(grid x n). Measured on the criterion-10 recordings:
+# whole 41- or 64-row grids at 750-1 750 tail samples make 0.5-0.9 MB
+# temporaries that every call faults in afresh (17 000-18 000 minor faults
+# in the HT and GPD fits of eight recordings); blocks of 64-256 KiB remove
+# them, 512 KiB does not. At 500-10 000 excesses (fit-gpd's threshold
+# diagnostics) 256 KiB was faster than 128 KiB, which makes more calls.
+_BLOCK_BYTES = 256 * 1024
 _G_SERIES_A = 0.2  # |a| below this: g(a) of _gpd_information by series, where
 # its closed form cancels; 26 terms reach double precision for |a| < 0.2
 _G_SERIES = np.array([(-1) ** (k + 1) * (2.0 / k + k - 3) for k in range(3, 29)])
@@ -245,11 +253,15 @@ def _bounded_brent(f, lo: float, hi: float, xatol: float):
     return xf, fx
 
 
-def _grid_brent(f, grid: np.ndarray) -> tuple[float, float]:
+def _grid_brent(f, grid: np.ndarray, n: int) -> tuple[float, float]:
     """Minimize a 1-D function: the best point of ``grid`` (``f`` takes
     arrays), refined by bounded Brent between that point's neighbours.
+    ``f`` builds (points x ``n``) temporaries, so the grid goes to it in
+    blocks of at most ``_BLOCK_BYTES`` per temporary; its rows are
+    independent, so every value is the one a single call would give.
     Returns (x, f(x)); f(x) is not finite when no grid value is."""
-    values = f(grid)
+    rows = max(1, _BLOCK_BYTES // (8 * n))
+    values = np.concatenate([f(grid[i : i + rows]) for i in range(0, grid.size, rows)])
     k = int(np.argmin(np.where(np.isfinite(values), values, np.inf)))
     x, fx = _bounded_brent(
         lambda x: float(f(x)[0]),
@@ -308,7 +320,7 @@ def fit_gpd(
     s_hi = min(np.log1p(2.0 * (float(y.mean()) / ymin - 1.0) * (ymax / ymin)), _S_CEIL)
     # the search minimizes the NLL itself, the value the fit reports
     s_hat, nll = _grid_brent(
-        lambda s: y.size * _profile(s, y)[0], np.linspace(_S_FLOOR, s_hi, _N_GRID)
+        lambda s: y.size * _profile(s, y)[0], np.linspace(_S_FLOOR, s_hi, _N_GRID), y.size
     )
     _, xi_arr, sigma_arr = _profile(s_hat, y)
     sigma_hat, xi_hat = sigma_arr[0], xi_arr[0]

@@ -40,7 +40,6 @@ conditional models while they are scored. There is no setting, and
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -382,10 +381,18 @@ def _replicates(task) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _interval(reps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """95% percentile interval over bootstrap replicates (axis 0), ignoring NaN."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # all-NaN slices
-        return np.nanpercentile(reps, 2.5, axis=0), np.nanpercentile(reps, 97.5, axis=0)
+    """95% percentile interval over bootstrap replicates (axis 0), ignoring
+    NaN; NaN where a cell has no valid replicate. ``np.nanpercentile``'s
+    values, without its one 1-D call per cell: NaN sorts last, so the
+    cells with m valid replicates share one ``np.percentile`` over the
+    first m sorted rows."""
+    reps = np.sort(reps, axis=0)
+    valid = np.count_nonzero(~np.isnan(reps), axis=0)
+    out = np.full((2, *reps.shape[1:]), np.nan)
+    for m in np.unique(valid[valid > 0]):
+        cells = valid == m
+        out[:, cells] = np.percentile(reps[:m, cells], (2.5, 97.5), axis=0)
+    return out[0], out[1]
 
 
 def _chi_result(labels, u, joint, chi, chibar, chi_ci, chibar_ci) -> ChiMatrix:

@@ -122,6 +122,23 @@ class TestValidationFirst:
                   "--onset-seconds", "60", "--n-boot", "0", "--outdir", tmp_path])
         assert rc == 0
 
+    @pytest.mark.parametrize("flag", [["--onset", "1000"], ["--onset-seconds", "10"]])
+    def test_onset_flag_replaces_a_bad_sidecar_onset(self, tmp_path, flag):
+        # the sidecar's onset is neither read nor checked when a flag replaces it
+        rec = gen_synthetic_eeg(2, 2_000, 0.5, seed=0)
+        trees = []
+        for name, sidecar_onset in (("bad", 99_999), ("saved", rec.onset_index)):
+            path = tmp_path / name / "rec.csv"
+            path.parent.mkdir()
+            save_recording(rec, path)
+            sio.sidecar_path(path).write_text(f'{{"fs": 100.0, "onset_index": {sidecar_onset}}}')
+            out = tmp_path / name / "out"
+            rc = run(["chi", "--input", path, "--u", "0.9", "--epoch", "pre", "--n-boot", "0",
+                      *flag, "--outdir", out])
+            assert rc == 0
+            trees.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert trees[0] and trees[0] == trees[1]
+
     def test_onset_flags_conflict(self, rec_csv, tmp_path):
         rc = run(["chi", "--input", rec_csv, "--onset", "5", "--onset-seconds",
                   "1.0", "--outdir", tmp_path])
@@ -230,6 +247,7 @@ class TestValidationFirst:
             ("--seed", "-1"),
             ("--fs", "nan"),
             ("--onset", "0"),
+            ("--onset", "99999"),
             ("--onset-seconds", "1e300"),
         ],
     )

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -26,6 +26,7 @@ from eegx import signal_io as sio
 from eegx.extremal_dep import (
     _bootstrap_weights,
     _exceedance_counts,
+    _interval,
     _sorted_columns,
     stationary_bootstrap_indices,
 )
@@ -434,6 +435,31 @@ def _serial_intervals(data, u, n_boot, seed, mean_block):
         warnings.simplefilter("ignore", RuntimeWarning)  # all-NaN pairs
         lo, hi = np.nanpercentile(reps, 2.5, axis=0), np.nanpercentile(reps, 97.5, axis=0)
     return np.column_stack([lo[:, 0], hi[:, 0], lo[:, 1], hi[:, 1]]).tolist()
+
+
+class TestInterval:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_boot=st.integers(1, 40),
+        c=st.integers(1, 4),
+        nan_share=st.sampled_from([0.0, 0.3, 0.9, 1.0]),
+    )
+    @example(seed=0, n_boot=1, c=3, nan_share=0.3)
+    @example(seed=1, n_boot=200, c=4, nan_share=0.9)
+    @settings(max_examples=100, deadline=None)
+    def test_equals_nanpercentile(self, seed, n_boot, c, nan_share):
+        # ties, signed zeros, NaN cells and one all-NaN cell
+        rng = np.random.default_rng(seed)
+        reps = np.round(rng.uniform(-1.0, 1.0, (n_boot, c, c)), 1)
+        reps[rng.uniform(size=reps.shape) < nan_share] = np.nan
+        reps[:, 0, 0] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the all-NaN cells
+            want = (np.nanpercentile(reps, 2.5, axis=0), np.nanpercentile(reps, 97.5, axis=0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _interval(reps)
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
 
 
 class _NoPool:

@@ -10,12 +10,20 @@ lowest admissible s, an interior profile search above it, and a separate
 fit with xi pinned at the bound. The profile fits must never reach a
 worse likelihood, and where both reach the same one they must agree on
 the parameters.
+
+The profile grids are evaluated in blocks of rows; the fits must be the
+same floats as one whole-grid evaluation, and hold memory in O(n).
 """
 
+import tracemalloc
 import warnings
+from dataclasses import fields
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import optimize
 
 from eegx import (
@@ -27,6 +35,8 @@ from eegx import (
     laplace_quantile,
     uniform_scores,
 )
+from eegx import cond_extremes as ce
+from eegx import evt_univariate as evt
 from eegx.cond_extremes import BETA_MAX, BETA_MIN, S_FLOOR
 from eegx.evt_univariate import _N_GRID, _S_CEIL, _S_FLOOR, XI_LOWER, gpd_nll
 
@@ -276,3 +286,91 @@ def test_gpd_extreme_spread(y):
     ]
     assert np.isfinite(fit.nll)
     assert fit.nll <= reference_fit_gpd(y)[2] + 1e-9
+
+
+# Sample sizes at which a block of the profile grids holds the whole grid
+# (64 GPD rows, 41 HT rows), 10 rows with a partial last block, and one row.
+_ROW_N = evt._BLOCK_BYTES // 8
+BLOCK_NS = [_ROW_N // 64, _ROW_N // 10, _ROW_N // 2 + 1]
+
+
+def _gpd_input(n, seed):
+    return gen_gpd(n, 1.0, 0.2, seed=seed)
+
+
+def _ht_input(n, seed):
+    """A Laplace-scale pair whose n conditioning values all exceed the 0.95 quantile."""
+    rng = np.random.default_rng(seed)
+    yc = laplace_quantile(0.95) + rng.exponential(1.0, n) + 1e-9
+    return yc, 0.5 * yc + yc**0.3 * rng.standard_normal(n)
+
+
+def _assert_same_fit(a, b):
+    for f in fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+            assert np.array_equal(x, y, equal_nan=True), f.name
+        else:
+            assert x == y or (x != x and y != y), f.name
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@given(n=st.integers(10, 2 * _ROW_N), seed=st.integers(0, 2**32 - 1))
+@example(n=BLOCK_NS[0], seed=0)
+@example(n=BLOCK_NS[1], seed=0)
+@example(n=BLOCK_NS[2], seed=0)
+@settings(max_examples=20, deadline=None)
+def test_blocks_change_no_float(n, seed):
+    y = _gpd_input(n, seed)
+    yc, yd = _ht_input(max(n, 30), seed)
+    blocked = fit_gpd(y), fit_ht(yc, yd)
+    with mock.patch.object(evt, "_BLOCK_BYTES", 2**62):  # one block: the whole grid
+        whole = fit_gpd(y), fit_ht(yc, yd)
+    for a, b in zip(blocked, whole, strict=True):
+        _assert_same_fit(a, b)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("n", BLOCK_NS)
+def test_no_call_exceeds_the_block(n, monkeypatch):
+    # a call of f with more grid points than a block would build temporaries
+    # wider than the budget; the bound comes from the true sample size
+    grid_brent = evt._grid_brent
+    widths = []
+
+    def guarded(f, grid, n_passed):
+        def f_checked(x):
+            widths.append(np.size(x))
+            assert np.size(x) <= max(1, evt._BLOCK_BYTES // (8 * n))
+            return f(x)
+
+        return grid_brent(f_checked, grid, n_passed)
+
+    monkeypatch.setattr(evt, "_grid_brent", guarded)
+    monkeypatch.setattr(ce, "_grid_brent", guarded)
+    fit_gpd(_gpd_input(n, 0))
+    fit_ht(*_ht_input(n, 0))
+    # both grids, then Brent's one-point calls, went through the check
+    assert sum(widths) > _N_GRID + ce._N_BETA_GRID
+
+
+def _peak_bytes(fit):
+    fit()  # first-call costs are not the fit's
+    tracemalloc.start()
+    try:
+        fit()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_fit_memory_is_o_of_n():
+    # a whole 41- or 64-row grid at once peaks at 22 and 39 MiB on these inputs
+    u1, u2 = gen_gaussian_copula_pair(200_000, 0.6, seed=0)
+    yc, yd = laplace_quantile(uniform_scores(u1)), laplace_quantile(uniform_scores(u2))
+    x = gen_gpd(200_000, 1.0, 0.2, seed=0)
+    u = np.quantile(x, 0.8)
+    excesses = x[x > u] - u
+    assert excesses.size == 40_000
+    assert _peak_bytes(lambda: fit_ht(yc, yd, 0.95)) <= 4 * 2**20
+    assert _peak_bytes(lambda: fit_gpd(excesses)) <= 4 * 2**20
