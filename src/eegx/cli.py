@@ -9,7 +9,6 @@ failing run never leaves a half-written artifact. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 from dataclasses import fields, replace
@@ -28,31 +27,16 @@ from ._svg import heatmap_svg
 from .errors import EegxError, FitError, UsageError, check_int, check_real
 
 
-def _emit(path: Path, text: str) -> Path:
-    sio.write_text_atomic(path, (text,))
+def _emit(path: Path, text) -> Path:
+    """Write ``text``, a string or the strings of ``sio._table_text``."""
+    sio.write_text_atomic(path, (text,) if isinstance(text, str) else text)
     print(f"wrote {path}")
     return path
 
 
-def _csv(columns: dict) -> str:
-    """CSV text from equal-length named columns. Each run of adjacent
-    float64 columns is written by ``sio._float_rows``, every value as its
-    shortest ``repr`` (exact on reload, ``nan`` for NaN); every other cell
-    is ``str`` of its column's ``tolist()`` entry, so integers and labels
-    appear as they are."""
-    parts = []
-    arrays = (np.asarray(col) for col in columns.values())
-    for is_float, run in itertools.groupby(arrays, key=lambda a: a.dtype == np.float64):
-        if is_float:
-            parts.append(sio._float_rows(np.column_stack(list(run))))
-        else:
-            parts.extend(map(str, a.tolist()) for a in run)
-    return "\n".join([",".join(columns), *map(",".join, zip(*parts))]) + "\n"
-
-
-def _row_columns(rows: list[dict], columns: list[str]) -> dict:
-    """Row dicts as the column lists ``_csv`` takes."""
-    return {c: [row[c] for row in rows] for c in columns}
+def _row_columns(rows: list[dict], columns: list[str]) -> list:
+    """Row dicts as the (name, column) pairs ``sio._table_text`` takes."""
+    return [(c, [row[c] for row in rows]) for c in columns]
 
 
 def _json_text(obj) -> str:
@@ -123,7 +107,10 @@ def _prefix(args) -> Path:
 # stage writers: one per artifact, called by its subcommand and by report.
 # Each returns (what it computed, the paths it wrote); ``_write_bands``
 # returns a function that does, once the pool has written its files, and
-# ``_write_gpd_fit``, which is given its fit, returns only its path.
+# ``_write_gpd_fit``, which is given its fit, returns only its path. Every
+# table is CSV text from ``sio._table_text``, which checks its names when
+# called: a table named by channels is made before the writer's first
+# file, so names that cannot be written leave no file.
 
 
 def _write_bands(pool: sio._Pool, rec: sio.EegRecording, order: int, directory: Path, stem: str):
@@ -166,19 +153,19 @@ def _write_chi(matrices, prefix: Path, title_suffix: str):
         svg = heatmap_svg(cm.chi_values, cm.channels, f"chi(u={cm.u:g}){title_suffix}")
         paths.append(_emit(Path(f"{prefix}.u{cm.u:g}.svg"), svg))
     estimates = [e for cm in matrices for e in cm.estimates]
-    columns = {
-        "channel_a": [e.pair[0] for e in estimates],
-        "channel_b": [e.pair[1] for e in estimates],
-        "u": [e.u for e in estimates],
-        "chi": [e.chi for e in estimates],
-        "chi_lo": [e.ci_chi[0] for e in estimates],
-        "chi_hi": [e.ci_chi[1] for e in estimates],
-        "chibar": [e.chibar for e in estimates],
-        "chibar_lo": [e.ci_chibar[0] for e in estimates],
-        "chibar_hi": [e.ci_chibar[1] for e in estimates],
-        "n_joint": [e.n_eff for e in estimates],
-    }
-    paths.append(_emit(Path(f"{prefix}.csv"), _csv(columns)))
+    columns = [
+        ("channel_a", [e.pair[0] for e in estimates]),
+        ("channel_b", [e.pair[1] for e in estimates]),
+        ("u", [e.u for e in estimates]),
+        ("chi", [e.chi for e in estimates]),
+        ("chi_lo", [e.ci_chi[0] for e in estimates]),
+        ("chi_hi", [e.ci_chi[1] for e in estimates]),
+        ("chibar", [e.chibar for e in estimates]),
+        ("chibar_lo", [e.ci_chibar[0] for e in estimates]),
+        ("chibar_hi", [e.ci_chibar[1] for e in estimates]),
+        ("n_joint", [e.n_eff for e in estimates]),
+    ]
+    paths.append(_emit(Path(f"{prefix}.csv"), sio._table_text(columns)))
     return matrices, paths
 
 
@@ -190,6 +177,11 @@ def _write_ht_fit(view, cond_channel, cond_quantile, marginal_quantile, prefix: 
         cond_channel,
         cond_quantile=cond_quantile,
         marginal_quantile=marginal_quantile,
+    )
+    # made, and its names checked, before the first file is written
+    residuals = sio._table_text(
+        [("exceed_index", next(iter(fits.values())).exceed_indices)]
+        + [(dep, fit.residuals_z) for dep, fit in fits.items()]
     )
     paths = []
     for dep, fit in fits.items():
@@ -205,17 +197,14 @@ def _write_ht_fit(view, cond_channel, cond_quantile, marginal_quantile, prefix: 
             "nll": fit.nll,
         }
         paths.append(_emit(Path(f"{prefix}.{dep}.json"), _json_text(payload)))
-    residuals = {
-        "exceed_index": next(iter(fits.values())).exceed_indices,
-        **{dep: fit.residuals_z for dep, fit in fits.items()},
-    }
-    paths.append(_emit(Path(f"{prefix}.residuals.csv"), _csv(residuals)))
+    paths.append(_emit(Path(f"{prefix}.residuals.csv"), residuals))
     return (fits, transforms), paths
 
 
-def _write_ht_sim(model, cond_channel, level, n_sim: int, seed: int, prefix: Path):
+def _write_ht_sim(model, cond_channel, level, n_sim: int, seed: int, prefix: Path, draws=False):
     """Draws from ``model`` = (fits, transforms) given ``cond_channel`` above
-    its ``level`` quantile, summarized in ``<prefix>.summary.csv``."""
+    its ``level`` quantile, summarized in ``<prefix>.summary.csv`` and, with
+    ``draws``, written out in ``<prefix>.draws.csv``."""
     fits, transforms = model
     sample = ce.simulate_conditional(
         list(fits.values()),
@@ -226,8 +215,16 @@ def _write_ht_sim(model, cond_channel, level, n_sim: int, seed: int, prefix: Pat
         dep_transforms=transforms,
     )
     cols = ["channel", "scale", "mean", "median", "q05", "q95"]
-    summary = _csv(_row_columns(ce.conditional_summary(sample), cols))
-    return sample, [_emit(Path(f"{prefix}.summary.csv"), summary)]
+    tables = {"summary": sio._table_text(_row_columns(ce.conditional_summary(sample), cols))}
+    if draws:
+        deps = sample.dep_channels
+        tables["draws"] = sio._table_text(
+            [("cond_laplace", sample.cond_draws)]
+            + [(f"{d}_laplace", sample.draws[:, k]) for k, d in enumerate(deps)]
+            + [("cond_data", sample.cond_back_transformed)]
+            + [(f"{d}_data", sample.back_transformed[:, k]) for k, d in enumerate(deps)]
+        )
+    return sample, [_emit(Path(f"{prefix}.{kind}.csv"), text) for kind, text in tables.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +281,7 @@ def cmd_spectrum(args) -> int:
             est = sp.welch(x, rec.fs, seg_len=seg, overlap=args.overlap)
         _emit(
             Path(f"{prefix}.{name}.spectrum.csv"),
-            _csv({"freq_hz": est.freqs_hz, "power": est.power}),
+            sio._table_text([("freq_hz", est.freqs_hz), ("power", est.power)]),
         )
         entry = {"channel": name}
         for band in pp.DEFAULT_BANDS:
@@ -294,19 +291,19 @@ def cmd_spectrum(args) -> int:
                 entry[band.id] = float("nan")
         band_rows.append(entry)
     cols = ["channel"] + [b.id for b in pp.DEFAULT_BANDS]
-    _emit(Path(f"{prefix}.bandpower.csv"), _csv(_row_columns(band_rows, cols)))
+    _emit(Path(f"{prefix}.bandpower.csv"), sio._table_text(_row_columns(band_rows, cols)))
     return 0
 
 
-def _diag_columns(diag: evt.ThresholdDiagnostics) -> dict:
+def _diag_columns(diag: evt.ThresholdDiagnostics) -> list:
     """The threshold grid, the curves ``diag`` holds in field order, and
-    the exceedance counts, as CSV columns."""
-    curves = {
-        f.name: getattr(diag, f.name)
+    the exceedance counts, as (name, column) pairs."""
+    curves = [
+        (f.name, getattr(diag, f.name))
         for f in fields(diag)
         if f.name not in ("grid", "n_exceed", "flagged") and getattr(diag, f.name) is not None
-    }
-    return {"threshold": diag.grid, **curves, "n_exceed": diag.n_exceed}
+    ]
+    return [("threshold", diag.grid), *curves, ("n_exceed", diag.n_exceed)]
 
 
 def cmd_fit_gpd(args) -> int:
@@ -337,7 +334,7 @@ def cmd_fit_gpd(args) -> int:
     for name, (fit, diagnostics) in zip(channels, results):
         _write_gpd_fit(fit, name, args.band, Path(f"{prefix}.gpd.{name}{tag}.json"))
         for kind, diag in zip(("mrl", "stability"), diagnostics):
-            _emit(Path(f"{prefix}.{kind}.{name}{tag}.csv"), _csv(_diag_columns(diag)))
+            _emit(Path(f"{prefix}.{kind}.{name}{tag}.csv"), sio._table_text(_diag_columns(diag)))
     return 0
 
 
@@ -366,15 +363,7 @@ def cmd_ht_sim(args) -> int:
         marginal_quantile=args.marginal_quantile,
     )
     prefix = Path(f"{_prefix(args)}.htsim.{args.epoch}")
-    sample, _ = _write_ht_sim(model, args.cond_channel, args.level, args.n, args.seed, prefix)
-    deps = list(sample.dep_channels)
-    draws = {
-        "cond_laplace": sample.cond_draws,
-        **{f"{d}_laplace": sample.draws[:, k] for k, d in enumerate(deps)},
-        "cond_data": sample.cond_back_transformed,
-        **{f"{d}_data": sample.back_transformed[:, k] for k, d in enumerate(deps)},
-    }
-    _emit(Path(f"{prefix}.draws.csv"), _csv(draws))
+    _write_ht_sim(model, args.cond_channel, args.level, args.n, args.seed, prefix, draws=True)
     return 0
 
 

@@ -1,26 +1,31 @@
 """Load, validate, slice, and epoch multichannel EEG recordings.
 
-This module owns the recording file format: it alone writes, reads and
-checks CSV headers and sidecars. A recording is a header-bearing CSV of
-raw amplitudes (UTF-8, comma separated, '.' decimal). Sampling rate and
-onset index live outside the CSV, either passed by the caller or read
-from an optional JSON sidecar ``<path>.meta.json`` with keys ``fs`` and
-``onset_index``, which ``save_recording`` writes atomically next to the
-CSV. Bytes that are not UTF-8 are a ``FormatError``, a leading UTF-8
-byte-order mark is dropped, and a path that is not a regular file is a
-``ValidationError``.
+This module owns the CSV format: it alone writes, reads and checks CSV
+headers and sidecars, and it formats every table the package writes. A
+recording is a header-bearing CSV of raw amplitudes (UTF-8, comma
+separated, '.' decimal). Sampling rate and onset index live outside the
+CSV, either passed by the caller or read from an optional JSON sidecar
+``<path>.meta.json`` with keys ``fs`` and ``onset_index``, which
+``save_recording`` writes atomically next to the CSV. Bytes that are not
+UTF-8 are a ``FormatError``, a leading UTF-8 byte-order mark is
+dropped, and a path that is not a regular file is a ``ValidationError``.
 
-A header is written only if ``load_recording`` reads the same names
-back (``_header``): every name is a nonempty string with no ',', '\r'
-or '\n', no leading or trailing whitespace, and an encoding in UTF-8;
-the names are distinct, the first does not start with U+FEFF (read back
-as a byte-order mark), and not all of them parse as numbers.
+One rule (``_header``) decides which names a header may hold, for the
+writer and for ``load_recording`` alike: every name is a nonempty
+string with no ',', '\r', '\n', '/' or NUL, no leading or trailing
+whitespace, and an encoding in UTF-8; the names are distinct, the first
+does not start with U+FEFF (read back as a byte-order mark), and not
+all of them parse as numbers. So no name read in can steer an output
+path out of its directory, and every header written loads back.
 
-Matrices are written by ``write_matrices_csv``: each file is formatted
-and written atomically by one worker, which hands back only its path.
-``_Pool`` is the package's one process pool, a handle on which work is
-submitted now and collected in order later; the CSV writer and the chi
-bootstrap both run on it, and ``report`` opens one for its whole pass.
+One writer (``_table_text``) turns a table, (name, column) pairs, into
+CSV text ``CSV_CHUNK_ROWS`` rows at a time: recordings, band matrices
+and every analysis table of the CLI. Matrices are written by
+``write_matrices_csv``: each file is formatted and written atomically
+by one worker, which hands back only its path. ``_Pool`` is the
+package's one process pool, a handle on which work is submitted now and
+collected in order later; the CSV writer and the chi bootstrap both run
+on it, and ``report`` opens one for its whole pass.
 
 Every float is written as ``repr`` writes it, so a reload is exact. The
 text comes from a vectorised kernel (``_rows_text``): for finite values
@@ -58,7 +63,7 @@ from .errors import (
 
 ChannelLabel = str
 
-#: Rows per chunk handed to one worker when writing matrices as CSV.
+#: Rows formatted at a time when a table is written as CSV.
 CSV_CHUNK_ROWS = 5_000
 #: Sampling rates in Hz, as :func:`eegx.errors.check_real` takes them.
 FS_RANGE = "(0, inf)"
@@ -201,6 +206,7 @@ def _parse_header(line: str) -> tuple[ChannelLabel, ...]:
     # reject headers that are actually a data row
     if all(_is_float(n) for n in names):
         raise FormatError("malformed header: first line looks like numeric data")
+    _header(tuple(names))  # the names a header may be written with, and no others
     return tuple(names)
 
 
@@ -477,25 +483,47 @@ def _rows_text(block: np.ndarray) -> str:
     return buf.tobytes().translate(None, b"\0").decode("ascii")
 
 
-def _float_rows(matrix: np.ndarray) -> list[str]:
-    """The CSV rows of a 2-D float matrix, without their newlines, every
-    value written as ``repr`` writes it; formatted by ``_rows_text`` in
-    slices of ``CSV_CHUNK_ROWS`` rows."""
-    texts = [_rows_text(matrix[i : i + CSV_CHUNK_ROWS])
-             for i in range(0, len(matrix), CSV_CHUNK_ROWS)]
-    return "".join(texts).split("\n")[:-1]
+def _table_text(columns) -> Iterable[str]:
+    """CSV text of a table of (name, column) pairs of equal length: the
+    header line, then one string per ``CSV_CHUNK_ROWS`` rows. The names
+    and lengths are checked now, before any text is made. Float64 columns
+    are written by ``_rows_text`` (a chunk of only such columns is its
+    text as it is); every other cell is ``str`` of its column's
+    ``tolist()`` entry, so integers and labels appear as they are."""
+    header = _header(tuple(name for name, _ in columns))
+    arrays = [np.asarray(col) for _, col in columns]
+    if len({len(a) for a in arrays}) > 1:
+        raise UsageError(f"columns of unequal lengths {[len(a) for a in arrays]}")
+    floats = [a.dtype == np.float64 for a in arrays]
+
+    def chunks():
+        for i in range(0, len(arrays[0]), CSV_CHUNK_ROWS):
+            chunk = [a[i : i + CSV_CHUNK_ROWS] for a in arrays]
+            if all(floats):
+                yield _rows_text(np.column_stack(chunk))
+                continue
+            cells = [
+                _rows_text(c[:, None]).splitlines() if f else map(str, c.tolist())
+                for c, f in zip(chunk, floats)
+            ]
+            yield "".join(",".join(row) + "\n" for row in zip(*cells))
+
+    return itertools.chain([header], chunks())
 
 
 def _header(channels: tuple[ChannelLabel, ...]) -> str:
     """The CSV header line naming ``channels``, or a ``ValidationError``
-    if ``load_recording`` would not read the same names back."""
+    if they break the header rule (see the module docstring), which
+    ``load_recording`` applies to the names it reads."""
     if not channels:
         raise ValidationError("a CSV matrix needs at least one channel")
     for name in channels:
         if not isinstance(name, str) or not name:
             raise ValidationError(f"channel name {name!r} is not a nonempty string")
-        if any(c in name for c in ",\r\n"):
-            raise ValidationError(f"channel name {name!r} holds a comma or a line break")
+        if any(c in name for c in ",\r\n/\0"):
+            raise ValidationError(
+                f"channel name {name!r} holds a comma, a line break, a '/' or a NUL"
+            )
         if name != name.strip():
             raise ValidationError(f"channel name {name!r} starts or ends with whitespace")
         try:
@@ -572,24 +600,21 @@ def _submit_matrices_csv(pool: _Pool, paths, channels, matrices):
     their paths."""
     paths = [Path(p) for p in paths]
     channels = tuple(channels)
-    header = _header(channels)
+    _header(channels)
     mats = [_csv_matrix(m, len(channels)) for m in matrices]
     if len(paths) != len(mats):
         raise UsageError(f"{len(paths)} paths for {len(mats)} matrices")
-    return pool.submit(_write_csv, [(p, header, m) for p, m in zip(paths, mats)])
+    return pool.submit(_write_csv, [(p, channels, m) for p, m in zip(paths, mats)])
 
 
 def _write_csv(task) -> Path:
-    """Write ``task`` = (path, header line, matrix) as CSV through
-    ``write_text_atomic``; the rows are formatted by ``_rows_text``
-    ``CSV_CHUNK_ROWS`` at a time, so no more of the text is held at once.
-    Only the path goes back: text sent to the caller would pile up there
-    while it waits (about 19 MB of band text on a report pass)."""
-    path, header, matrix = task
-    rows = (
-        _rows_text(matrix[i : i + CSV_CHUNK_ROWS]) for i in range(0, len(matrix), CSV_CHUNK_ROWS)
-    )
-    return write_text_atomic(path, itertools.chain([header], rows))
+    """Write ``task`` = (path, channels, matrix) as CSV, the table
+    ``_table_text`` makes of the matrix's columns, through
+    ``write_text_atomic``. Only the path goes back: text sent to the
+    caller would pile up there while it waits (about 19 MB of band text
+    on a report pass)."""
+    path, channels, matrix = task
+    return write_text_atomic(path, _table_text(list(zip(channels, matrix.T))))
 
 
 class _Pool:

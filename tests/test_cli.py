@@ -71,7 +71,7 @@ class TestSimulate:
 
 class TestCsvText:
     def test_bytes_match_str_per_cell(self):
-        # float runs go through the float kernel; labels and integers stay str
+        # float columns go through the float kernel; labels and integers stay str
         edges = [0.1, -0.0, np.nan, np.inf, 1e-5, 1e16, 123.456, 2.5e-300, 5e-324, 7.0]
         columns = {
             "label": [f"c{i}" for i in range(10)],
@@ -83,10 +83,10 @@ class TestCsvText:
         }
         cells = [map(str, np.asarray(col).tolist()) for col in columns.values()]
         want = "\n".join([",".join(columns), *map(",".join, zip(*cells))]) + "\n"
-        assert cli._csv(columns) == want
+        assert "".join(sio._table_text(list(columns.items()))) == want
 
     def test_empty_columns(self):
-        assert cli._csv({"a": np.array([]), "b": []}) == "a,b\n"
+        assert "".join(sio._table_text([("a", np.array([])), ("b", [])])) == "a,b\n"
 
 
 class TestValidationFirst:
@@ -477,6 +477,55 @@ class TestHeatmapSvg:
     @given(st.text(st.sampled_from("&<>;amp lt gt\"'A\u00e9")))
     def test_escape_matches_saxutils(self, text):
         assert _escape(text) == escape(text)
+
+
+def _files(root):
+    return sorted(str(p.relative_to(root)) for p in root.rglob("*") if p.is_file())
+
+
+class TestNamesFromChannels:
+    """Channel names end up in table headers and output paths; names that
+    would collide there or leave ``--outdir`` are refused before any write."""
+
+    def test_colliding_table_columns_refused(self, tmp_path):
+        # ht-fit's residuals and ht-sim's draws name columns after channels
+        rec = gen_synthetic_eeg(3, 6_000, 0.6, seed=1)
+        rec = replace(rec, channels=("T3", "cond", "exceed_index"))
+        save_recording(rec, tmp_path / "rec.csv")
+        for argv in (["ht-sim", "--cond-channel", "T3", "--n", "50"],
+                     ["ht-fit", "--cond-channel", "T3"]):
+            out = tmp_path / argv[0]
+            assert run([*argv, "--input", tmp_path / "rec.csv", "--outdir", out]) == 2
+            assert not out.exists()
+        out = tmp_path / "report"
+        rc = run(["report", "--input", tmp_path / "rec.csv", "--cond-channel", "T3",
+                  "--u", "0.9", "--n-boot", "5", "--n-sim", "50", "--outdir", out])
+        assert rc == 1
+        stages = {s["name"]: s for s in json.loads((out / "manifest.json").read_text())["stages"]}
+        assert stages["ht_fit"]["status"].startswith("error: ValidationError: duplicate")
+        assert stages["ht_fit"]["outputs"] == []
+        assert not (out / "ht").exists()
+
+    @pytest.mark.parametrize("name", ["../../esc/x", "F\0x"], ids=["slash", "nul"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["decompose"], ["spectrum"], ["fit-gpd", "--no-diagnostics"], ["chi", "--n-boot", "5"],
+         ["ht-fit", "--cond-channel", "T3"], ["ht-sim", "--cond-channel", "T3", "--n", "50"],
+         ["report", "--cond-channel", "T3", "--n-boot", "5", "--n-sim", "50"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_path_steering_names_refused(self, tmp_path, argv, name):
+        rec = gen_synthetic_eeg(2, 3_000, 0.6, seed=1)
+        src = tmp_path / "in" / "rec.csv"
+        src.parent.mkdir()
+        rows = "".join(",".join(map(repr, row)) + "\n" for row in rec.data.tolist())
+        src.write_text(f"T3,{name}\n{rows}")
+        sio.sidecar_path(src).write_text(
+            json.dumps({"fs": rec.fs, "onset_index": rec.onset_index})
+        )
+        before = _files(tmp_path)
+        assert run([*argv, "--input", src, "--outdir", tmp_path / "out" / "deep"]) == 2
+        assert _files(tmp_path) == before
 
 
 class TestReport:

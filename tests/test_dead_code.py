@@ -1,6 +1,8 @@
 """A stdlib stand-in for a linter's dead-code rules, run over the package
-source: no function parameter that its body never reads, and no
-module-level import that its module never uses."""
+source: no function parameter that its body never reads, no
+module-level import that its module never uses, and no module-level
+private name that the package never uses outside its definition (a
+private helper kept alive only by its tests)."""
 
 import ast
 from pathlib import Path
@@ -47,6 +49,44 @@ def _unused_imports(tree: ast.Module) -> list[str]:
     return [name for name in bound if name not in read]
 
 
+def _defined(stmt: ast.stmt) -> set[str]:
+    """The private names (``_x``, not ``__x__``) a module-level statement defines."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = {stmt.name}
+    elif isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        names = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    else:
+        names = set()
+    return {n for n in names if n.startswith("_") and not n.endswith("__")}
+
+
+def _referenced(stmt: ast.stmt) -> set[str]:
+    """Every name a statement reads, as a ``Name``, an ``Attribute`` or an
+    imported alias."""
+    found = set()
+    for n in ast.walk(stmt):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            found.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            found.add(n.attr)
+        elif isinstance(n, ast.alias):
+            found.add(n.name)
+    return found
+
+
+def _unused_private_names(trees: list[ast.Module]) -> list[str]:
+    """Each module-level private name that no statement of ``trees``
+    references, the statements that define that name aside."""
+    statements = [stmt for tree in trees for stmt in tree.body]
+    defined = dict.fromkeys(name for stmt in statements for name in sorted(_defined(stmt)))
+    return [
+        name
+        for name in defined
+        if not any(name in _referenced(s) for s in statements if name not in _defined(s))
+    ]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_parameter_is_read(path):
     assert _unread_parameters(ast.parse(path.read_text(), str(path))) == []
@@ -57,6 +97,11 @@ def test_every_parameter_is_read(path):
 )
 def test_every_import_is_used(path):
     assert _unused_imports(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_every_private_name_is_used():
+    trees = [ast.parse(path.read_text(), str(path)) for path in MODULES]
+    assert _unused_private_names(trees) == []
 
 
 def test_the_guard_finds_both_kinds():
@@ -70,3 +115,22 @@ def test_the_guard_finds_both_kinds():
     )
     assert _unread_parameters(tree) == ["f:3: b", "g:4: d", "lambda:6: e"]
     assert _unused_imports(tree) == ["os", "dumps"]
+
+
+def test_the_guard_finds_unused_private_names():
+    trees = [
+        ast.parse(
+            "_LIMIT = 3\n"
+            "_TABLE = [1]\n"
+            "_TABLE = _TABLE * 2\n"
+            "def _helper(x):\n"
+            "    return _LIMIT + x\n"
+            "def _recursive(n):\n"
+            "    return _recursive(n - 1)\n"
+            "class _Spare:\n"
+            "    pass\n"
+            "__all__ = ['f']\n"
+        ),
+        ast.parse("from a import _helper\nimport a\nprint(a._TABLE)\n"),
+    ]
+    assert _unused_private_names(trees) == ["_recursive", "_Spare"]

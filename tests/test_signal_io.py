@@ -136,6 +136,13 @@ class TestLoadSave:
         with pytest.raises(ValidationError, match="duplicate"):
             load_recording(p, fs=1.0)
 
+    @pytest.mark.parametrize("name", ["../x", "F\0x"], ids=["slash", "nul"])
+    def test_path_steering_name_refused(self, name, tmp_path):
+        p = tmp_path / "steer.csv"
+        p.write_text(f"T3,{name}\n1,2\n3,4\n")
+        with pytest.raises(ValidationError, match="channel name"):
+            load_recording(p, fs=1.0)
+
     def test_numeric_header_rejected(self, tmp_path):
         p = tmp_path / "nohead.csv"
         p.write_text("1.0,2.0\n3,4\n5,6\n")
@@ -287,9 +294,10 @@ class TestHeaderRule:
     @pytest.mark.parametrize(
         "channels",
         [("T3,x", "F4"), ("T3", "F4\r"), ("T3", "F4 "), ("1", "2.5"), ("T3", "\udcff"),
-         ("T3", "T3"), ("T3", ""), ("T3", 4), ("\ufeffT3", "F4")],
+         ("T3", "T3"), ("T3", ""), ("T3", 4), ("\ufeffT3", "F4"), ("T3", "../x"),
+         ("T3", "F\0x")],
         ids=["comma", "cr", "space", "numeric", "surrogate", "duplicate", "empty", "not-text",
-             "byte-order-mark"],
+             "byte-order-mark", "slash", "nul"],
     )
     def test_band_writer_refuses_before_writing(self, channels, tmp_path):
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
@@ -670,4 +678,49 @@ class TestFloatText:
     @pytest.mark.parametrize("rows", [0, 1, sio.CSV_CHUNK_ROWS + 1])
     def test_float_rows(self, rows):
         block = np.random.default_rng(rows).standard_normal((rows, 2))
-        assert sio._float_rows(block) == _repr_rows(block).splitlines()
+        text = "".join(sio._table_text([("a", block[:, 0]), ("b", block[:, 1])]))
+        assert text.splitlines()[1:] == _repr_rows(block).splitlines()
+
+
+class TestTableText:
+    """``_table_text``, the one writer of every CSV table."""
+
+    @pytest.mark.parametrize(
+        "rows", [0, 1, sio.CSV_CHUNK_ROWS - 1, sio.CSV_CHUNK_ROWS, sio.CSV_CHUNK_ROWS + 1]
+    )
+    def test_mixed_table_across_chunks(self, rows):
+        rng = np.random.default_rng(rows)
+        x = rng.standard_normal(rows) * 10.0 ** rng.integers(-8, 20, rows)
+        x[::7] = np.nan
+        columns = [
+            ("label", [f"c{i}" for i in range(rows)]),
+            ("x", x),
+            ("count", np.arange(rows) - 3),
+            ("y", x[::-1] / 3),
+        ]
+        xs, ys = x.tolist(), (x[::-1] / 3).tolist()
+        want = ["label,x,count,y"] + [f"c{i},{xs[i]!r},{i - 3},{ys[i]!r}" for i in range(rows)]
+        parts = list(sio._table_text(columns))
+        assert "".join(parts).split("\n") == [*want, ""]
+        assert len(parts) == 1 + -(-rows // sio.CSV_CHUNK_ROWS)  # the header, then one per chunk
+
+    def test_all_float_chunk_is_the_kernels_text(self, monkeypatch):
+        monkeypatch.setattr(sio, "CSV_CHUNK_ROWS", 4)
+        block = np.random.default_rng(1).standard_normal((10, 3))
+        parts = list(sio._table_text([(f"C{k}", block[:, k]) for k in range(3)]))
+        assert parts == ["C0,C1,C2\n", *(sio._rows_text(block[i : i + 4]) for i in (0, 4, 8))]
+
+    @pytest.mark.parametrize(
+        "columns, error",
+        [
+            ([("a", [1.0]), ("a", [2.0])], ValidationError),
+            ([("a/b", [1.0])], ValidationError),
+            ([], ValidationError),
+            ([("a", [1.0, 2.0]), ("b", [1.0])], UsageError),
+        ],
+        ids=["duplicate", "slash", "no-columns", "unequal-lengths"],
+    )
+    def test_refused_when_called(self, columns, error):
+        # before the text is iterated, so a caller can check a table before writing
+        with pytest.raises(error):
+            sio._table_text(columns)
