@@ -118,7 +118,8 @@ def _write_bands(pool: sio._Pool, rec: sio.EegRecording, order: int, directory: 
     band, each file written by a task of ``pool``."""
     deco = pp.decompose_bands(rec, order=order)
     paths = [directory / f"{stem}{band_id}.csv" for band_id in deco.bands]
-    written = sio._submit_matrices_csv(pool, paths, rec.channels, deco.bands.values())
+    tasks = [(p, rec.channels, m) for p, m in zip(paths, deco.bands.values())]
+    written = pool.submit(sio._write_csv, tasks)
 
     def finish():
         for p in written():

@@ -343,10 +343,7 @@ def conditional_model(
     """
     if rec.n_channels < 2:
         raise ValidationError("need at least 2 channels for a conditional model")
-    if cond_channel not in rec.channels:
-        raise UsageError(
-            f"conditioning channel {cond_channel!r} not in {list(rec.channels)}"
-        )
+    rec.index_of(cond_channel)  # an unknown channel is a ChannelLookupError
     transforms: dict[str, MarginalTransform] = {}
     laplace: dict[str, np.ndarray] = {}
     for name in rec.channels:

@@ -20,12 +20,13 @@ path out of its directory, and every header written loads back.
 
 One writer (``_table_text``) turns a table, (name, column) pairs, into
 CSV text ``CSV_CHUNK_ROWS`` rows at a time: recordings, band matrices
-and every analysis table of the CLI. Matrices are written by
-``write_matrices_csv``: each file is formatted and written atomically
-by one worker, which hands back only its path. ``_Pool`` is the
-package's one process pool, a handle on which work is submitted now and
-collected in order later; the CSV writer and the chi bootstrap both run
-on it, and ``report`` opens one for its whole pass.
+and every analysis table of the CLI, each written by
+``write_text_atomic``. A recording or band matrix is the table of its
+columns, written by ``_write_csv``; the CLI writes each band file as
+one ``_Pool`` task, whose worker hands back only its path. ``_Pool`` is
+the package's one process pool, a handle on which work is submitted now
+and collected in order later; the band files and the chi bootstrap both
+run on it, and ``report`` opens one for its whole pass.
 
 Every float is written as ``repr`` writes it, so a reload is exact. The
 text comes from a vectorised kernel (``_rows_text``): for finite values
@@ -296,7 +297,7 @@ def save_recording(rec: EegRecording, path: str | Path) -> Path:
     atomically. Floats are written with ``repr``, so load -> save -> load
     is exact; channel names must pass ``_header``."""
     p = Path(path)
-    write_matrices_csv([p], rec.channels, [rec.data])
+    _write_csv((p, rec.channels, rec.data))
     meta = {"fs": rec.fs, "onset_index": rec.onset_index}
     write_text_atomic(sidecar_path(p), (json.dumps(meta, sort_keys=True) + "\n",))
     return p
@@ -539,17 +540,6 @@ def _header(channels: tuple[ChannelLabel, ...]) -> str:
     return ",".join(channels) + "\n"
 
 
-def _csv_matrix(matrix, n_channels: int) -> np.ndarray:
-    """``matrix`` as a float array with ``n_channels`` columns, or the
-    error of ``check_floats`` or a ``ValidationError`` saying why not."""
-    arr = check_floats(matrix, "matrix", ndim=2)
-    if arr.shape[1] != n_channels:
-        raise ValidationError(
-            f"matrix of shape {arr.shape} does not have {n_channels} columns, one per channel"
-        )
-    return arr
-
-
 def write_text_atomic(path: str | Path, parts: Iterable[str]) -> Path:
     """Write the strings of ``parts`` to ``path`` in order through a temp
     file in the same directory, renamed into place at the end; on any
@@ -574,37 +564,6 @@ def _usable_cores() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
-
-
-def write_matrices_csv(
-    paths: Iterable[str | Path],
-    channels: tuple[ChannelLabel, ...],
-    matrices: Iterable[np.ndarray],
-) -> list[Path]:
-    """Write each (T, C) matrix to its path as CSV: the header naming
-    ``channels``, then one row per sample, every float as ``repr`` writes it.
-
-    The names (``_header``) and every matrix (``_csv_matrix``) are checked
-    before any file is opened. Each file is then written atomically by
-    one task of a ``_Pool`` opened for the call (``_write_csv``), so the
-    files are written on every usable core. The bytes do not depend on
-    where they were written.
-    """
-    with _Pool() as pool:
-        return _submit_matrices_csv(pool, paths, channels, matrices)()
-
-
-def _submit_matrices_csv(pool: _Pool, paths, channels, matrices):
-    """Check ``write_matrices_csv``'s arguments and start writing its files
-    on ``pool``; returns a function that waits for the files and returns
-    their paths."""
-    paths = [Path(p) for p in paths]
-    channels = tuple(channels)
-    _header(channels)
-    mats = [_csv_matrix(m, len(channels)) for m in matrices]
-    if len(paths) != len(mats):
-        raise UsageError(f"{len(paths)} paths for {len(mats)} matrices")
-    return pool.submit(_write_csv, [(p, channels, m) for p, m in zip(paths, mats)])
 
 
 def _write_csv(task) -> Path:

@@ -233,6 +233,17 @@ class TestValidationFirst:
         assert err.startswith("eegx ht-fit: error: need at least 2 channels")
         assert not out.exists()
 
+    def test_unknown_cond_channel_reported_as_report_does(self, rec_csv, tmp_path, capsys):
+        # ht-fit and ht-sim look the conditioning channel up as report does
+        messages = set()
+        for cmd in ("ht-fit", "ht-sim", "report"):
+            out = tmp_path / cmd
+            rc = run([cmd, "--cond-channel", "nope", "--input", rec_csv, "--outdir", out])
+            assert rc == 2
+            assert not out.exists()
+            messages.add(capsys.readouterr().err.removeprefix(f"eegx {cmd}: error: "))
+        assert messages == {"unknown channel 'nope'; available: ['T3', 'Fp1', 'Fp2', 'F3']\n"}
+
     @pytest.mark.parametrize(
         "flag, value",
         [
@@ -410,6 +421,15 @@ class TestSubcommands:
             assert f.exists()
             assert f.read_text().splitlines()[0] == "T3,Fp1,Fp2,F3"
 
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_decompose_omits_infeasible_bands(self, small_csv, tmp_path, capsys):
+        # at fs=5 Hz only delta lies below the Nyquist frequency
+        rc = run(["decompose", "--input", small_csv, "--fs", "5", "--outdir", tmp_path])
+        assert rc == 0
+        assert ("bands omitted (infeasible at fs=5): ['theta', 'alpha', 'beta', 'gamma']\n"
+                in capsys.readouterr().out)
+        assert [p.name for p in tmp_path.iterdir()] == ["rec.delta.csv"]
+
     def test_spectrum(self, rec_csv, tmp_path):
         rc = run(["spectrum", "--input", rec_csv, "--outdir", tmp_path])
         assert rc == 0
@@ -558,6 +578,24 @@ class TestReport:
         status = {s["name"]: s["status"] for s in manifest["stages"]}
         assert status.pop("chi") == "error: RuntimeError: worker died"
         assert set(status.values()) == {"ok"}
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_no_tail_fitted_is_fit_gpd_status(self, small_csv, tmp_path):
+        # runs of 2 000 samples merge each band series into one cluster, too
+        # few peaks for any GPD fit
+        out = tmp_path / "report"
+        rc = run(["report", "--input", small_csv, "--run-length", "2000", "--n-boot", "5",
+                  "--n-sim", "50", "--outdir", out])
+        assert rc == 1
+        stages = {s["name"]: s for s in json.loads((out / "manifest.json").read_text())["stages"]}
+        gpd = stages.pop("fit_gpd")
+        assert gpd["status"] == "error: FitError: no band/channel tail could be fitted"
+        assert len(gpd["params"]["skipped"]) == 15  # 5 bands x 3 channels
+        assert gpd["outputs"] == []
+        assert {s["status"] for s in stages.values()} == {"ok"}
+        listed = [rel for stage in stages.values() for rel in stage["outputs"]]
+        written = sorted(str(p.relative_to(out)) for p in out.rglob("*") if p.is_file())
+        assert written == sorted([*listed, "manifest.json"])
 
     def test_report_requires_onset(self, tmp_path):
         rec = gen_synthetic_eeg(2, 2_000, 0.5, seed=0)

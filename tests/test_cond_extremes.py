@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from eegx import (
+    ChannelLookupError,
     DataError,
     DomainError,
     EegRecording,
@@ -111,6 +113,21 @@ class TestMarginalTransform:
         assert tail.size > 0
         back = from_laplace(to_laplace(tail, mt), mt)
         np.testing.assert_allclose(back, tail, rtol=1e-10, atol=0.0)
+
+    def test_exponential_tail_branches(self):
+        # xi = 0 is the exponential tail: survival zeta_u * exp(-(x - u) / sigma),
+        # inverted by a log
+        x = np.random.default_rng(23).exponential(2.0, 5_000)
+        fitted = fit_marginal(x, 0.95)
+        mt = replace(fitted, gpd=replace(fitted.gpd, xi=0.0))
+        tail = np.linspace(mt.u, x.max(), 200)[1:]
+        p = 1.0 - mt.zeta_u * np.exp(-(tail - mt.u) / mt.gpd.sigma)
+        below = p < 1.0 - 1.0 / (2 * mt.n)  # the clamp
+        tail, p = tail[below], p[below]
+        assert tail.size > 100
+        np.testing.assert_array_equal(_probability(mt, tail), p)
+        back = from_laplace(to_laplace(tail, mt), mt)
+        np.testing.assert_allclose(back, tail, rtol=1e-12, atol=0.0)
 
     def test_probability_clamp(self):
         huge = to_laplace(self.x.max() * 100, self.mt)
@@ -508,3 +525,9 @@ class TestInputContract:
         rec = EegRecording(channels=("REF",), fs=100.0, data=x[:, None])
         with pytest.raises(ValidationError, match="at least 2 channels"):
             conditional_model(rec, "REF", 0.95, 0.95)
+
+    def test_conditional_model_unknown_channel(self):
+        x = np.random.default_rng(13).standard_normal((2_000, 2))
+        rec = EegRecording(channels=("REF", "D1"), fs=100.0, data=x)
+        with pytest.raises(ChannelLookupError, match=r"'nope'; available: \['REF', 'D1'\]"):
+            conditional_model(rec, "nope")

@@ -2,7 +2,9 @@
 source: no function parameter that its body never reads, no
 module-level import that its module never uses, and no module-level
 private name that the package never uses outside its definition (a
-private helper kept alive only by its tests)."""
+private helper kept alive only by its tests). One more rule keeps the
+promise that every output is written atomically: no function but
+``signal_io.write_text_atomic`` makes a call that can write a file."""
 
 import ast
 from pathlib import Path
@@ -87,6 +89,44 @@ def _unused_private_names(trees: list[ast.Module]) -> list[str]:
     ]
 
 
+#: (module, function) calls that write a file; ``open`` and the
+#: ``write_text``/``write_bytes`` methods are checked apart
+_WRITE_CALLS = {("os", "fdopen"), ("tempfile", "mkstemp"), ("os", "replace"), ("os", "rename")}
+
+
+def _writes(call: ast.Call) -> bool:
+    """Whether ``call`` can write a file: ``open`` with a mode that is not
+    a constant read mode, a ``_WRITE_CALLS`` call, or ``.write_text`` or
+    ``.write_bytes`` on anything."""
+    f = call.func
+    if isinstance(f, ast.Name) and f.id == "open":
+        modes = call.args[1:2] + [k.value for k in call.keywords if k.arg == "mode"]
+        mode = modes[0] if modes else ast.Constant("r")
+        return not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                    and not set(mode.value) & set("wax+"))
+    if isinstance(f, ast.Attribute):
+        module = f.value.id if isinstance(f.value, ast.Name) else None
+        return f.attr in ("write_text", "write_bytes") or (module, f.attr) in _WRITE_CALLS
+    return False
+
+
+def _file_writes(tree: ast.Module) -> list[str]:
+    """``<function>:<line>: <callee>`` for each call that can write a file,
+    named by its innermost enclosing function (``<module>`` outside any)."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        if isinstance(node, ast.Call) and _writes(node):
+            found.append(f"{scope}:{node.lineno}: {ast.unparse(node.func)}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "<module>")
+    return found
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_parameter_is_read(path):
     assert _unread_parameters(ast.parse(path.read_text(), str(path))) == []
@@ -102,6 +142,14 @@ def test_every_import_is_used(path):
 def test_every_private_name_is_used():
     trees = [ast.parse(path.read_text(), str(path)) for path in MODULES]
     assert _unused_private_names(trees) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_write_text_atomic_writes_files(path):
+    found = _file_writes(ast.parse(path.read_text(), str(path)))
+    if path.name == "signal_io.py":
+        found = [f for f in found if not f.startswith("write_text_atomic:")]
+    assert found == []
 
 
 def test_the_guard_finds_both_kinds():
@@ -134,3 +182,32 @@ def test_the_guard_finds_unused_private_names():
         ast.parse("from a import _helper\nimport a\nprint(a._TABLE)\n"),
     ]
     assert _unused_private_names(trees) == ["_recursive", "_Spare"]
+
+
+def test_the_guard_finds_file_writes():
+    tree = ast.parse(
+        "import os, tempfile\n"
+        "from pathlib import Path\n"
+        "def f(p, m):\n"
+        "    Path('x').write_text('y')\n"
+        "    open(p), open(p, 'rb'), open(p, mode='r', encoding='utf-8')\n"
+        "    open(p, 'a'), open(p, mode='r+'), open(p, m)\n"
+        "    p.write_bytes(b''), os.replace(p, p), 'a'.replace('a', 'b')\n"
+        "def write_text_atomic(p):\n"
+        "    fd, tmp = tempfile.mkstemp()\n"
+        "    os.fdopen(fd, 'w')\n"
+        "    os.rename(tmp, p)\n"
+        "open('log', 'w')\n"
+    )
+    assert _file_writes(tree) == [
+        "f:4: Path('x').write_text",
+        "f:6: open",
+        "f:6: open",
+        "f:6: open",
+        "f:7: p.write_bytes",
+        "f:7: os.replace",
+        "write_text_atomic:9: tempfile.mkstemp",
+        "write_text_atomic:10: os.fdopen",
+        "write_text_atomic:11: os.rename",
+        "<module>:12: open",
+    ]

@@ -300,9 +300,8 @@ class TestHeaderRule:
              "byte-order-mark", "slash", "nul"],
     )
     def test_band_writer_refuses_before_writing(self, channels, tmp_path):
-        paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
         with pytest.raises(ValidationError, match="channel name"):
-            sio.write_matrices_csv(paths, channels, [np.ones((3, 2))] * 2)
+            sio._write_csv((tmp_path / "a.csv", channels, np.ones((3, 2))))
         assert list(tmp_path.iterdir()) == []
 
 
@@ -418,16 +417,22 @@ def _reference_lines(channels, data):
     return _reference_csv(channels, data).encode().splitlines(keepends=True)
 
 
+def _write_pooled(paths, channels, mats):
+    """The matrices written as the CLI writes band files: one
+    ``_write_csv`` task of a ``_Pool`` per file."""
+    with sio._Pool() as pool:
+        return pool.submit(sio._write_csv, [(p, channels, m) for p, m in zip(paths, mats)])()
+
+
 class TestMatrixCsvWriter:
-    @given(data=_matrices(10), cores=st.sampled_from([1, 2]))
+    @given(data=_matrices(10))
     @settings(max_examples=40, deadline=None)
-    def test_bytes_match_reference(self, data, cores, tmp_path_factory):
+    def test_bytes_match_reference(self, data, tmp_path_factory):
         # chunks of 3 rows: 1-10 rows cover one, several and partial chunks
         channels = _channels(data.shape[1])
         path = tmp_path_factory.mktemp("w") / "m.csv"
-        with mock.patch.object(sio, "CSV_CHUNK_ROWS", 3), \
-                mock.patch.object(sio, "_usable_cores", lambda: cores):
-            sio.write_matrices_csv([path], channels, [data])
+        with mock.patch.object(sio, "CSV_CHUNK_ROWS", 3):
+            sio._write_csv((path, channels, data))
         assert path.read_bytes() == _reference_csv(channels, data).encode()
 
     @pytest.mark.parametrize("rows", [1, sio.CSV_CHUNK_ROWS - 1, sio.CSV_CHUNK_ROWS,
@@ -437,21 +442,24 @@ class TestMatrixCsvWriter:
         data = np.random.default_rng(rows).standard_normal((rows, cols))
         data[0, 0] = _EDGE_FLOATS[rows % len(_EDGE_FLOATS)]
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
-        sio.write_matrices_csv(paths, _channels(cols), [data, data[::-1]])
+        _write_pooled(paths, _channels(cols), [data, data[::-1]])
         assert _lines(paths[0]) == _reference_lines(_channels(cols), data)
         assert _lines(paths[1]) == _reference_lines(_channels(cols), data[::-1])
 
     @pytest.mark.parametrize("cores", [1, 2])
     def test_edge_floats_match_repr(self, cores, tmp_path, monkeypatch):
-        # a band matrix may hold NaN and inf; every value is its repr
+        # band matrices are finite, but the same kernel writes CLI tables,
+        # which hold NaN (a sparse chi pair); every value is its repr, in a
+        # worker as in-process
         edges = [-0.0, 5e-324, 1e-5, 1e16, -1.7976931348623157e308, np.nan, np.inf, -np.inf]
         data = np.array(edges + edges[::-1] + [0.5, -2.25]).reshape(6, 3)
         monkeypatch.setattr(sio, "CSV_CHUNK_ROWS", 4)
         monkeypatch.setattr(sio, "_usable_cores", lambda: cores)
-        path = tmp_path / "band.csv"
-        sio.write_matrices_csv([path], _channels(3), [data])
-        assert _lines(path) == _reference_lines(_channels(3), data)
-        assert b"-0.0,5e-324,1e-05\n1e+16,-1.7976931348623157e+308,nan\n" in path.read_bytes()
+        paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        _write_pooled(paths, _channels(3), [data, data[::-1]])
+        assert _lines(paths[0]) == _reference_lines(_channels(3), data)
+        assert _lines(paths[1]) == _reference_lines(_channels(3), data[::-1])
+        assert b"-0.0,5e-324,1e-05\n1e+16,-1.7976931348623157e+308,nan\n" in paths[0].read_bytes()
 
     def test_pooled_equals_in_process(self, tmp_path, monkeypatch):
         monkeypatch.setattr(sio, "CSV_CHUNK_ROWS", 7)
@@ -460,7 +468,7 @@ class TestMatrixCsvWriter:
         for cores in (1, 2):
             monkeypatch.setattr(sio, "_usable_cores", lambda: cores)
             paths = [tmp_path / f"{cores}.{k}.csv" for k in range(3)]
-            sio.write_matrices_csv(paths, _channels(3), mats)
+            _write_pooled(paths, _channels(3), mats)
             files[cores] = [p.read_bytes() for p in paths]
         assert files[1] == files[2]
 
@@ -470,8 +478,7 @@ class TestMatrixCsvWriter:
         data = np.vstack([data, data])  # a recording needs two samples
         rec = EegRecording(channels=_channels(data.shape[1]), fs=250.0, data=data)
         path = tmp_path_factory.mktemp("rt") / "r.csv"
-        with mock.patch.object(sio, "CSV_CHUNK_ROWS", 3), \
-                mock.patch.object(sio, "_usable_cores", lambda: 1):
+        with mock.patch.object(sio, "CSV_CHUNK_ROWS", 3):
             save_recording(rec, path)
         back = load_recording(path)
         assert np.array_equal(back.data, data)
@@ -484,32 +491,10 @@ class TestMatrixCsvWriter:
         monkeypatch.setattr(sio, "_rows_text", _failing_rows_text)
         data = np.arange(24.0).reshape(12, 2)
         data[6, 0] = _SENTINEL  # first row of the third chunk
+        paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
         with pytest.raises(RuntimeError, match="formatting failed"):
-            sio.write_matrices_csv([tmp_path / "m.csv"], _channels(2), [data])
+            _write_pooled(paths, _channels(2), [data, data])
         assert list(tmp_path.iterdir()) == []
-
-    @pytest.mark.parametrize(
-        "data, error",
-        [
-            (np.ones((2, 3)), ValidationError),  # three columns for two channels
-            (np.ones(4), ValidationError),
-            (np.ones((2, 2, 1)), ValidationError),
-            ([[1.0, 2.0], [3.0]], ValidationError),
-            (np.array([["a", "b"]]), DataError),
-            (np.array([[1.0, 2.0]], dtype=object), DataError),
-            (np.ones((2, 2), dtype=complex), DataError),
-        ],
-        ids=["columns", "1-D", "3-D", "ragged", "text", "object", "complex"],
-    )
-    def test_bad_matrix_rejected_before_writing(self, data, error, tmp_path):
-        paths = [tmp_path / "ok.csv", tmp_path / "bad.csv"]
-        with pytest.raises(error):
-            sio.write_matrices_csv(paths, ("a", "b"), [np.ones((3, 2)), data])
-        assert list(tmp_path.iterdir()) == []
-
-    def test_integer_matrix_written_as_floats(self, tmp_path):
-        sio.write_matrices_csv([tmp_path / "i.csv"], ("a",), [np.array([[1], [-2]])])
-        assert (tmp_path / "i.csv").read_bytes() == b"a\n1.0\n-2.0\n"
 
     def test_import_does_not_load_multiprocessing(self):
         src = Path(eegx.__file__).resolve().parents[1]
