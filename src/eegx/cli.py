@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -263,9 +264,7 @@ def cmd_decompose(args) -> int:
     rec = _load_input(args)
     stem = f"{Path(args.input).stem}."
     with sio._Pool() as pool:
-        deco, _ = _write_bands(pool, rec, args.order, Path(args.outdir), stem)()
-    if deco.omitted:
-        print(f"bands omitted (infeasible at fs={rec.fs:g}): {list(deco.omitted)}")
+        _write_bands(pool, rec, args.order, Path(args.outdir), stem)()
     return 0
 
 
@@ -610,11 +609,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except EegxError as exc:
-        print(f"eegx {args.cmd}: error: {exc}", file=sys.stderr)
-        return exc.exit_code
+
+    def show(message, *_):
+        print(f"eegx {args.cmd}: warning: {message}", file=sys.stderr)
+
+    with warnings.catch_warnings():
+        warnings.showwarning = show
+        try:
+            return args.func(args)
+        except EegxError as exc:
+            print(f"eegx {args.cmd}: error: {exc}", file=sys.stderr)
+            return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -9,12 +9,14 @@ One table maps each simulation kind to its generator and the
 parameters it takes; ``SIM_KINDS`` lists its keys, and :func:`generate`
 looks a kind up in it.
 
-scipy is imported inside the two generators that use it, so importing
-eegx does not load it.
+scipy is imported inside the one generator that uses it
+(:func:`gen_gaussian_copula_pair`, for ``scipy.special.ndtr``), so
+importing eegx, and every other generator, does not load it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +28,12 @@ from .signal_io import EegRecording
 #: low-frequency-peaked spectrum similar to resting EEG.
 AR_COEFFS = (1.3, -0.4)
 AR_BURN_IN = 500
+#: The roots of z**2 - AR_COEFFS[0]*z - AR_COEFFS[1] (0.8 and 0.5): real and
+#: inside the unit circle, so the AR(2) filter is two stable AR(1) filters
+#: in cascade.
+_AR_POLES = tuple(
+    (AR_COEFFS[0] + s * math.sqrt(AR_COEFFS[0] ** 2 + 4 * AR_COEFFS[1])) / 2 for s in (1, -1)
+)
 FACTOR_DF = 3  # Student-t degrees of freedom of the shared seizure factor
 REF_LOADING = 3.0  # factor loading of the reference channel (index 0)
 OTHER_LOADING = 1.5  # factor loading of every other channel
@@ -96,12 +104,25 @@ def gen_independent_pair(n: int, seed: int):
 
 
 def _ar2_noise(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Stationary AR(2) Gaussian noise, burn-in discarded."""
-    from scipy.signal import lfilter
+    """Stationary AR(2) Gaussian noise, burn-in discarded.
 
-    eps = rng.standard_normal(n + AR_BURN_IN)
-    a = [1.0, -AR_COEFFS[0], -AR_COEFFS[1]]
-    return lfilter([1.0], a, eps)[AR_BURN_IN:]
+    Each AR(1) stage y[t] = x[t] + r*y[t-1] from zero state is a doubling
+    scan: after the step with lag k and weight c = r**k, y[t] sums
+    r**j * x[t-j] over j < 2k. The scan stops once c <= 2**-64, so only
+    lags whose weight is below that are left out (lags >= 256 at r = 0.8).
+    This matches ``scipy.signal.lfilter`` to rounding without importing
+    scipy.signal, which would more than double a generating process's
+    peak memory.
+    """
+    y = rng.standard_normal(n + AR_BURN_IN)
+    tmp = np.empty_like(y)
+    for r in _AR_POLES:
+        k, c = 1, r
+        while c > 2.0**-64:
+            np.multiply(y[:-k], c, out=tmp[k:])
+            y[k:] += tmp[k:]
+            k, c = 2 * k, c * c
+    return y[AR_BURN_IN:]
 
 
 def gen_synthetic_eeg(channels: int, T: int, onset_fraction: float, seed: int) -> EegRecording:

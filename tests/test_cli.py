@@ -421,13 +421,17 @@ class TestSubcommands:
             assert f.exists()
             assert f.read_text().splitlines()[0] == "T3,Fp1,Fp2,F3"
 
-    @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_decompose_omits_infeasible_bands(self, small_csv, tmp_path, capsys):
         # at fs=5 Hz only delta lies below the Nyquist frequency
         rc = run(["decompose", "--input", small_csv, "--fs", "5", "--outdir", tmp_path])
         assert rc == 0
-        assert ("bands omitted (infeasible at fs=5): ['theta', 'alpha', 'beta', 'gamma']\n"
-                in capsys.readouterr().out)
+        out, err = capsys.readouterr()
+        # each warning once, as one line, and not repeated on stdout
+        assert err.splitlines() == [
+            "eegx decompose: warning: band 'delta': upper edge capped from 4 to 2.475 Hz at fs=5",
+            "eegx decompose: warning: bands omitted at fs=5 Hz: ['theta', 'alpha', 'beta', 'gamma']",
+        ]
+        assert "omitted" not in out
         assert [p.name for p in tmp_path.iterdir()] == ["rec.delta.csv"]
 
     def test_spectrum(self, rec_csv, tmp_path):

@@ -4,7 +4,10 @@ module-level import that its module never uses, and no module-level
 private name that the package never uses outside its definition (a
 private helper kept alive only by its tests). One more rule keeps the
 promise that every output is written atomically: no function but
-``signal_io.write_text_atomic`` makes a call that can write a file."""
+``signal_io.write_text_atomic`` makes a call that can write a file. And
+one keeps scipy out of every process that does not need it: the only
+scipy import is ``scipy.special`` inside
+``oracle_sim.gen_gaussian_copula_pair``."""
 
 import ast
 from pathlib import Path
@@ -110,20 +113,38 @@ def _writes(call: ast.Call) -> bool:
     return False
 
 
+def _scoped(node: ast.AST, scope: str = "<module>"):
+    """Each node under ``node`` with the name of its innermost enclosing
+    function (``<module>`` outside any)."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        scope = node.name
+    yield scope, node
+    for child in ast.iter_child_nodes(node):
+        yield from _scoped(child, scope)
+
+
 def _file_writes(tree: ast.Module) -> list[str]:
-    """``<function>:<line>: <callee>`` for each call that can write a file,
-    named by its innermost enclosing function (``<module>`` outside any)."""
+    """``<function>:<line>: <callee>`` for each call that can write a file."""
+    return [
+        f"{scope}:{node.lineno}: {ast.unparse(node.func)}"
+        for scope, node in _scoped(tree)
+        if isinstance(node, ast.Call) and _writes(node)
+    ]
+
+
+def _scipy_imports(tree: ast.Module) -> list[str]:
+    """``<function>:<line>: <module>`` for each import of scipy or of a
+    scipy submodule."""
     found = []
-
-    def visit(node, scope):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            scope = node.name
-        if isinstance(node, ast.Call) and _writes(node):
-            found.append(f"{scope}:{node.lineno}: {ast.unparse(node.func)}")
-        for child in ast.iter_child_nodes(node):
-            visit(child, scope)
-
-    visit(tree, "<module>")
+    for scope, node in _scoped(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        found += [f"{scope}:{node.lineno}: {m}" for m in modules
+                  if m == "scipy" or m.startswith("scipy.")]
     return found
 
 
@@ -149,6 +170,15 @@ def test_only_write_text_atomic_writes_files(path):
     found = _file_writes(ast.parse(path.read_text(), str(path)))
     if path.name == "signal_io.py":
         found = [f for f in found if not f.startswith("write_text_atomic:")]
+    assert found == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_scipy_is_imported_only_by_the_copula_generator(path):
+    found = _scipy_imports(ast.parse(path.read_text(), str(path)))
+    if path.name == "oracle_sim.py":
+        found = [f for f in found if not (f.startswith("gen_gaussian_copula_pair:")
+                                          and f.endswith(": scipy.special"))]
     assert found == []
 
 
@@ -210,4 +240,21 @@ def test_the_guard_finds_file_writes():
         "write_text_atomic:10: os.fdopen",
         "write_text_atomic:11: os.rename",
         "<module>:12: open",
+    ]
+
+
+def test_the_guard_finds_scipy_imports():
+    tree = ast.parse(
+        "from scipy.signal import lfilter\n"
+        "import numpy, scipy.stats as st\n"
+        "def f():\n"
+        "    from scipy import special\n"
+        "    from . import scipy\n"
+        "    import scipyx, scipy\n"
+    )
+    assert _scipy_imports(tree) == [
+        "<module>:1: scipy.signal",
+        "<module>:2: scipy.stats",
+        "f:4: scipy",
+        "f:6: scipy",
     ]

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.signal import lfilter
 from scipy.stats import kurtosis
 
 from eegx import (
@@ -14,6 +17,15 @@ from eegx import (
     gen_synthetic_eeg,
     generate,
     split_at_onset,
+)
+from eegx.oracle_sim import (
+    AR_BURN_IN,
+    AR_COEFFS,
+    FACTOR_DF,
+    OTHER_LOADING,
+    REF_LOADING,
+    _AR_POLES,
+    _ar2_noise,
 )
 
 
@@ -129,7 +141,18 @@ class TestSyntheticEeg:
     def test_determinism(self):
         r1 = gen_synthetic_eeg(3, 2_000, 0.5, seed=5)
         r2 = gen_synthetic_eeg(3, 2_000, 0.5, seed=5)
-        assert np.array_equal(r1.data, r2.data)
+        assert r1.data.tobytes() == r2.data.tobytes()
+
+    def test_matches_lfilter_reference(self):
+        # the same streams, with the background from scipy's direct-form filter
+        T, onset_fraction, seed = 5_000, 0.6, 9
+        rec = gen_synthetic_eeg(4, T, onset_fraction, seed=seed)
+        seqs = np.random.SeedSequence(seed).spawn(5)
+        want = np.column_stack([_lfilter_ar2(T, np.random.default_rng(s)) for s in seqs[:4]])
+        onset = rec.onset_index
+        factor = np.random.default_rng(seqs[-1]).standard_t(FACTOR_DF, size=T - onset)
+        want[onset:] += factor[:, None] * np.array([REF_LOADING] + [OTHER_LOADING] * 3)
+        np.testing.assert_allclose(rec.data, want, rtol=0, atol=1e-12)
 
     def test_reference_loading_largest(self):
         rec = gen_synthetic_eeg(4, 20_000, 0.5, seed=6)
@@ -144,6 +167,30 @@ class TestSyntheticEeg:
             gen_synthetic_eeg(3, 500, 0.5, seed=0)
         with pytest.raises(UsageError):
             gen_synthetic_eeg(3, 10_000, 1.5, seed=0)
+
+
+def _lfilter_ar2(n, rng):
+    """The AR(2) background by ``scipy.signal.lfilter`` from zero state."""
+    eps = rng.standard_normal(n + AR_BURN_IN)
+    return lfilter([1.0], [1.0, -AR_COEFFS[0], -AR_COEFFS[1]], eps)[AR_BURN_IN:]
+
+
+class TestAr2Noise:
+    @given(seed=st.integers(0, 2**63 - 1), n=st.sampled_from([0, 1, 255, 256, 257, 1_000, 50_000]))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_lfilter(self, seed, n):
+        got = _ar2_noise(n, np.random.default_rng(seed))
+        assert got.shape == (n,)
+        np.testing.assert_allclose(got, _lfilter_ar2(n, np.random.default_rng(seed)),
+                                   rtol=0, atol=1e-12)
+        assert _ar2_noise(n, np.random.default_rng(seed)).tobytes() == got.tobytes()
+
+    def test_poles_factor_the_recursion(self):
+        assert len(_AR_POLES) == 2
+        assert all(isinstance(r, float) and abs(r) < 1 for r in _AR_POLES)
+        r1, r2 = _AR_POLES
+        assert r1 + r2 == pytest.approx(AR_COEFFS[0], rel=1e-15)
+        assert -r1 * r2 == pytest.approx(AR_COEFFS[1], rel=1e-15)
 
 
 class TestSimSpec:

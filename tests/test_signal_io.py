@@ -508,8 +508,31 @@ class TestMatrixCsvWriter:
         env = {**os.environ, "PYTHONPATH": str(src)}
         assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            "eegx.save_recording(eegx.gen_synthetic_eeg(3, 2_000, 0.6, seed=5), sys.argv[1])",
+            "eegx.cli.main(['simulate', '--kind', 'synthetic_eeg', '--t', '2000',"
+            " '--channels', '3', '--out', sys.argv[1]])",
+        ],
+        ids=["gen_synthetic_eeg", "simulate"],
+    )
+    def test_synthetic_eeg_does_not_load_scipy(self, call, tmp_path):
+        src = Path(eegx.__file__).resolve().parents[1]
+        code = (
+            "import sys, contextlib, eegx.cli\n"
+            "with contextlib.redirect_stdout(None):\n"
+            f"    {call}\n"
+            "print('scipy' in sys.modules)"
+        )
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run([sys.executable, "-c", code, str(tmp_path / "sim.csv")], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.stdout.split() == ["False"], done.stderr
+        assert eegx.load_recording(tmp_path / "sim.csv").n_samples == 2_000
+
     def test_report_does_not_load_scipy(self, tmp_path):
-        # the recording is made here, since its generator does use scipy
+        # the recording is made here, so the subprocess runs the report alone
         save_recording(eegx.gen_synthetic_eeg(3, 8_000, 0.6, seed=5), tmp_path / "rec.csv")
         src = Path(eegx.__file__).resolve().parents[1]
         code = (
