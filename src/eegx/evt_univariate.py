@@ -142,6 +142,7 @@ def _gpd_information(sigma: float, xi: float, y: np.ndarray) -> np.ndarray:
     (-1)^(k+1) (2/k + k - 3) a^(k-3), accurate through xi = 0 without a
     separate exponential branch.
     """
+    sigma = np.float64(sigma)  # sigma**2 past the float range is inf, not OverflowError
     t = y / sigma
     a = xi * t
     w = 1.0 + a
@@ -462,17 +463,19 @@ def decluster_runs(
             peak_values=np.empty(0, dtype=float),
             n_clusters=0,
         )
-    breaks = np.flatnonzero(np.diff(exc_idx) > r)
-    groups = np.split(exc_idx, breaks + 1)
-    peaks_i = np.empty(len(groups), dtype=int)
-    for g, idx in enumerate(groups):
-        peaks_i[g] = idx[np.argmax(x[idx])]
+    new = np.diff(exc_idx) > r
+    cluster = np.concatenate(([0], np.cumsum(new)))  # of each exceedance
+    values = x[exc_idx]
+    peaks = np.maximum.reduceat(values, np.concatenate(([0], np.flatnonzero(new) + 1)))
+    hits = np.flatnonzero(values == peaks[cluster])
+    first = hits[np.concatenate(([True], np.diff(cluster[hits]) > 0))]  # earliest on ties
+    peaks_i = exc_idx[first]
     return ClusterSet(
         run_length_r=r,
         threshold_u=float(threshold_u),
         peak_indices=peaks_i,
         peak_values=x[peaks_i],
-        n_clusters=len(groups),
+        n_clusters=peaks.size,
     )
 
 

@@ -9,6 +9,15 @@ CSV, either passed by the caller or read from an optional JSON sidecar
 ``save_recording`` writes atomically next to the CSV. Bytes that are not
 UTF-8 are a ``FormatError``, a leading UTF-8 byte-order mark is
 dropped, and a path that is not a regular file is a ``ValidationError``.
+``load_recording`` parses the rows from the open file a line at a time
+and holds no copy of its text.
+
+One line rule holds for the header and every row: a line ends at '\n',
+'\r\n' or '\r' and nowhere else. The other characters at which
+``str.splitlines`` breaks ('\x0b', '\x0c', '\x1c'-'\x1e', '\x85',
+'\u2028', '\u2029') belong to their row: around a number they are
+whitespace, as a space is, and inside one a ``DataError`` naming the row
+and column. Blank lines and ``#`` comments are skipped.
 
 One rule (``_header``) decides which names a header may hold, for the
 writer and for ``load_recording`` alike: every name is a nonempty
@@ -26,7 +35,10 @@ columns, written by ``_write_csv``; the CLI writes each band file as
 one ``_Pool`` task, whose worker hands back only its path. ``_Pool`` is
 the package's one process pool, a handle on which work is submitted now
 and collected in order later; the band files and the chi bootstrap both
-run on it, and ``report`` opens one for its whole pass.
+run on it, and ``report`` opens one for its whole pass. The batch whose
+submit forks the workers, the band matrices on ``decompose`` and
+``report``, reaches them through the fork; only the index of an item is
+pickled.
 
 Every float is written as ``repr`` writes it, so a reload is exact. The
 text comes from a vectorised kernel (``_rows_text``): for finite values
@@ -219,19 +231,27 @@ def _is_float(tok: str) -> bool:
     return True
 
 
-def _locate_bad_cell(lines: list[str], n_cols: int) -> None:
-    """Slow path: pinpoint the first malformed cell and raise."""
-    for i, line in enumerate(lines):
-        parts = line.rstrip("\r\n").split(",")
-        if len(parts) != n_cols:
-            raise FormatError(
-                f"row {i + 1} has {len(parts)} fields, expected {n_cols}"
-            )
-        for j, tok in enumerate(parts):
-            if not _is_float(tok):
-                raise DataError(
-                    f"non-numeric value {tok.strip()!r} at row {i + 1}, column {j + 1}"
+def _locate_bad_cell(path: Path, n_cols: int) -> None:
+    """Slow path: read ``path`` again and raise for its first malformed
+    cell. Rows are split as ``load_recording`` parses them: at line ends
+    only, with blank lines and ``#`` comments skipped; a row's number is
+    its line's, counted from the one after the header."""
+    with _utf8_text(path) as fh:
+        fh.readline()
+        for i, line in enumerate(fh):
+            row = line.rstrip("\n").partition("#")[0]
+            if not row:
+                continue
+            parts = row.split(",")
+            if len(parts) != n_cols:
+                raise FormatError(
+                    f"row {i + 1} has {len(parts)} fields, expected {n_cols}"
                 )
+            for j, tok in enumerate(parts):
+                if not _is_float(tok):
+                    raise DataError(
+                        f"non-numeric value {tok.strip()!r} at row {i + 1}, column {j + 1}"
+                    )
 
 
 def load_recording(
@@ -249,7 +269,9 @@ def load_recording(
     FormatError
         Malformed header or ragged rows; bytes that are not UTF-8.
     DataError
-        Non-numeric, NaN, or Inf cell (named by row/column).
+        Non-numeric, NaN, or Inf cell (named by row/column), such as a
+        number broken by a character that is not a line end (see the
+        line rule in the module docstring).
     ValidationError
         A path that is not a regular file, duplicate channel names,
         missing or bad sampling rate, bad onset.
@@ -275,15 +297,14 @@ def load_recording(
         if header_line == "":
             raise FormatError(f"{p} is empty")
         channels = _parse_header(header_line)
-        body = fh.read()
-
-    try:
-        data = np.loadtxt(
-            body.splitlines(), delimiter=",", dtype=float, ndmin=2
-        )
-    except ValueError as exc:
-        _locate_bad_cell(body.splitlines(), len(channels))
-        raise FormatError(f"could not parse {p}: {exc}") from exc
+        # parsed from the handle, a line at a time: no copy of the text
+        try:
+            data = np.loadtxt(fh, delimiter=",", dtype=float, ndmin=2)
+        except UnicodeDecodeError:
+            raise  # a FormatError, from _utf8_text
+        except ValueError as exc:
+            _locate_bad_cell(p, len(channels))
+            raise FormatError(f"could not parse {p}: {exc}") from exc
 
     if data.size and data.shape[1] != len(channels):
         raise FormatError(
@@ -576,6 +597,17 @@ def _write_csv(task) -> Path:
     return write_text_atomic(path, _table_text(list(zip(channels, matrix.T))))
 
 
+#: The batch each open ``_Pool`` forked its workers with, by ``id`` of
+#: the pool: a worker finds its items in its copy of the parent's memory.
+_FORKED: dict[int, list] = {}
+
+
+def _call_forked(fn, pool: int, index: int):
+    """``fn`` of item ``index`` of the batch ``pool`` forked its workers
+    with; runs in a worker."""
+    return fn(_FORKED[pool][index])
+
+
 class _Pool:
     """The package's one process pool: work is submitted now and collected
     in order later, so the caller can go on meanwhile. Used as a context
@@ -586,6 +618,9 @@ class _Pool:
     item, one per usable core but no more than the items. Until then, and
     for good on one usable core or without ``fork``, ``submit`` runs
     nothing: the items are computed in-process when they are collected.
+    The batch of the submit that forks the workers reaches them through
+    the fork, in ``_FORKED``, and only each item's index through the
+    pipe; the items of a later submit are pickled.
     """
 
     def __init__(self):
@@ -597,6 +632,7 @@ class _Pool:
     def __exit__(self, *exc_info) -> None:
         if self._executor is not None:
             self._executor.shutdown(wait=True, cancel_futures=True)
+        _FORKED.pop(id(self), None)
 
     def submit(self, fn, items: list):
         """Start ``fn(item)`` for every item; returns a function that waits
@@ -604,11 +640,18 @@ class _Pool:
         module-level function, since the pool sends it to the workers by
         name. When one item fails, collecting raises its exception and
         cancels the items not yet started."""
-        if self._executor is None and len(items) > 1:
+        forks = self._executor is None and len(items) > 1
+        if forks:
             self._executor = _fork_executor(len(items))
         if self._executor is None:
             return lambda: list(map(fn, items))
-        futures = [self._executor.submit(fn, item) for item in items]
+        if forks:  # the executor forks every worker at its first submit
+            _FORKED[id(self)] = items
+            futures = [
+                self._executor.submit(_call_forked, fn, id(self), i) for i in range(len(items))
+            ]
+        else:
+            futures = [self._executor.submit(fn, item) for item in items]
 
         def collect():
             try:

@@ -1,6 +1,8 @@
 import json
 import multiprocessing
+import pickle
 import re
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from xml.dom import minidom
 from xml.sax.saxutils import escape
@@ -655,19 +657,48 @@ class TestReport:
         manifest = json.loads((out / "manifest.json").read_text())
         return {s["name"]: s["status"] for s in manifest["stages"]}
 
-    def test_bytes_do_not_depend_on_core_count(self, rec_csv, tmp_path, monkeypatch):
+    @pytest.mark.parametrize(
+        "argv, files",
+        [(["report", "--cond-channel", "T3", "--n-boot", "7", "--n-sim", "200", "--seed", "4"],
+          30),
+         (["decompose"], 5)],
+        ids=["report", "decompose"],
+    )
+    def test_bytes_do_not_depend_on_core_count(self, rec_csv, tmp_path, monkeypatch, argv,
+                                               files):
         trees = {}
         for cores in (1, 2, 3):
             monkeypatch.setattr(sio, "_usable_cores", lambda: cores)
             out = tmp_path / f"cores{cores}"
-            rc = run(["report", "--input", rec_csv, "--cond-channel", "T3",
-                      "--n-boot", "7", "--n-sim", "200", "--seed", "4", "--outdir", out])
-            assert rc == 0
+            assert run([*argv, "--input", rec_csv, "--outdir", out]) == 0
             trees[cores] = {p.relative_to(out): p.read_bytes()
                             for p in sorted(out.rglob("*")) if p.is_file()}
-        assert len(trees[1]) > 30
+        assert len(trees[1]) >= files
         assert trees[2] == trees[1]
         assert trees[3] == trees[1]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["report", "--cond-channel", "T3", "--n-boot", "7", "--n-sim", "200"], ["decompose"]],
+        ids=["report", "decompose"],
+    )
+    def test_band_matrices_reach_workers_through_the_fork(self, rec_csv, tmp_path, monkeypatch,
+                                                          argv):
+        # every band-write task sent to a worker pickles to its index, not its
+        # matrix (384 KB here)
+        sent = []
+        submit = ProcessPoolExecutor.submit
+
+        def measured(executor, fn, *args):
+            if any(a is sio._write_csv for a in (fn, *args)):
+                sent.append(len(pickle.dumps((fn, args))))
+            return submit(executor, fn, *args)
+
+        monkeypatch.setattr(sio, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", measured)
+        assert run([*argv, "--input", rec_csv, "--outdir", tmp_path]) == 0
+        assert len(sent) == 5
+        assert max(sent) < 1024
 
     def test_stage_failure_with_pool_open(self, rec_csv, tmp_path, monkeypatch):
         # ht_fit dies while the workers still hold chi's replicate blocks

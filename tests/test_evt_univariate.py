@@ -109,6 +109,17 @@ class TestParameterStability:
         assert np.isnan(d.xi[0])
 
 
+def _decluster_loop(x, u, r):
+    """The runs method cluster by cluster: (peak indices, peak values,
+    cluster count), the earliest index on ties."""
+    exc_idx = np.flatnonzero(x > u)
+    if exc_idx.size == 0:
+        return np.empty(0, dtype=int), np.empty(0), 0
+    groups = np.split(exc_idx, np.flatnonzero(np.diff(exc_idx) > r) + 1)
+    peaks_i = np.array([idx[np.argmax(x[idx])] for idx in groups])
+    return peaks_i, x[peaks_i], len(groups)
+
+
 class TestDecluster:
     def test_hand_example(self):
         x = np.zeros(25)
@@ -156,6 +167,24 @@ class TestDecluster:
         # consecutive peaks separated by more than r samples
         gaps = np.diff(cs.peak_indices)
         assert np.all(gaps > r)
+
+    @given(
+        data=st.lists(st.integers(-3, 3), min_size=1, max_size=60),
+        r=st.sampled_from([1, 2, 50, 61]),
+        tied=st.booleans(),
+        seed=st.integers(0, 1000),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_cluster_loop(self, data, r, tied, seed):
+        # small integers tie often; a seeded jitter breaks every tie
+        x = np.array(data, dtype=float)
+        if not tied:
+            x += np.random.default_rng(seed).uniform(0.0, 0.5, x.size)
+        cs = decluster_runs(x, 0.5, r)
+        peaks_i, peaks_v, n = _decluster_loop(x, 0.5, r)
+        assert np.array_equal(cs.peak_indices, peaks_i)
+        assert np.array_equal(cs.peak_values, peaks_v)
+        assert cs.n_clusters == n
 
 
 class TestFitGpd:
@@ -375,6 +404,17 @@ class TestGpdInformation:
                     assert fit.se_xi == pytest.approx(np.sqrt(old[1, 1]), rel=1e-4)
                     compared += 1
         assert compared > 500
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-160])
+    def test_extreme_scale_has_no_standard_errors(self, scale):
+        # sigma**2 leaves the float range: NaN standard errors and a warning,
+        # not an OverflowError
+        y = scale * (np.random.default_rng(7).pareto(4, 200) + 0.01)
+        with pytest.warns(UserWarning, match="observed information not positive definite"):
+            fit = fit_gpd(y)
+        assert np.isnan(fit.se_sigma) and np.isnan(fit.se_xi)
+        assert fit.cov_sigma_xi is None
+        assert fit.xi == pytest.approx(fit_gpd(y / scale).xi, rel=1e-5)
 
     def test_constant_excesses_exact(self):
         # sigma_hat = 1 (to ~1e-9), xi = -0.5: I_ss = 0.5 * 20 * (2 + 4) - 20 = 40

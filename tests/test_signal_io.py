@@ -1,9 +1,11 @@
 import json
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -166,6 +168,60 @@ class TestLoadSave:
         p.write_text("A,B\n1,2\n3\n")
         with pytest.raises(FormatError, match="row 2"):
             load_recording(p, fs=1.0)
+
+    @pytest.mark.parametrize(
+        "body",
+        ["1,2\r\n3,4\r\n", "1,2\n3,4", "1,2\r3,4\r", "1,2\n3,4\n\n\n", "1,2\n# note\n3,4\n",
+         "1,2 # note\n3,4\n", "1,2\x0c\n3, 4\n"],
+        ids=["crlf", "no-final-newline", "cr", "trailing-blank-lines", "comment-line",
+             "trailing-comment", "whitespace-around-numbers"],
+    )
+    def test_line_ends(self, body, tmp_path):
+        p = tmp_path / "ends.csv"
+        p.write_bytes(("A,B\n" + body).encode())
+        assert np.array_equal(load_recording(p, fs=1.0).data, [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_empty_body(self, tmp_path):
+        p = tmp_path / "empty.csv"
+        p.write_text("A,B\n\n")
+        with pytest.warns(UserWarning, match="no data"):
+            with pytest.raises(ValidationError, match="at least 2 samples, got 0"):
+                load_recording(p, fs=1.0)
+
+    @pytest.mark.parametrize("char", ["\x0c", "\x1c", "\u2028"])
+    def test_only_line_ends_split_rows(self, char, tmp_path):
+        # str.splitlines() breaks at these; a row does not
+        p = tmp_path / "split.csv"
+        p.write_bytes(f"A,B\n1,2{char}3\n4,5\n".encode())
+        with pytest.raises(DataError, match=re.escape(f"{'2' + char + '3'!r} at row 1, column 2")):
+            load_recording(p, fs=1.0)
+
+    def test_bad_cell_after_blank_line(self, tmp_path):
+        # rows are numbered by line, and blank lines are skipped
+        p = tmp_path / "gap.csv"
+        p.write_text("A,B\n1,2\n\n3,x\n")
+        with pytest.raises(DataError, match="row 3, column 2"):
+            load_recording(p, fs=1.0)
+
+    def test_undecodable_past_first_megabyte(self, tmp_path):
+        p = tmp_path / "late.csv"
+        p.write_bytes(b"A,B\n" + b"1.25,2.5\n" * 120_000 + b"3,\xff\n")
+        with pytest.raises(FormatError, match="not UTF-8"):
+            load_recording(p, fs=1.0)
+
+    def test_load_holds_no_copy_of_the_text(self, tmp_path):
+        # a parse of the whole text split into lines peaks at 7.9 times the
+        # matrix's bytes here; the matrix and the recording's copy are 2
+        data = np.random.default_rng(5).standard_normal((50_000, 4))
+        p = save_recording(EegRecording(_channels(4), 250.0, data), tmp_path / "big.csv")
+        tracemalloc.start()
+        try:
+            rec = load_recording(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(rec.data, data)
+        assert peak < 2.5 * data.nbytes
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ValidationError, match="not found"):
