@@ -660,7 +660,7 @@ class TestReport:
     @pytest.mark.parametrize(
         "argv, files",
         [(["report", "--cond-channel", "T3", "--n-boot", "7", "--n-sim", "200", "--seed", "4"],
-          30),
+          31),
          (["decompose"], 5)],
         ids=["report", "decompose"],
     )
