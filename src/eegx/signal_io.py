@@ -17,7 +17,7 @@ One line rule holds for the header and every row: a line ends at '\n',
 ``str.splitlines`` breaks ('\x0b', '\x0c', '\x1c'-'\x1e', '\x85',
 '\u2028', '\u2029') belong to their row: around a number they are
 whitespace, as a space is, and inside one a ``DataError`` naming the row
-and column. Blank lines and ``#`` comments are skipped.
+and column. Lines of only whitespace and ``#`` comments are skipped.
 
 One rule (``_header``) decides which names a header may hold, for the
 writer and for ``load_recording`` alike: every name is a nonempty
@@ -35,10 +35,8 @@ columns, written by ``_write_csv``; the CLI writes each band file as
 one ``_Pool`` task, whose worker hands back only its path. ``_Pool`` is
 the package's one process pool, a handle on which work is submitted now
 and collected in order later; the band files and the chi bootstrap both
-run on it, and ``report`` opens one for its whole pass. The batch whose
-submit forks the workers, the band matrices on ``decompose`` and
-``report``, reaches them through the fork; only the index of an item is
-pickled.
+run on it, and ``report`` opens one for its whole pass. Every item
+reaches the workers through the fork; only indices are pickled.
 
 Every float is written as ``repr`` writes it, so a reload is exact. The
 text comes from a vectorised kernel (``_rows_text``): for finite values
@@ -231,27 +229,33 @@ def _is_float(tok: str) -> bool:
     return True
 
 
-def _locate_bad_cell(path: Path, n_cols: int) -> None:
-    """Slow path: read ``path`` again and raise for its first malformed
-    cell. Rows are split as ``load_recording`` parses them: at line ends
-    only, with blank lines and ``#`` comments skipped; a row's number is
-    its line's, counted from the one after the header."""
+def _reparse(path: Path, n_cols: int) -> np.ndarray:
+    """Slow path, for rows ``np.loadtxt`` refused: read ``path`` again and
+    raise for its first malformed cell, splitting rows as the module's line
+    rule says; a row's number is its line's, counted from the one after the
+    header. With no bad cell, ``np.loadtxt`` took a line of whitespace for
+    a row, and the rows are parsed again without such lines."""
     with _utf8_text(path) as fh:
         fh.readline()
         for i, line in enumerate(fh):
             row = line.rstrip("\n").partition("#")[0]
-            if not row:
+            if not row.strip():
                 continue
             parts = row.split(",")
             if len(parts) != n_cols:
-                raise FormatError(
-                    f"row {i + 1} has {len(parts)} fields, expected {n_cols}"
-                )
+                raise FormatError(f"row {i + 1} has {len(parts)} fields, expected {n_cols}")
             for j, tok in enumerate(parts):
                 if not _is_float(tok):
                     raise DataError(
                         f"non-numeric value {tok.strip()!r} at row {i + 1}, column {j + 1}"
                     )
+        fh.seek(0)
+        fh.readline()
+        rows = (line for line in fh if line.partition("#")[0].strip())
+        try:
+            return np.loadtxt(rows, delimiter=",", dtype=float, ndmin=2)
+        except ValueError as exc:
+            raise FormatError(f"could not parse {path}: {exc}") from exc
 
 
 def load_recording(
@@ -302,9 +306,8 @@ def load_recording(
             data = np.loadtxt(fh, delimiter=",", dtype=float, ndmin=2)
         except UnicodeDecodeError:
             raise  # a FormatError, from _utf8_text
-        except ValueError as exc:
-            _locate_bad_cell(p, len(channels))
-            raise FormatError(f"could not parse {p}: {exc}") from exc
+        except ValueError:
+            data = _reparse(p, len(channels))
 
     if data.size and data.shape[1] != len(channels):
         raise FormatError(
@@ -597,15 +600,16 @@ def _write_csv(task) -> Path:
     return write_text_atomic(path, _table_text(list(zip(channels, matrix.T))))
 
 
-#: The batch each open ``_Pool`` forked its workers with, by ``id`` of
-#: the pool: a worker finds its items in its copy of the parent's memory.
+#: The batches submitted to each open ``_Pool``, by ``id`` of the pool: a
+#: worker finds ``fn`` and its item in its forked copy of the parent's memory.
 _FORKED: dict[int, list] = {}
 
 
-def _call_forked(fn, pool: int, index: int):
-    """``fn`` of item ``index`` of the batch ``pool`` forked its workers
-    with; runs in a worker."""
-    return fn(_FORKED[pool][index])
+def _call_forked(pool: int, batch: int, index: int):
+    """``fn(item)`` of item ``index`` of batch ``batch`` that ``pool``
+    forked its workers with; runs in a worker."""
+    fn, items = _FORKED[pool][batch]
+    return fn(items[index])
 
 
 class _Pool:
@@ -614,19 +618,17 @@ class _Pool:
     manager; leaving the block cancels the work nobody collected and waits
     for the workers to exit.
 
-    The pool forks its workers at the first ``submit`` of more than one
-    item, one per usable core but no more than the items. Until then, and
-    for good on one usable core or without ``fork``, ``submit`` runs
-    nothing: the items are computed in-process when they are collected.
-    The batch of the submit that forks the workers reaches them through
-    the fork, in ``_FORKED``, and only each item's index through the
-    pipe; the items of a later submit are pickled.
+    ``submit`` only queues a batch. The first collect forks the workers,
+    one per usable core but no more than the items submitted, with every
+    batch in ``_FORKED``: every item reaches the workers through the fork;
+    only indices are pickled. On one usable core, with one item in all or
+    without ``fork``, each batch runs in-process when it is collected. A
+    submit after the first collect is a ``UsageError``.
     """
 
-    def __init__(self):
-        self._executor = None
-
     def __enter__(self) -> _Pool:
+        self._batches, self._futures, self._executor = [], None, None
+        _FORKED[id(self)] = self._batches  # (fn, items), in submit order
         return self
 
     def __exit__(self, *exc_info) -> None:
@@ -635,25 +637,21 @@ class _Pool:
         _FORKED.pop(id(self), None)
 
     def submit(self, fn, items: list):
-        """Start ``fn(item)`` for every item; returns a function that waits
-        for the results and returns them in order. ``fn`` must be a
-        module-level function, since the pool sends it to the workers by
-        name. When one item fails, collecting raises its exception and
-        cancels the items not yet started."""
-        forks = self._executor is None and len(items) > 1
-        if forks:
-            self._executor = _fork_executor(len(items))
-        if self._executor is None:
-            return lambda: list(map(fn, items))
-        if forks:  # the executor forks every worker at its first submit
-            _FORKED[id(self)] = items
-            futures = [
-                self._executor.submit(_call_forked, fn, id(self), i) for i in range(len(items))
-            ]
-        else:
-            futures = [self._executor.submit(fn, item) for item in items]
+        """Queue ``fn(item)`` for every item; returns a function that waits
+        for the results and returns them in order. When one item fails,
+        collecting raises its exception and cancels the items not yet
+        started."""
+        if self._futures is not None:
+            raise UsageError("a pool takes no submit after its first collect")
+        batch = len(self._batches)
+        self._batches.append((fn, items))
 
         def collect():
+            if self._futures is None:
+                self._start()
+            if self._executor is None:
+                return list(map(fn, items))
+            futures = self._futures[batch]
             try:
                 return [f.result() for f in futures]
             finally:  # after a failure the rest is not needed
@@ -662,27 +660,28 @@ class _Pool:
 
         return collect
 
+    def _start(self) -> None:
+        """Fork the workers, where they pay, and send each item's index."""
+        self._futures = []
+        workers = min(_usable_cores(), sum(len(items) for _, items in self._batches))
+        if workers < 2:
+            return
+        import multiprocessing
 
-def _fork_executor(items: int):
-    """A fork process pool with a worker per usable core, but no more than
-    ``items``; None on one usable core or where there is no ``fork``."""
-    workers = min(_usable_cores(), items)
-    if workers < 2:
-        return None
-    import multiprocessing
+        if "fork" not in multiprocessing.get_all_start_methods():
+            return
+        from concurrent.futures import ProcessPoolExecutor
 
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return None
-    from concurrent.futures import ProcessPoolExecutor
-
-    # fork, not spawn: a spawned worker imports numpy and eegx afresh
-    # (about 0.17 s for eegx.cli), which costs more than the band file it
-    # writes; report, with one pool for its band files and both epochs'
-    # chi bootstraps, would pay it once per worker against a chi saving
-    # of about 0.5 s. The executor forks every worker at its first
-    # submit, before it starts its own thread, and the workers only run
-    # the submitted functions.
-    return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+        # fork, not spawn: a spawned worker imports numpy and eegx afresh
+        # (about 0.17 s for eegx.cli), more than a band file costs to write.
+        # The executor forks every worker at its first submit, before it
+        # starts its own thread, so each worker holds every batch.
+        fork = multiprocessing.get_context("fork")
+        self._executor = ProcessPoolExecutor(workers, mp_context=fork)
+        self._futures = [
+            [self._executor.submit(_call_forked, id(self), b, i) for i in range(len(items))]
+            for b, (_, items) in enumerate(self._batches)
+        ]
 
 
 def split_at_onset(rec: EegRecording) -> EpochPair:
@@ -714,6 +713,6 @@ def select_channels(
     return EegRecording(
         channels=tuple(names),
         fs=rec.fs,
-        data=rec.data[:, idx].copy(),
+        data=rec.data[:, idx],
         onset_index=rec.onset_index,
     )

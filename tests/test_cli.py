@@ -678,26 +678,29 @@ class TestReport:
         assert trees[3] == trees[1]
 
     @pytest.mark.parametrize(
-        "argv",
-        [["report", "--cond-channel", "T3", "--n-boot", "7", "--n-sim", "200"], ["decompose"]],
-        ids=["report", "decompose"],
+        "argv, tasks",
+        [
+            (["report", "--cond-channel", "T3", "--n-boot", "7", "--n-sim", "200"], 9),
+            (["decompose"], 5),
+            (["chi", "--n-boot", "50"], 2),
+        ],
+        ids=["report", "decompose", "chi"],
     )
     def test_band_matrices_reach_workers_through_the_fork(self, rec_csv, tmp_path, monkeypatch,
-                                                          argv):
-        # every band-write task sent to a worker pickles to its index, not its
-        # matrix (384 KB here)
+                                                          argv, tasks):
+        # every task sent to a worker pickles to indices, not to its band
+        # matrix (384 KB here) or its sorted chi columns
         sent = []
         submit = ProcessPoolExecutor.submit
 
         def measured(executor, fn, *args):
-            if any(a is sio._write_csv for a in (fn, *args)):
-                sent.append(len(pickle.dumps((fn, args))))
+            sent.append(len(pickle.dumps((fn, args))))
             return submit(executor, fn, *args)
 
         monkeypatch.setattr(sio, "_usable_cores", lambda: 2)
         monkeypatch.setattr(ProcessPoolExecutor, "submit", measured)
         assert run([*argv, "--input", rec_csv, "--outdir", tmp_path]) == 0
-        assert len(sent) == 5
+        assert len(sent) == tasks
         assert max(sent) < 1024
 
     def test_stage_failure_with_pool_open(self, rec_csv, tmp_path, monkeypatch):

@@ -7,7 +7,9 @@ promise that every output is written atomically: no function but
 ``signal_io.write_text_atomic`` makes a call that can write a file. And
 one keeps scipy out of every process that does not need it: the only
 scipy import is ``scipy.special`` inside
-``oracle_sim.gen_gaussian_copula_pair``."""
+``oracle_sim.gen_gaussian_copula_pair``. The last keeps ``signal_io._Pool``
+the package's one process pool: no other module imports
+``multiprocessing`` or ``concurrent.futures``."""
 
 import ast
 from pathlib import Path
@@ -132,9 +134,9 @@ def _file_writes(tree: ast.Module) -> list[str]:
     ]
 
 
-def _scipy_imports(tree: ast.Module) -> list[str]:
-    """``<function>:<line>: <module>`` for each import of scipy or of a
-    scipy submodule."""
+def _imports(tree: ast.Module, packages: set[str]) -> list[str]:
+    """``<function>:<line>: <module>`` for each import of one of
+    ``packages`` or of one of their submodules."""
     found = []
     for scope, node in _scoped(tree):
         if isinstance(node, ast.Import):
@@ -144,7 +146,7 @@ def _scipy_imports(tree: ast.Module) -> list[str]:
         else:
             continue
         found += [f"{scope}:{node.lineno}: {m}" for m in modules
-                  if m == "scipy" or m.startswith("scipy.")]
+                  if m.split(".")[0] in packages]
     return found
 
 
@@ -175,11 +177,19 @@ def test_only_write_text_atomic_writes_files(path):
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_scipy_is_imported_only_by_the_copula_generator(path):
-    found = _scipy_imports(ast.parse(path.read_text(), str(path)))
+    found = _imports(ast.parse(path.read_text(), str(path)), {"scipy"})
     if path.name == "oracle_sim.py":
         found = [f for f in found if not (f.startswith("gen_gaussian_copula_pair:")
                                           and f.endswith(": scipy.special"))]
     assert found == []
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "signal_io.py"], ids=lambda p: p.name
+)
+def test_only_signal_io_starts_processes(path):
+    tree = ast.parse(path.read_text(), str(path))
+    assert _imports(tree, {"multiprocessing", "concurrent"}) == []
 
 
 def test_the_guard_finds_both_kinds():
@@ -252,9 +262,26 @@ def test_the_guard_finds_scipy_imports():
         "    from . import scipy\n"
         "    import scipyx, scipy\n"
     )
-    assert _scipy_imports(tree) == [
+    assert _imports(tree, {"scipy"}) == [
         "<module>:1: scipy.signal",
         "<module>:2: scipy.stats",
         "f:4: scipy",
         "f:6: scipy",
+    ]
+
+
+def test_the_guard_finds_process_pools():
+    tree = ast.parse(
+        "import multiprocessing.pool, os\n"
+        "from concurrent import futures\n"
+        "def f():\n"
+        "    from concurrent.futures import ProcessPoolExecutor\n"
+        "    import multiprocessing as mp, concurrently\n"
+        "    from .multiprocessing import x\n"
+    )
+    assert _imports(tree, {"multiprocessing", "concurrent"}) == [
+        "<module>:1: multiprocessing.pool",
+        "<module>:2: concurrent",
+        "f:4: concurrent.futures",
+        "f:5: multiprocessing",
     ]

@@ -1,11 +1,13 @@
 import json
 import multiprocessing
 import os
+import pickle
 import re
 import subprocess
 import sys
 import time
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -172,9 +174,10 @@ class TestLoadSave:
     @pytest.mark.parametrize(
         "body",
         ["1,2\r\n3,4\r\n", "1,2\n3,4", "1,2\r3,4\r", "1,2\n3,4\n\n\n", "1,2\n# note\n3,4\n",
-         "1,2 # note\n3,4\n", "1,2\x0c\n3, 4\n"],
+         "1,2 # note\n3,4\n", "1,2\x0c\n3, 4\n", "1,2\n   \n3,4\n", "1,2\n  # note\n3,4\n"],
         ids=["crlf", "no-final-newline", "cr", "trailing-blank-lines", "comment-line",
-             "trailing-comment", "whitespace-around-numbers"],
+             "trailing-comment", "whitespace-around-numbers", "whitespace-line",
+             "indented-comment"],
     )
     def test_line_ends(self, body, tmp_path):
         p = tmp_path / "ends.csv"
@@ -606,7 +609,6 @@ class TestMatrixCsvWriter:
 
 
 def _double(x):
-    # module level, so the pool can pickle it by name
     if x < 0:
         raise ValueError(f"negative: {x}")
     return 2 * x
@@ -636,13 +638,19 @@ class TestPool:
                 collect()
 
     @pytest.mark.parametrize("cores", [1, 2])
-    def test_failure_raises_when_collected(self, cores, monkeypatch):
+    def test_failure_raises_when_collected(self, cores, tmp_path, monkeypatch):
         monkeypatch.setattr(sio, "_usable_cores", lambda: cores)
+        paths = [tmp_path / f"{k}" for k in range(40)]  # 2 s of work on two workers
         with sio._Pool() as pool:
-            collect = pool.submit(_double, [1, -2, 3, 4])
-            with pytest.raises(ValueError, match="negative: -2"):
-                collect()
-            assert pool.submit(_double, [5, 6])() == [10, 12]  # the pool still works
+            marking = pool.submit(_mark, [tmp_path / "absent" / "0", *paths])
+            doubling = pool.submit(_double, [5, 6])
+            with pytest.raises(FileNotFoundError):
+                marking()
+            # queued behind the marks: most of them were cancelled
+            assert doubling() == [10, 12]
+            assert len(list(tmp_path.iterdir())) < len(paths) // 2
+            with pytest.raises(UsageError, match="no submit after its first collect"):
+                pool.submit(_double, [1, 2])
         assert multiprocessing.active_children() == []
 
     def test_uncollected_work_is_cancelled_on_exit(self, tmp_path, monkeypatch):
@@ -650,10 +658,34 @@ class TestPool:
         paths = [tmp_path / f"{k}" for k in range(40)]  # 2 s of work on two workers
         with pytest.raises(KeyError):
             with sio._Pool() as pool:
+                first = pool.submit(_double, [1, 2])
                 pool.submit(_mark, paths)
+                assert first() == [2, 4]
+                assert len(multiprocessing.active_children()) == 2  # the workers run
                 raise KeyError("the caller failed")
         assert multiprocessing.active_children() == []
         assert len(list(tmp_path.iterdir())) < len(paths)
+
+    def test_a_later_batch_reaches_the_workers_through_the_fork(self, monkeypatch):
+        # each task pickles to indices, whatever its item, and fn need not
+        # pickle at all
+        sent = []
+        submit = ProcessPoolExecutor.submit
+
+        def measured(executor, fn, *args):
+            sent.append(len(pickle.dumps((fn, args))))
+            return submit(executor, fn, *args)
+
+        monkeypatch.setattr(sio, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", measured)
+        arrays = [np.full(100_000, float(k)) for k in range(3)]  # 800 KB each
+        with sio._Pool() as pool:
+            first = pool.submit(_double, [1, 2])
+            sums = pool.submit(lambda a: float(a.sum()), arrays)
+            assert first() == [2, 4]
+            assert sums() == [0.0, 1e5, 2e5]
+        assert len(sent) == 5
+        assert max(sent) < 1024
 
 
 def _repr_rows(block) -> str:
