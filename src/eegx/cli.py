@@ -9,6 +9,7 @@ failing run never leaves a half-written artifact. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import warnings
@@ -30,7 +31,8 @@ from .errors import EegxError, FitError, UsageError, check_int, check_real
 
 def _emit(path: Path, text) -> Path:
     """Write ``text``, a string or the strings of ``sio._table_text``."""
-    sio.write_text_atomic(path, (text,) if isinstance(text, str) else text)
+    with sio.write_text_atomic(path) as (fh,):
+        fh.writelines((text,) if isinstance(text, str) else text)
     print(f"wrote {path}")
     return path
 
@@ -107,25 +109,40 @@ def _prefix(args) -> Path:
 # ---------------------------------------------------------------------------
 # stage writers: one per artifact, called by its subcommand and by report.
 # Each returns (what it computed, the paths it wrote); ``_write_bands``
-# returns a function that does, once the pool has written its files, and
-# ``_write_gpd_fit``, which is given its fit, returns only its path. Every
-# table is CSV text from ``sio._table_text``, which checks its names when
-# called: a table named by channels is made before the writer's first
-# file, so names that cannot be written leave no file.
+# returns a function that does, once the pool has written its files (what
+# it computed is its filter plan), and ``_write_gpd_fit``, which is given
+# its fit, returns only its path. Every table is CSV text from
+# ``sio._table_text``, which checks its names when called: a table named
+# by channels is made before the writer's first file is in place, so
+# names that cannot be written leave no file.
 
 
 def _write_bands(pool: sio._Pool, rec: sio.EegRecording, order: int, directory: Path, stem: str):
     """Band-passed channels, ``<directory>/<stem><band>.csv`` per feasible
-    band, each file written by a task of ``pool``."""
-    deco = pp.decompose_bands(rec, order=order)
-    paths = [directory / f"{stem}{band_id}.csv" for band_id in deco.bands]
-    tasks = [(p, rec.channels, m) for p, m in zip(paths, deco.bands.values())]
-    written = pool.submit(sio._write_csv, tasks)
+    band. The parent plans the filters once (``pp._plan_bands``) and opens
+    a temp file per band; a task of ``pool`` makes each band from the
+    plan, checks it and writes it. The files are renamed into place once
+    every band is written, so a failed band leaves none."""
+    plan = pp._plan_bands(rec, order)[0]
+    paths = [directory / f"{stem}{band_id}.csv" for band_id in plan.specs]
+
+    def write(task) -> None:
+        band_id, fh = task
+        text = sio._table_text(list(zip(rec.channels, plan.band(band_id).T)))
+        with fh:
+            fh.writelines(text)
+
+    with contextlib.ExitStack() as stack:
+        files = stack.enter_context(sio.write_text_atomic(*paths))
+        written = pool.submit(write, list(zip(plan.specs, files)))
+        staged = stack.pop_all()  # closed by finish
 
     def finish():
-        for p in written():
+        with staged:
+            written()
+        for p in paths:
             print(f"wrote {p}")
-        return deco, paths
+        return plan, paths
 
     return finish
 
@@ -426,9 +443,10 @@ def cmd_report(args) -> int:
     # and skipped, the stage fails only if nothing fits
     gpd_skipped: list[dict] = []
 
-    def _gpd_tails(_, deco):
+    def _gpd_tails(_, plan):
         paths = []
-        for band_id, matrix in deco.bands.items():
+        for band_id in plan.specs:  # one band at a time, from the plan
+            matrix = plan.band(band_id)
             for c, name in enumerate(rec.channels):
                 path = outdir / "gpd" / f"{band_id}.{name}.json"
                 try:
@@ -467,8 +485,8 @@ def cmd_report(args) -> int:
             ),
             epochs,
         )
-        bands = decompose(lambda _, finish: finish(), writing)
-        fit_gpd(_gpd_tails, bands)
+        plans = decompose(lambda _, finish: finish(), writing)
+        fit_gpd(_gpd_tails, plans)
         models = ht_fit(
             lambda tag, view: _write_ht_fit(
                 view, cond_channel, args.ht_quantile, args.threshold_quantile, outdir / "ht" / tag

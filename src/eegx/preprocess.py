@@ -9,6 +9,16 @@ its poles; it equals the sections' recursion from zero initial state
 to rounding. A band whose upper edge exceeds what the sampling rate
 supports is capped at 0.99 * Nyquist with a warning; at fs = 100 Hz
 this turns the nominal 30-100 Hz gamma band into 30-49.5 Hz.
+
+Filtering runs in two steps, with one code path for every caller. A
+plan (``_plan_filters``; ``_plan_bands`` for a recording's detrended
+channels) is made once: the rFFT of the padded channels at each FFT
+length its filters need, and the last rows of the padding that the
+end correction reads. It holds no band. ``_FilterPlan.band`` then makes
+one band from it and checks that it is finite. ``decompose_bands``
+makes every band of a plan; the CLI makes each band in the pool worker
+that writes its file, and ``report`` makes them again in the parent,
+one at a time, for its tail fits.
 """
 
 from __future__ import annotations
@@ -254,19 +264,48 @@ def _end_correction(ext: np.ndarray, h: np.ndarray) -> np.ndarray:
     return spill[n - 1 : 0 : -1]
 
 
-def _zero_phase(x: np.ndarray, specs: list[FilterSpec]) -> list[np.ndarray]:
-    """:func:`apply_zero_phase` of each column of ``x`` (T x C) through
-    each filter in ``specs``, which share an order and so a padding.
+@dataclass(frozen=True)
+class _FilterPlan:
+    """What the zero-phase filters of one (T x C) matrix share, made once
+    by :func:`_plan_filters`; :meth:`band` runs one filter.
 
-    With u = h * ext the forward output, the backward pass gives
-    y[k] = sum_i h[i] u[k + i] over k + i < m = len(ext): a correlation
-    with h. Over all i that is ext filtered by |H|^2, one FFT product
-    per filter on a transform of ext that filters of one FFT length
-    share; the terms with k + i >= m come off the last samples
-    (:func:`_end_correction`). A filter's output does not depend on the
-    other filters in ``specs``.
+    With u = h * ext the forward output, ext the input with its
+    reflections, the backward pass gives y[k] = sum_i h[i] u[k + i] over
+    k + i < m = len(ext): a correlation with h. Over all i that is ext
+    filtered by |H|^2, one FFT product per filter on a transform of ext
+    that filters of one FFT length share (``spectra``); the terms with
+    k + i >= m come off the last samples (:func:`_end_correction`, which
+    reads ``tail``, the last rows of ext). A filter's output does not
+    depend on the other filters of the plan.
     """
-    pad = specs[0].padlen
+
+    specs: dict[str, FilterSpec]
+    rows: int  # T
+    responses: dict[str, np.ndarray]
+    spectra: dict[int, np.ndarray]  # rFFT of ext, by FFT length
+    tail: np.ndarray
+
+    def band(self, band_id: str) -> np.ndarray:
+        """The matrix filtered through band ``band_id``'s filter: a
+        ``DataError`` if a value is NaN or Inf, as in a
+        :class:`BandDecomposition`."""
+        pad = self.specs[band_id].padlen
+        h = self.responses[band_id]
+        m = self.rows + 2 * pad
+        nfft = _fft_size(m + h.size - 1)
+        power = np.abs(np.fft.rfft(h, nfft)) ** 2
+        y = np.fft.irfft(self.spectra[nfft] * power[:, None], nfft, axis=0)
+        if h.size > 1:
+            y[m - h.size + 1 : m] -= _end_correction(self.tail, h)
+        return check_floats(y[pad : pad + self.rows], f"band {band_id!r}", finite=True)
+
+
+def _plan_filters(x: np.ndarray, specs: dict[str, FilterSpec]) -> _FilterPlan:
+    """The :class:`_FilterPlan` of ``x`` (T x C) through ``specs``, which
+    share an order and so a padding: ext, x with even reflections of
+    ``padlen`` samples at both ends, is transformed once per FFT length
+    and kept only as those transforms and its last rows."""
+    pad = next(iter(specs.values())).padlen
     if x.shape[0] <= pad:
         raise SizeError(
             f"signal too short for zero-phase filtering: need > {pad} samples, "
@@ -274,20 +313,16 @@ def _zero_phase(x: np.ndarray, specs: list[FilterSpec]) -> list[np.ndarray]:
         )
     ext = np.concatenate((x[pad:0:-1], x, x[-2 : -pad - 2 : -1]))
     m = ext.shape[0]
-    responses = [_impulse_response(spec.sos, m) for spec in specs]
-    sizes = [_fft_size(m + h.size - 1) for h in responses]
-    out = [None] * len(specs)
-    for nfft in sorted(set(sizes)):  # one transform of ext per FFT length
-        spectrum = np.fft.rfft(ext, nfft, axis=0)
-        product = np.empty_like(spectrum)
-        for k in (k for k, size in enumerate(sizes) if size == nfft):
-            h = responses[k]
-            power = np.abs(np.fft.rfft(h, nfft)) ** 2
-            y = np.fft.irfft(np.multiply(spectrum, power[:, None], out=product), nfft, axis=0)
-            if h.size > 1:
-                y[m - h.size + 1 : m] -= _end_correction(ext, h)
-            out[k] = y[pad : pad + x.shape[0]]
-    return out
+    responses = {band_id: _impulse_response(spec.sos, m) for band_id, spec in specs.items()}
+    sizes = {_fft_size(m + h.size - 1) for h in responses.values()}
+    longest = max(h.size for h in responses.values())
+    return _FilterPlan(
+        specs=specs,
+        rows=x.shape[0],
+        responses=responses,
+        spectra={nfft: np.fft.rfft(ext, nfft, axis=0) for nfft in sorted(sizes)},
+        tail=ext[m - longest + 1 :].copy(),
+    )
 
 
 def apply_zero_phase(x: np.ndarray, spec: FilterSpec) -> np.ndarray:
@@ -300,10 +335,11 @@ def apply_zero_phase(x: np.ndarray, spec: FilterSpec) -> np.ndarray:
     Both passes are one FFT product with |H|^2, H the transform of the
     impulse response of ``spec.sos`` (cut once its envelope is below
     1e-18), less the forward output past the end, which the backward
-    pass does not see.
+    pass does not see. An output that is not finite, as the transform of
+    a series near the largest float overflows, is a ``DataError``.
     """
     x = check_floats(x, "series", ndim=1, finite=True)
-    return _zero_phase(x[:, None], [spec])[0][:, 0]
+    return _plan_filters(x[:, None], {spec.band.id: spec}).band(spec.band.id)[:, 0]
 
 
 @dataclass(frozen=True)
@@ -326,6 +362,32 @@ class BandDecomposition:
             check_floats(m, f"band {name!r}", finite=True)
 
 
+def _plan_bands(
+    rec: EegRecording,
+    order: int = DEFAULT_ORDER,
+    bands: tuple[BandDefinition, ...] = DEFAULT_BANDS,
+) -> tuple[_FilterPlan, tuple[str, ...]]:
+    """The :class:`_FilterPlan` of ``rec``'s detrended channels through
+    each band feasible at its sampling rate, and the ids of the bands
+    omitted (with a warning) as infeasible; if none is feasible, a
+    ``DesignError``. The plan holds no band and no detrended copy."""
+    specs: dict[str, FilterSpec] = {}
+    omitted: list[str] = []
+    for band in bands:
+        try:
+            specs[band.id] = design_bandpass(band, rec.fs, order)
+        except DesignError:
+            omitted.append(band.id)
+    if not specs:
+        raise DesignError(f"no band is feasible at fs={rec.fs:g} Hz")
+    if omitted:
+        warnings.warn(
+            f"bands omitted at fs={rec.fs:g} Hz: {omitted}", stacklevel=3
+        )
+    detrended = np.column_stack([detrend(rec.data[:, c]) for c in range(rec.n_channels)])
+    return _plan_filters(detrended, specs), tuple(omitted)
+
+
 def decompose_bands(
     rec: EegRecording,
     order: int = DEFAULT_ORDER,
@@ -338,28 +400,12 @@ def decompose_bands(
     Each band filters every channel at once, as :func:`apply_zero_phase`
     does one.
     """
-    specs: dict[str, FilterSpec] = {}
-    omitted: list[str] = []
-    for band in bands:
-        try:
-            specs[band.id] = design_bandpass(band, rec.fs, order)
-        except DesignError:
-            omitted.append(band.id)
-    if not specs:
-        raise DesignError(f"no band is feasible at fs={rec.fs:g} Hz")
-    if omitted:
-        warnings.warn(
-            f"bands omitted at fs={rec.fs:g} Hz: {omitted}", stacklevel=2
-        )
-
-    detrended = np.column_stack([detrend(rec.data[:, c]) for c in range(rec.n_channels)])
-    out = dict(zip(specs, _zero_phase(detrended, list(specs.values()))))
-
+    plan, omitted = _plan_bands(rec, order, bands)
     return BandDecomposition(
         channels=rec.channels,
         fs=rec.fs,
         onset_index=rec.onset_index,
-        bands=out,
-        specs=specs,
-        omitted=tuple(omitted),
+        bands={band_id: plan.band(band_id) for band_id in plan.specs},
+        specs=plan.specs,
+        omitted=omitted,
     )

@@ -10,7 +10,9 @@ CSV, either passed by the caller or read from an optional JSON sidecar
 UTF-8 are a ``FormatError``, a leading UTF-8 byte-order mark is
 dropped, and a path that is not a regular file is a ``ValidationError``.
 ``load_recording`` parses the rows from the open file a line at a time
-and holds no copy of its text.
+and holds no copy of its text, and the recording keeps the parsed
+matrix as it is: an ``EegRecording`` copies only data that a reference
+outside it could still write.
 
 One line rule holds for the header and every row: a line ends at '\n',
 '\r\n' or '\r' and nowhere else. The other characters at which
@@ -29,14 +31,19 @@ path out of its directory, and every header written loads back.
 
 One writer (``_table_text``) turns a table, (name, column) pairs, into
 CSV text ``CSV_CHUNK_ROWS`` rows at a time: recordings, band matrices
-and every analysis table of the CLI, each written by
-``write_text_atomic``. A recording or band matrix is the table of its
-columns, written by ``_write_csv``; the CLI writes each band file as
-one ``_Pool`` task, whose worker hands back only its path. ``_Pool`` is
-the package's one process pool, a handle on which work is submitted now
-and collected in order later; the band files and the chi bootstrap both
-run on it, and ``report`` opens one for its whole pass. Every item
-reaches the workers through the fork; only indices are pickled.
+and every analysis table of the CLI. Every file is written through
+``write_text_atomic``, which opens a temp file beside each of its paths
+and renames them into place together when its block ends. A recording
+is the table of its columns, written by ``_write_csv``. The CLI writes
+each band file as one ``_Pool`` task, which makes the band from the
+parent's filter plan, checks it and writes it to a temp file the
+parent opened; only once every band is written does the parent rename
+them, so a failed band leaves no file. ``_Pool`` is the package's one
+process pool, a handle on which work is submitted now and collected in
+order later; the band files and the chi bootstrap both run on it, and
+``report`` opens one for its whole pass. Every item, and every open
+band file, reaches the workers through the fork; only indices are
+pickled.
 
 Every float is written as ``repr`` writes it, so a reload is exact. The
 text comes from a vectorised kernel (``_rows_text``): for finite values
@@ -91,7 +98,8 @@ class EegRecording:
     fs : float
         Sampling rate in Hz, finite and positive.
     data : ndarray, shape (T, C)
-        Amplitudes, all finite, T >= 2. Stored read-only.
+        Amplitudes, all finite, T >= 2. Stored read-only: a copy, unless
+        ``data`` and every array it views are read-only already.
     onset_index : int, optional
         Event onset as a sample count: the first ``onset_index`` samples
         are pre-onset. Must lie in [1, T-1] when present.
@@ -114,7 +122,9 @@ class EegRecording:
             raise ValidationError(f"duplicate channel names: {dupes}")
         object.__setattr__(self, "fs", check_real(self.fs, "sampling rate", FS_RANGE))
 
-        data = check_floats(self.data, "data", ndim=2).copy()  # stored read-only
+        data = check_floats(self.data, "data", ndim=2)
+        if not _read_only(data):  # a reference the caller keeps could write it
+            data = data.copy()
         if data.shape[0] < 2:
             raise ValidationError(f"recording needs at least 2 samples, got {data.shape[0]}")
         if data.shape[1] != len(chans):
@@ -222,11 +232,27 @@ def _parse_header(line: str) -> tuple[ChannelLabel, ...]:
 
 
 def _is_float(tok: str) -> bool:
+    """Whether ``np.loadtxt`` reads ``tok`` as a number: as ``float`` does,
+    but with ASCII characters only between the surrounding whitespace, so
+    no '_' between digits and no digits of other scripts."""
+    core = tok.strip()
+    if not core.isascii() or "_" in core:
+        return False
     try:
-        float(tok)
+        float(core)
     except ValueError:
         return False
     return True
+
+
+def _read_only(a: np.ndarray) -> bool:
+    """Whether no array can write ``a``'s values: ``a`` and every array it
+    views are read-only, down to one that owns its memory."""
+    while isinstance(a, np.ndarray):
+        if a.flags.writeable:
+            return False
+        a = a.base
+    return a is None
 
 
 def _reparse(path: Path, n_cols: int) -> np.ndarray:
@@ -313,6 +339,7 @@ def load_recording(
         raise FormatError(
             f"data rows have {data.shape[1]} columns but header names {len(channels)}"
         )
+    data.flags.writeable = False  # no other reference: the recording keeps it, uncopied
     return EegRecording(channels=channels, fs=fs, data=data, onset_index=onset_index)
 
 
@@ -323,7 +350,8 @@ def save_recording(rec: EegRecording, path: str | Path) -> Path:
     p = Path(path)
     _write_csv((p, rec.channels, rec.data))
     meta = {"fs": rec.fs, "onset_index": rec.onset_index}
-    write_text_atomic(sidecar_path(p), (json.dumps(meta, sort_keys=True) + "\n",))
+    with write_text_atomic(sidecar_path(p)) as (fh,):
+        fh.write(json.dumps(meta, sort_keys=True) + "\n")
     return p
 
 
@@ -564,23 +592,42 @@ def _header(channels: tuple[ChannelLabel, ...]) -> str:
     return ",".join(channels) + "\n"
 
 
-def write_text_atomic(path: str | Path, parts: Iterable[str]) -> Path:
-    """Write the strings of ``parts`` to ``path`` in order through a temp
-    file in the same directory, renamed into place at the end; on any
-    failure the temp file is removed and ``path`` is left as it was."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+@contextlib.contextmanager
+def write_text_atomic(*paths: str | Path):
+    """Open a temp file beside each of ``paths``, in its directory (made
+    if missing), and yield their UTF-8 text handles in order. When the
+    block ends, every handle is closed and then each temp file is renamed
+    over its path, in order; when it raises, or a close fails, the temp
+    files and the directories made for them are removed, and every path
+    is left as it was. A process forked inside the block may write a
+    handle and close its copy: a ``_Pool`` worker does so for a band
+    file, through the descriptor the fork gave it."""
+    paths = [Path(p) for p in paths]
+    files, temps, made = [], [], []
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            for part in parts:
-                fh.write(part)
-        os.replace(tmp, path)
+        for path in paths:
+            missing = itertools.takewhile(lambda d: not d.is_dir(), path.parents)
+            made += reversed(list(missing))  # made next, shallowest first
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+            temps.append(tmp)
+            files.append(os.fdopen(fd, "w", encoding="utf-8"))
+        yield files
+        for fh in files:
+            fh.close()
+        for tmp, path in zip(temps, paths):
+            os.replace(tmp, path)
     except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
+        for fh in files:
+            with contextlib.suppress(OSError):
+                fh.close()
+        for tmp in temps:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+        for d in reversed(made):
+            with contextlib.suppress(OSError):
+                d.rmdir()
         raise
-    return path
 
 
 def _usable_cores() -> int:
@@ -593,11 +640,13 @@ def _usable_cores() -> int:
 def _write_csv(task) -> Path:
     """Write ``task`` = (path, channels, matrix) as CSV, the table
     ``_table_text`` makes of the matrix's columns, through
-    ``write_text_atomic``. Only the path goes back: text sent to the
-    caller would pile up there while it waits (about 19 MB of band text
-    on a report pass)."""
+    ``write_text_atomic``; the names are checked before the file is
+    opened."""
     path, channels, matrix = task
-    return write_text_atomic(path, _table_text(list(zip(channels, matrix.T))))
+    text = _table_text(list(zip(channels, matrix.T)))
+    with write_text_atomic(path) as (fh,):
+        fh.writelines(text)
+    return path
 
 
 #: The batches submitted to each open ``_Pool``, by ``id`` of the pool: a

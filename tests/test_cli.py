@@ -2,6 +2,7 @@ import json
 import multiprocessing
 import pickle
 import re
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from xml.dom import minidom
@@ -12,7 +13,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from eegx import cli, gen_synthetic_eeg, save_recording
+from eegx import DataError, cli, gen_synthetic_eeg, save_recording
+from eegx import preprocess as pp
 from eegx import signal_io as sio
 from eegx._svg import _escape, heatmap_svg
 from eegx.cli import main
@@ -742,3 +744,93 @@ class TestReport:
         assert set(status.values()) == {"ok"}  # chi, ht_fit and ht_sim
         assert (out / "bands").read_text() == "in the way\n"
         assert multiprocessing.active_children() == []
+
+
+@pytest.fixture(scope="module")
+def huge_csv(tmp_path_factory):
+    # finite, but detrending overflows: every band comes out NaN
+    rec = gen_synthetic_eeg(2, 3_000, 0.7, seed=0)
+    rec = replace(rec, data=rec.data * (1.5e308 / np.abs(rec.data).max()))
+    path = tmp_path_factory.mktemp("huge") / "huge.csv"
+    save_recording(rec, path)
+    return path
+
+
+@pytest.fixture(scope="module")
+def long_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("long") / "long.csv"
+    save_recording(gen_synthetic_eeg(4, 50_000, 0.7, seed=2024), path)
+    return path
+
+
+class TestBandsFromOnePlan:
+    """Each band is filtered, checked and written by the pool task that
+    writes its file, from one plan the parent makes."""
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_non_finite_band_writes_no_file(self, huge_csv, tmp_path, monkeypatch, capsys,
+                                            cores):
+        monkeypatch.setattr(sio, "_usable_cores", lambda: cores)
+        rc = run(["decompose", "--input", huge_csv, "--outdir", tmp_path / "out"])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "eegx decompose: error: band 'delta' must be finite; found NaN or Inf"
+        )
+        assert list(tmp_path.iterdir()) == []  # not even the output directory
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_non_finite_band_is_decompose_status(self, huge_csv, tmp_path, monkeypatch, cores):
+        monkeypatch.setattr(sio, "_usable_cores", lambda: cores)
+        out = tmp_path / "report"
+        assert run(["report", "--input", huge_csv, "--n-boot", "10", "--n-sim", "200",
+                    "--outdir", out]) == 1
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert {s["name"]: s["status"] for s in manifest["stages"]} == {
+            "decompose": "error: DataError: band 'delta' must be finite; found NaN or Inf",
+            "fit_gpd": "error: UsageError: an upstream stage failed",
+            "chi": "ok",
+            "ht_fit": "ok",
+            "ht_sim": "ok",
+        }
+        assert manifest["stages"][0]["outputs"] == []
+        assert not (out / "bands").exists()
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_a_failed_band_leaves_no_file(self, rec_csv, tmp_path, monkeypatch, capsys, cores):
+        # the other bands are written first, to temp files that never appear
+        band = pp._FilterPlan.band
+
+        def failing(plan, band_id):
+            if band_id == "gamma":
+                raise DataError("gamma failed")
+            return band(plan, band_id)
+
+        monkeypatch.setattr(sio, "_usable_cores", lambda: cores)
+        monkeypatch.setattr(pp._FilterPlan, "band", failing)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "rec.delta.csv").write_text("from an earlier run\n")
+        assert run(["decompose", "--input", rec_csv, "--outdir", out]) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == "eegx decompose: error: gamma failed"
+        assert _files(out) == ["rec.delta.csv"]
+        assert (out / "rec.delta.csv").read_text() == "from an earlier run\n"
+
+    @pytest.mark.parametrize("cores, limit", [(2, 8), (1, 10.5)])
+    def test_parent_holds_no_band_matrices(self, long_csv, tmp_path, monkeypatch, cores, limit):
+        # on 2 cores the parent makes the plan, a transform of the padded
+        # channels per FFT length, and no band: 6.4 times the matrix's bytes
+        # here, against 11.0 when it made all five bands before the workers
+        # wrote them. On one core it also makes and writes each band, one
+        # at a time: 9.2 times, against 11.0.
+        monkeypatch.setattr(sio, "_usable_cores", lambda: cores)
+        nbytes = 50_000 * 4 * 8
+        tracemalloc.start()
+        try:
+            rc = run(["decompose", "--input", long_csv, "--outdir", tmp_path])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert len(_files(tmp_path)) == 5
+        assert peak < limit * nbytes

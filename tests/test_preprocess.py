@@ -13,6 +13,7 @@ import eegx
 from eegx import (
     DEFAULT_BANDS,
     BandDefinition,
+    DataError,
     DesignError,
     EegRecording,
     SizeError,
@@ -258,6 +259,12 @@ class TestZeroPhase:
     def test_too_short(self):
         with pytest.raises(SizeError):
             apply_zero_phase(np.zeros(self.spec.padlen), self.spec)
+
+    def test_overflow_is_data_error(self):
+        # a finite series whose transform overflows gives no NaN output
+        x = np.random.default_rng(0).standard_normal(3_000)
+        with pytest.raises(DataError, match="band 'alpha' must be finite"):
+            apply_zero_phase(1.5e308 / np.abs(x).max() * x, self.spec)
 
     @pytest.mark.parametrize("a", [[1.0, -1.2, 0.5], [1.0, 0.0, 0.0]])
     def test_repeated_or_zero_poles_rejected(self, a):

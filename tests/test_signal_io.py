@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from pathlib import Path
@@ -112,6 +113,29 @@ class TestRecordingValidation:
         with pytest.raises(ValueError):
             rec.data[0, 0] = 1.0
 
+    def test_writeable_data_is_copied(self):
+        # the caller keeps a reference that could write the recording
+        data = np.zeros((4, 2))
+        view = data[1:]
+        rec = EegRecording(channels=("A", "B"), fs=1.0, data=view)
+        data[:] = 7.0
+        assert not np.shares_memory(rec.data, data)
+        assert np.all(rec.data == 0.0)
+        assert not rec.data.flags.writeable
+        assert data.flags.writeable  # the caller's array is left as it was
+
+    def test_read_only_data_is_kept(self):
+        rec = make_rec(T=10, onset=4)
+        pair = split_at_onset(rec)
+        assert np.shares_memory(pair.pre.data, rec.data)
+        assert np.shares_memory(pair.post.data, rec.data)
+        # a read-only view of a writeable array is still copied
+        data = np.zeros((4, 2))
+        view = data[:]
+        view.flags.writeable = False
+        rec = EegRecording(channels=("A", "B"), fs=1.0, data=view)
+        assert not np.shares_memory(rec.data, data)
+
 
 class TestLoadSave:
     def test_minimal(self, tmp_path):
@@ -158,6 +182,18 @@ class TestLoadSave:
         p.write_text("A,B\n1,2\n3,x\n")
         with pytest.raises(DataError, match="row 2, column 2"):
             load_recording(p, fs=1.0)
+
+    @pytest.mark.parametrize("cell", ["1_0", "\u0661", "\uff11"],
+                             ids=["underscore", "arabic-indic-digit", "fullwidth-digit"])
+    def test_number_float_takes_but_loadtxt_refuses_is_named(self, cell, tmp_path):
+        # float() reads these; np.loadtxt, and so the file format, does not
+        p = tmp_path / "bad.csv"
+        p.write_text(f"A,B\n1,2\n{cell},2\n", encoding="utf-8")
+        with pytest.raises(DataError, match="row 2, column 1"):
+            load_recording(p, fs=1.0)
+        # and as no number, it may name a channel on its own
+        p.write_text(f"{cell}\n1\n2\n", encoding="utf-8")
+        assert load_recording(p, fs=1.0).channels == (cell,)
 
     def test_nan_cell_named(self, tmp_path):
         p = tmp_path / "nan.csv"
@@ -214,7 +250,9 @@ class TestLoadSave:
 
     def test_load_holds_no_copy_of_the_text(self, tmp_path):
         # a parse of the whole text split into lines peaks at 7.9 times the
-        # matrix's bytes here; the matrix and the recording's copy are 2
+        # matrix's bytes here, and the matrix with a copy of it at 2.1; the
+        # recording keeps the parsed matrix, which np.loadtxt alone takes
+        # 1.23 times its bytes to make
         data = np.random.default_rng(5).standard_normal((50_000, 4))
         p = save_recording(EegRecording(_channels(4), 250.0, data), tmp_path / "big.csv")
         tracemalloc.start()
@@ -224,7 +262,8 @@ class TestLoadSave:
         finally:
             tracemalloc.stop()
         assert np.array_equal(rec.data, data)
-        assert peak < 2.5 * data.nbytes
+        assert not rec.data.flags.writeable
+        assert peak < 1.5 * data.nbytes
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ValidationError, match="not found"):
@@ -362,6 +401,49 @@ class TestHeaderRule:
         with pytest.raises(ValidationError, match="channel name"):
             sio._write_csv((tmp_path / "a.csv", channels, np.ones((3, 2))))
         assert list(tmp_path.iterdir()) == []
+
+
+def _loadtxt_reads(tok: str) -> bool:
+    try:
+        return np.loadtxt([tok], delimiter=",", dtype=float, ndmin=1).size == 1
+    except ValueError:
+        return False
+
+
+@given(tok=st.text(st.sampled_from(list("0123456789+-.eEinfatyINFATY_ d\t\x0b\x0c\x85\u2003"
+                                        "\u0661\uff11")), max_size=8)
+       | st.text(max_size=6).filter(lambda t: not set(t) & set(",#\r\n")))
+@settings(max_examples=500, deadline=None)
+def test_is_float_follows_loadtxt(tok):
+    # ',' splits cells, '#' starts a comment and line ends split rows
+    # before a token is read
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # loadtxt's "input contained no data"
+        assert sio._is_float(tok) == _loadtxt_reads(tok)
+
+
+class TestWriteTextAtomic:
+    def test_paths_appear_together(self, tmp_path):
+        a, b = tmp_path / "a.txt", tmp_path / "sub" / "b.txt"
+        with sio.write_text_atomic(a, b) as (fa, fb):
+            fa.write("A")
+            fb.write("B")
+            assert list(tmp_path.glob("*.txt")) == []  # only temp files so far
+        assert (a.read_text(), b.read_text()) == ("A", "B")
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["a.txt", "b.txt", "sub"]
+
+    def test_failed_block_leaves_every_path_as_it_was(self, tmp_path):
+        a, b, c = tmp_path / "a.txt", tmp_path / "b.txt", tmp_path / "new" / "deeper" / "c.txt"
+        a.write_text("old")
+        with pytest.raises(KeyError):
+            with sio.write_text_atomic(a, b, c) as (fa, fb, _):
+                fa.write("new")
+                fb.write("B")
+                assert c.parent.is_dir()
+                raise KeyError("the writer failed")
+        # the directories made for the temp files are gone too
+        assert [p.name for p in tmp_path.iterdir()] == ["a.txt"]
+        assert a.read_text() == "old"
 
 
 class TestSplitSelect:
