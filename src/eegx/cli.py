@@ -4,6 +4,12 @@ ht-fit, ht-sim, and the all-in-one report.
 Every output file is written atomically (temp file + rename) so a
 failing run never leaves a half-written artifact. Exit codes: 0 success,
 2 validation/usage error, 1 computation error.
+
+``report`` runs its stages on one ``signal_io._Pool``: each band task
+makes one band, writes its file and fits the band's GPD tails, and the
+workers then score the chi bootstrap while the parent writes the GPD
+files and fits the conditional models. With two or more usable cores
+the parent makes no band; on one, each band is made once, in-process.
 """
 
 from __future__ import annotations
@@ -110,27 +116,34 @@ def _prefix(args) -> Path:
 # stage writers: one per artifact, called by its subcommand and by report.
 # Each returns (what it computed, the paths it wrote); ``_write_bands``
 # returns a function that does, once the pool has written its files (what
-# it computed is its filter plan), and ``_write_gpd_fit``, which is given
-# its fit, returns only its path. Every table is CSV text from
+# it computed is each band's fits, if asked for), and ``_write_gpd_fit``,
+# which is given its fit, returns only its path. Every table is CSV text from
 # ``sio._table_text``, which checks its names when called: a table named
 # by channels is made before the writer's first file is in place, so
 # names that cannot be written leave no file.
 
 
-def _write_bands(pool: sio._Pool, rec: sio.EegRecording, order: int, directory: Path, stem: str):
+def _write_bands(
+    pool: sio._Pool, rec: sio.EegRecording, order: int, directory: Path, stem: str, fit=None
+):
     """Band-passed channels, ``<directory>/<stem><band>.csv`` per feasible
     band. The parent plans the filters once (``pp._plan_bands``) and opens
     a temp file per band; a task of ``pool`` makes each band from the
-    plan, checks it and writes it. The files are renamed into place once
-    every band is written, so a failed band leaves none."""
+    plan, checks it and writes it, and with ``fit`` returns
+    ``fit(channel)`` of each of the band's channels, in channel order. The
+    files are renamed into place once every band is written, so a failed
+    band leaves none. ``fit`` should return what it raises: an exception
+    it lets out fails the band."""
     plan = pp._plan_bands(rec, order)[0]
     paths = [directory / f"{stem}{band_id}.csv" for band_id in plan.specs]
 
-    def write(task) -> None:
+    def write(task):
         band_id, fh = task
-        text = sio._table_text(list(zip(rec.channels, plan.band(band_id).T)))
+        matrix = plan.band(band_id)
+        text = sio._table_text(list(zip(rec.channels, matrix.T)))
         with fh:
             fh.writelines(text)
+        return None if fit is None else [fit(column) for column in matrix.T]
 
     with contextlib.ExitStack() as stack:
         files = stack.enter_context(sio.write_text_atomic(*paths))
@@ -139,10 +152,10 @@ def _write_bands(pool: sio._Pool, rec: sio.EegRecording, order: int, directory: 
 
     def finish():
         with staged:
-            written()
+            results = written()
         for p in paths:
             print(f"wrote {p}")
-        return plan, paths
+        return dict(zip(plan.specs, results)), paths
 
     return finish
 
@@ -439,21 +452,29 @@ def cmd_report(args) -> int:
 
         return run
 
-    # per-band GPD tail fits; degenerate band/channel combos are recorded
-    # and skipped, the stage fails only if nothing fits
+    # per-band GPD tail fits, made by the band tasks that write the bands;
+    # degenerate band/channel combos are recorded and skipped, the stage
+    # fails only if nothing fits
     gpd_skipped: list[dict] = []
 
-    def _gpd_tails(_, plan):
+    def _tail(series):
+        try:
+            return evt.fit_channel_tail(series, args.threshold_quantile, run_length)
+        except Exception as exc:  # the fit_gpd stage's, never the band write's
+            return exc.with_traceback(None)  # which would hold the band
+
+    def _gpd_tails(_, fits):
+        for fit in (fit for results in fits.values() for fit in results):
+            if isinstance(fit, Exception) and not isinstance(fit, EegxError):
+                raise fit  # the stage fails before it writes a file
         paths = []
-        for band_id in plan.specs:  # one band at a time, from the plan
-            matrix = plan.band(band_id)
-            for c, name in enumerate(rec.channels):
-                path = outdir / "gpd" / f"{band_id}.{name}.json"
-                try:
-                    fit = evt.fit_channel_tail(matrix[:, c], args.threshold_quantile, run_length)
+        for band_id, results in fits.items():
+            for name, fit in zip(rec.channels, results):
+                if isinstance(fit, EegxError):
+                    gpd_skipped.append({"band": band_id, "channel": name, "error": str(fit)})
+                else:
+                    path = outdir / "gpd" / f"{band_id}.{name}.json"
                     paths.append(_write_gpd_fit(fit, name, band_id, path))
-                except EegxError as exc:
-                    gpd_skipped.append({"band": band_id, "channel": name, "error": str(exc)})
         if not paths:
             raise FitError("no band/channel tail could be fitted")
         return None, paths
@@ -471,12 +492,15 @@ def cmd_report(args) -> int:
     ht_fit = _stage("ht_fit", {"cond_channel": cond_channel, "quantile": args.ht_quantile})
     ht_sim = _stage("ht_sim", {"level": args.level, "n_sim": args.n_sim, "seed": args.seed})
 
-    # One pool for the pass: the workers write the band files, then score
-    # both epochs' chi replicates while the parent fits GPD and HT. Each
-    # stage collects its own work, so a failure in it is its status.
+    # One pool for the pass: the workers write the band files and fit their
+    # tails, then score both epochs' chi replicates while the parent writes
+    # the GPD files and fits HT. Each stage collects its own work, so a
+    # failure in it is its status.
     with sio._Pool() as pool:
         writing = decompose(
-            lambda _, whole: (_write_bands(pool, whole, args.order, outdir / "bands", ""), []),
+            lambda _, whole: (
+                _write_bands(pool, whole, args.order, outdir / "bands", "", fit=_tail), []
+            ),
             {"all": rec},
         )
         scoring = chi(
@@ -485,8 +509,8 @@ def cmd_report(args) -> int:
             ),
             epochs,
         )
-        plans = decompose(lambda _, finish: finish(), writing)
-        fit_gpd(_gpd_tails, plans)
+        tails = decompose(lambda _, finish: finish(), writing)
+        fit_gpd(_gpd_tails, tails)
         models = ht_fit(
             lambda tag, view: _write_ht_fit(
                 view, cond_channel, args.ht_quantile, args.threshold_quantile, outdir / "ht" / tag

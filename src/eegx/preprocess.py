@@ -16,9 +16,9 @@ channels) is made once: the rFFT of the padded channels at each FFT
 length its filters need, and the last rows of the padding that the
 end correction reads. It holds no band. ``_FilterPlan.band`` then makes
 one band from it and checks that it is finite. ``decompose_bands``
-makes every band of a plan; the CLI makes each band in the pool worker
-that writes its file, and ``report`` makes them again in the parent,
-one at a time, for its tail fits.
+makes every band of a plan; the CLI makes each band once, in the pool
+worker that writes its file, which in ``report`` also fits the band's
+tails.
 """
 
 from __future__ import annotations
@@ -276,7 +276,9 @@ class _FilterPlan:
     that filters of one FFT length share (``spectra``); the terms with
     k + i >= m come off the last samples (:func:`_end_correction`, which
     reads ``tail``, the last rows of ext). A filter's output does not
-    depend on the other filters of the plan.
+    depend on the other filters of the plan, so each band can be made on
+    its own, by the process that uses it: the CLI's band tasks make one
+    band each, and a parent with a worker pool makes none.
     """
 
     specs: dict[str, FilterSpec]

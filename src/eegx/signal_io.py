@@ -12,7 +12,8 @@ dropped, and a path that is not a regular file is a ``ValidationError``.
 ``load_recording`` parses the rows from the open file a line at a time
 and holds no copy of its text, and the recording keeps the parsed
 matrix as it is: an ``EegRecording`` copies only data that a reference
-outside it could still write.
+outside it could still write. ``select_channels`` likewise copies the
+chosen columns once, and the sub-recording keeps that copy.
 
 One line rule holds for the header and every row: a line ends at '\n',
 '\r\n' or '\r' and nowhere else. The other characters at which
@@ -37,13 +38,15 @@ and renames them into place together when its block ends. A recording
 is the table of its columns, written by ``_write_csv``. The CLI writes
 each band file as one ``_Pool`` task, which makes the band from the
 parent's filter plan, checks it and writes it to a temp file the
-parent opened; only once every band is written does the parent rename
-them, so a failed band leaves no file. ``_Pool`` is the package's one
-process pool, a handle on which work is submitted now and collected in
-order later; the band files and the chi bootstrap both run on it, and
-``report`` opens one for its whole pass. Every item, and every open
-band file, reaches the workers through the fork; only indices are
-pickled.
+parent opened (in ``report`` it also fits the band's tails); only once
+every band is written does the parent rename them, so a failed band
+leaves no file. ``_Pool`` is the package's one process pool, a handle
+on which work is submitted now and collected in order later; the band
+files and the chi bootstrap both run on it, and ``report`` opens one
+for its whole pass. Every item, and every open band file, reaches the
+workers through the fork; only indices are pickled. What a worker
+returns comes back pickled, with the warnings it raised, which the
+parent issues when it collects.
 
 Every float is written as ``repr`` writes it, so a reload is exact. The
 text comes from a vectorised kernel (``_rows_text``): for finite values
@@ -61,7 +64,9 @@ import contextlib
 import itertools
 import json
 import os
+import sys
 import tempfile
+import warnings
 from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
@@ -656,9 +661,35 @@ _FORKED: dict[int, list] = {}
 
 def _call_forked(pool: int, batch: int, index: int):
     """``fn(item)`` of item ``index`` of batch ``batch`` that ``pool``
-    forked its workers with; runs in a worker."""
+    forked its workers with; runs in a worker. Returns (result, the
+    warnings it raised, the exception it raised or None): every warning
+    is recorded, as (message, category, filename, lineno), for the parent
+    to issue through its own filters."""
     fn, items = _FORKED[pool][batch]
-    return fn(items[index])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result, exc = fn(items[index]), None
+        except Exception as failure:  # raised in the parent, after its warnings
+            result, exc = None, failure
+    return result, [(w.message, w.category, w.filename, w.lineno) for w in caught], exc
+
+
+def _reissue(message, category, filename: str, lineno: int) -> None:
+    """Issue a warning a worker recorded as ``warnings.warn`` would have
+    issued it in this process: through the filters, and the once per
+    location registry, of the module whose code raised it."""
+    namespace = next(
+        (vars(m) for m in list(sys.modules.values()) if getattr(m, "__file__", None) == filename),
+        None,
+    )
+    if namespace is None:  # code no module holds, such as exec'd text: no registry
+        warnings.warn_explicit(message, category, filename, lineno)
+        return
+    registry = namespace.setdefault("__warningregistry__", {})
+    warnings.warn_explicit(
+        message, category, filename, lineno, namespace["__name__"], registry, namespace
+    )
 
 
 class _Pool:
@@ -673,6 +704,11 @@ class _Pool:
     only indices are pickled. On one usable core, with one item in all or
     without ``fork``, each batch runs in-process when it is collected. A
     submit after the first collect is a ``UsageError``.
+
+    The warnings a worker's item raises come back with its result, and
+    collecting issues them in item order, through the parent's filters
+    and each raising module's once per location registry: the lines an
+    in-process run prints, on any number of cores.
     """
 
     def __enter__(self) -> _Pool:
@@ -702,7 +738,15 @@ class _Pool:
                 return list(map(fn, items))
             futures = self._futures[batch]
             try:
-                return [f.result() for f in futures]
+                results = []
+                for f in futures:
+                    result, caught, exc = f.result()
+                    for warning in caught:
+                        _reissue(*warning)
+                    if exc is not None:
+                        raise exc
+                    results.append(result)
+                return results
             finally:  # after a failure the rest is not needed
                 for f in futures:
                     f.cancel()
@@ -756,12 +800,15 @@ def select_channels(
 ) -> EegRecording:
     """Return a sub-recording with columns reordered to match ``names``.
 
-    Data is copied; the source recording is untouched.
+    Data is copied once, into a row-major matrix the sub-recording keeps;
+    the source recording is untouched.
     """
     idx = [rec.index_of(n) for n in names]
+    data = np.take(rec.data, idx, axis=1)  # owns its memory, unlike rec.data[:, idx]
+    data.flags.writeable = False  # no other reference: the recording keeps it, uncopied
     return EegRecording(
         channels=tuple(names),
         fs=rec.fs,
-        data=rec.data[:, idx],
+        data=data,
         onset_index=rec.onset_index,
     )

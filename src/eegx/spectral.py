@@ -21,6 +21,9 @@ from .signal_io import FS_RANGE
 
 __all__ = ["SpectrumEstimate", "periodogram", "welch", "band_power"]
 
+#: Bytes of one temporary when Welch segments are transformed in blocks.
+_BLOCK_BYTES = 256 * 1024
+
 
 @dataclass(frozen=True)
 class SpectrumEstimate:
@@ -107,9 +110,13 @@ def _segment_average(
 ) -> SpectrumEstimate:
     """Average of the density-scaled periodograms of ``seg_len``-sample
     segments, each mean-centered and Hann-tapered, or rectangular when
-    one segment spans ``x``. Interior bins are doubled once, after the
-    sum (DC and an even length's Nyquist bin stay single); doubling is
-    exact, so this equals doubling each segment."""
+    one segment spans ``x``. The segments are a strided view of ``x``,
+    transformed a block at a time, at most ``_BLOCK_BYTES`` per
+    temporary, and their periodograms are summed in segment order, so
+    every float equals a loop over the segments one at a time. Interior
+    bins are doubled once, after the sum (DC and an even length's
+    Nyquist bin stay single); doubling is exact, so this equals doubling
+    each segment."""
     n = x.size
     window = np.ones(n) if seg_len == n else np.hanning(seg_len)
     energy = float(window @ window)
@@ -118,14 +125,19 @@ def _segment_average(
     scale = 1.0 / (fs * energy)
 
     step = max(1, int(round(seg_len * (1.0 - overlap))))
-    starts = range(0, n - seg_len + 1, step)
+    segments = np.lib.stride_tricks.sliding_window_view(x, seg_len)[::step]  # a view
+    # a block's segments, row by row, go through the same operations as
+    # one segment alone; each row is then added in segment order
+    rows = max(1, _BLOCK_BYTES // (16 * (seg_len // 2 + 1)))
     acc = np.zeros(seg_len // 2 + 1)
-    for s in starts:
-        seg = x[s : s + seg_len]
-        acc += np.abs(np.fft.rfft((seg - seg.mean()) * window)) ** 2 * scale
+    for first in range(0, len(segments), rows):
+        block = segments[first : first + rows]
+        centred = (block - block.mean(axis=1, keepdims=True)) * window
+        for power in np.abs(np.fft.rfft(centred, axis=1)) ** 2 * scale:
+            acc += power
     acc[1 : (seg_len + 1) // 2] *= 2.0
     freqs = np.fft.rfftfreq(seg_len, d=1.0 / fs)
-    return SpectrumEstimate(freqs_hz=freqs, power=acc / len(starts), method=method, fs=fs)
+    return SpectrumEstimate(freqs_hz=freqs, power=acc / len(segments), method=method, fs=fs)
 
 
 def _segment_integral(freqs, power, lo, hi) -> float:

@@ -1,5 +1,6 @@
 import json
 import multiprocessing
+import os
 import pickle
 import re
 import tracemalloc
@@ -14,6 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from eegx import DataError, cli, gen_synthetic_eeg, save_recording
+from eegx import evt_univariate as evt
 from eegx import preprocess as pp
 from eegx import signal_io as sio
 from eegx._svg import _escape, heatmap_svg
@@ -834,3 +836,103 @@ class TestBandsFromOnePlan:
         assert rc == 0
         assert len(_files(tmp_path)) == 5
         assert peak < limit * nbytes
+
+
+class TestTailsInBandTasks:
+    """``report``'s band tasks fit each band's tails where they write it, so
+    its parent makes no band."""
+
+    _REPORT = ["report", "--cond-channel", "T3", "--n-boot", "7", "--n-sim", "200"]
+
+    def test_parent_makes_no_band(self, rec_csv, tmp_path, monkeypatch):
+        log = tmp_path / "pids"
+        band = pp._FilterPlan.band
+
+        def logged(plan, band_id):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return band(plan, band_id)
+
+        monkeypatch.setattr(sio, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(pp._FilterPlan, "band", logged)
+        out = tmp_path / "report"
+        assert run([*self._REPORT, "--input", rec_csv, "--outdir", out]) == 0
+        pids = log.read_text().split()
+        assert len(pids) == 5  # each band made once, and not by this process
+        assert str(os.getpid()) not in pids
+        assert len(_files(out / "gpd")) == 15  # 20 tails less 5 skipped
+
+    def test_parent_holds_no_band_matrix(self, long_csv, tmp_path, monkeypatch):
+        # up to the HT fits the parent holds the recording, the filter plan
+        # and chi's sorted columns: 6.6 times the matrix's bytes here, against
+        # 10.5 when it made each band again for its tail fits
+        peaks = []
+        write_ht_fit = cli._write_ht_fit
+
+        def measured(*args):
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            return write_ht_fit(*args)
+
+        monkeypatch.setattr(sio, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(cli, "_write_ht_fit", measured)
+        tracemalloc.start()
+        try:
+            rc = run([*self._REPORT, "--input", long_csv, "--outdir", tmp_path])
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert peaks[0] < 8 * 50_000 * 4 * 8
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_failed_fit_fails_only_fit_gpd(self, rec_csv, tmp_path, monkeypatch, cores):
+        # each process notes the band it makes; the fits that follow in it
+        # fit that band's channels
+        making = {}
+        band, fit = pp._FilterPlan.band, evt.fit_channel_tail
+
+        def noted(plan, band_id):
+            making["band"] = band_id
+            return band(plan, band_id)
+
+        def failing(series, *args):
+            if making["band"] == "theta":
+                raise RuntimeError("theta fit died")
+            return fit(series, *args)
+
+        monkeypatch.setattr(sio, "_usable_cores", lambda: cores)
+        monkeypatch.setattr(pp._FilterPlan, "band", noted)
+        monkeypatch.setattr(evt, "fit_channel_tail", failing)
+        out = tmp_path / "report"
+        assert run([*self._REPORT, "--input", rec_csv, "--outdir", out]) == 1
+        stages = {s["name"]: s for s in json.loads((out / "manifest.json").read_text())["stages"]}
+        assert {name: s["status"] for name, s in stages.items()} == {
+            "decompose": "ok",
+            "fit_gpd": "error: RuntimeError: theta fit died",
+            "chi": "ok",
+            "ht_fit": "ok",
+            "ht_sim": "ok",
+        }
+        bands = [f"bands/{b}.csv" for b in ("delta", "theta", "alpha", "beta", "gamma")]
+        assert stages["decompose"]["outputs"] == bands
+        assert _files(out / "bands") == sorted(b.removeprefix("bands/") for b in bands)
+        assert stages["fit_gpd"]["outputs"] == []
+        assert not (out / "gpd").exists()  # the stage failed before any write
+        assert multiprocessing.active_children() == []
+
+    def test_fit_warnings_do_not_depend_on_core_count(self, rec_csv, tmp_path, monkeypatch,
+                                                      capsys):
+        # two tails fit with xi on its lower bound; the warning is printed
+        # once, wherever the fits ran
+        lines = {}
+        for cores in (1, 2, 3):
+            monkeypatch.setattr(sio, "_usable_cores", lambda: cores)
+            out = tmp_path / f"cores{cores}"
+            assert run([*self._REPORT, "--input", rec_csv, "--outdir", out]) == 0
+            lines[cores] = capsys.readouterr().err.splitlines()
+        assert lines[1] == [
+            "eegx report: warning: band 'gamma': upper edge capped from 100 to 49.5 Hz at fs=100",
+            "eegx report: warning: GPD shape estimate on the boundary xi = -0.5: se_xi undefined,"
+            " se_sigma from the curvature in sigma at fixed xi",
+        ]
+        assert lines[2] == lines[1]
+        assert lines[3] == lines[1]

@@ -501,6 +501,21 @@ class TestSplitSelect:
         twice = select_channels(once, ["C1", "C3"])
         assert np.array_equal(once.data, twice.data)
 
+    def test_select_copies_once(self):
+        # indexing gives a view of a fresh matrix, which the record copied
+        # again while the view was alive: a traced peak of 2.0 selections
+        rec = make_rec(T=50_000, C=4)
+        tracemalloc.start()
+        try:
+            sub = select_channels(rec, ["C3", "C0", "C2"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not np.shares_memory(sub.data, rec.data)
+        assert not sub.data.flags.writeable
+        assert np.array_equal(sub.data, rec.data[:, [3, 0, 2]])
+        assert peak < 1.5 * 50_000 * 3 * 8
+
     @given(onset=st.integers(min_value=2, max_value=18))
     @settings(max_examples=20, deadline=None)
     def test_select_commutes_with_split(self, onset):
@@ -701,6 +716,14 @@ def _mark(path):
     path.touch()
 
 
+def _warn_parity(k):
+    if k < 0:
+        warnings.warn("negative")
+        raise ValueError(f"negative: {k}")
+    warnings.warn(f"parity {k % 2}")
+    return k
+
+
 class TestPool:
     @pytest.mark.parametrize("cores", [1, 2, 3])
     def test_collects_in_order(self, cores, monkeypatch):
@@ -734,6 +757,23 @@ class TestPool:
             with pytest.raises(UsageError, match="no submit after its first collect"):
                 pool.submit(_double, [1, 2])
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    def test_worker_warnings_are_issued_when_collected(self, cores, monkeypatch):
+        # in item order, each once per location, as an in-process run
+        # issues them; a failed item's warnings come before its exception
+        monkeypatch.setattr(sio, "_usable_cores", lambda: cores)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            with sio._Pool() as pool:
+                numbers = pool.submit(_warn_parity, [1, 2, 3, 4, 5])
+                failing = pool.submit(_warn_parity, [6, -1])
+                assert caught == []
+                assert numbers() == [1, 2, 3, 4, 5]
+                with pytest.raises(ValueError, match="negative: -1"):
+                    failing()
+        assert [str(w.message) for w in caught] == ["parity 1", "parity 0", "negative"]
+        assert {(w.filename, w.category) for w in caught} == {(__file__, UserWarning)}
 
     def test_uncollected_work_is_cancelled_on_exit(self, tmp_path, monkeypatch):
         monkeypatch.setattr(sio, "_usable_cores", lambda: 2)

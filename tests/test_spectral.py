@@ -1,5 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eegx import (
     BandDefinition,
@@ -11,6 +15,7 @@ from eegx import (
     periodogram,
     welch,
 )
+from eegx import spectral as sp
 from eegx.preprocess import band_by_id
 
 
@@ -112,6 +117,47 @@ class TestWelch:
         with pytest.raises(UsageError, match="zero energy"):
             welch(np.arange(10.0), 1.0, seg_len=2)
         assert welch(np.arange(2.0), 1.0, seg_len=2).power.shape == (2,)
+
+    @given(
+        n=st.integers(3, 6_000),
+        seg_frac=st.floats(0.0, 1.0),
+        overlap=st.floats(0.0, 0.9),
+        offset=st.floats(-1e3, 1e3),
+        log_scale=st.floats(-6, 6),
+        seed=st.integers(0, 2**32 - 1),
+        fs=st.sampled_from([1.0, 100.0, 256.0]),
+        block_bytes=st.sampled_from([1, 2_000, 40_000, sp._BLOCK_BYTES]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_blocks_equal_the_segment_loop(self, n, seg_frac, overlap, offset, log_scale, seed,
+                                           fs, block_bytes):
+        # smaller blocks put the sum's block boundaries between more segments
+        seg_len = 3 + int(seg_frac * (n - 3))
+        x = offset + 10.0**log_scale * np.random.default_rng(seed).standard_normal(n)
+        with mock.patch.object(sp, "_BLOCK_BYTES", block_bytes):
+            est = welch(x, fs, seg_len=seg_len, overlap=overlap)
+        assert np.array_equal(est.power, _segment_loop(x, fs, seg_len, overlap))
+
+    def test_blocks_span_several_temporaries(self):
+        # 249 segments of 400 samples: 81 rows a block, so four blocks
+        x = np.random.default_rng(5).standard_normal(50_000)
+        assert np.array_equal(welch(x, 100.0, 400).power, _segment_loop(x, 100.0, 400, 0.5))
+
+
+def _segment_loop(x, fs, seg_len, overlap):
+    """Welch power one segment at a time: the loop the blocked
+    ``spectral._segment_average`` replaced, kept as its reference."""
+    n = x.size
+    window = np.ones(n) if seg_len == n else np.hanning(seg_len)
+    scale = 1.0 / (fs * float(window @ window))
+    step = max(1, int(round(seg_len * (1.0 - overlap))))
+    starts = range(0, n - seg_len + 1, step)
+    acc = np.zeros(seg_len // 2 + 1)
+    for s in starts:
+        seg = x[s : s + seg_len]
+        acc += np.abs(np.fft.rfft((seg - seg.mean()) * window)) ** 2 * scale
+    acc[1 : (seg_len + 1) // 2] *= 2.0
+    return acc / len(starts)
 
 
 class TestBandPower:
