@@ -74,6 +74,20 @@ def _run_length(args, fs: float) -> int:
     return check_int(args.run_length, "--run-length", 1)
 
 
+def _distinct(values: list, flag: str) -> list:
+    """``values``, or a ``UsageError`` at the first repeat: each value
+    names output files, which a repeat would write twice."""
+    for k, value in enumerate(values):
+        if value in values[:k]:
+            raise UsageError(f"{flag} {value!r} is given twice")
+    return values
+
+
+def _levels(args) -> list[float]:
+    """The ``--u`` quantile levels, by default ``ed.DEFAULT_U_GRID``."""
+    return _distinct(args.u or list(ed.DEFAULT_U_GRID), "--u")
+
+
 def _load_input(args) -> sio.EegRecording:
     """The ``--input`` recording, with ``--fs`` and ``--onset`` (or
     ``--onset-seconds``) in place of the sidecar's values."""
@@ -179,11 +193,12 @@ def _write_gpd_fit(fit: evt.GpdFit, channel, band, path: Path) -> Path:
 
 def _write_chi(matrices, prefix: Path, title_suffix: str):
     """``ed.chi_matrices`` output, every level from one bootstrap:
-    ``<prefix>.u<u>.svg`` per level, then all levels' rows in ``<prefix>.csv``."""
+    ``<prefix>.u<repr of u>.svg`` per level, then all levels' rows in
+    ``<prefix>.csv``."""
     paths = []
     for cm in matrices:
-        svg = heatmap_svg(cm.chi_values, cm.channels, f"chi(u={cm.u:g}){title_suffix}")
-        paths.append(_emit(Path(f"{prefix}.u{cm.u:g}.svg"), svg))
+        svg = heatmap_svg(cm.chi_values, cm.channels, f"chi(u={cm.u!r}){title_suffix}")
+        paths.append(_emit(Path(f"{prefix}.u{cm.u!r}.svg"), svg))
     estimates = [e for cm in matrices for e in cm.estimates]
     columns = [
         ("channel_a", [e.pair[0] for e in estimates]),
@@ -341,7 +356,7 @@ def cmd_fit_gpd(args) -> int:
     prefix = _prefix(args)
     run_length = _run_length(args, rec.fs)
 
-    channels = args.channel or list(rec.channels)
+    channels = _distinct(args.channel or list(rec.channels), "--channel")
     columns = [rec.index_of(name) for name in channels]  # all resolve before any write
     if args.band:
         deco = pp.decompose_bands(rec, order=args.order, bands=(pp.band_by_id(args.band),))
@@ -371,7 +386,7 @@ def cmd_fit_gpd(args) -> int:
 def cmd_chi(args) -> int:
     view = _load_epoch(args)
     tag = "" if args.epoch == "all" else f".{args.epoch}"
-    levels = args.u or list(ed.DEFAULT_U_GRID)
+    levels = _levels(args)
     prefix = Path(f"{_prefix(args)}.chi{tag}")
     _write_chi(ed.chi_matrices(view, levels, n_boot=args.n_boot, seed=args.seed), prefix, tag)
     return 0
@@ -408,7 +423,7 @@ def cmd_report(args) -> int:
     cond_channel = args.cond_channel or rec.channels[0]
     rec.index_of(cond_channel)  # an unknown channel fails before any file is written
     run_length = _run_length(args, rec.fs)
-    levels = args.u or list(ed.DEFAULT_U_GRID)
+    levels = _levels(args)
     # every numeric option is checked here, since each stage writes files
     pp._check_order(args.order, "--order")
     check_real(args.threshold_quantile, "--threshold-quantile", evt.THRESHOLD_QUANTILES)

@@ -29,13 +29,14 @@ every multiplicity 1, and every level is scored on the same resamples.
 
 Replicate b draws from the b-th child of ``SeedSequence(seed).spawn``
 and depends on nothing else but the sorted columns, so the replicates
-are cut into one contiguous block per usable core and scored on
-``signal_io``'s pool (``_replicates``); the parent joins the blocks in
-order, and the intervals do not depend on the cut. ``chi_matrices``
-opens a pool for the call; ``report`` submits both epochs' blocks
-(``_submit_chi_matrices``) to the pool of its pass and fits the
-conditional models while they are scored. There is no setting, and
-``n_boot=0`` starts no pool.
+are cut into one contiguous block of seeds per usable core, and each
+block is one item of ``signal_io``'s pool, scored by a closure over the
+sorted columns; the parent joins the blocks in order, and the intervals
+do not depend on the cut (one item per replicate gives the same bytes,
+but more slowly). ``chi_matrices`` opens a pool for the call;
+``report`` submits both epochs' blocks (``_submit_chi_matrices``) to
+the pool of its pass and fits the conditional models while they are
+scored. There is no setting, and ``n_boot=0`` starts no pool.
 """
 
 from __future__ import annotations
@@ -348,8 +349,20 @@ def _submit_chi_matrices(
         seeds = np.random.SeedSequence(seed).spawn(n_boot)
         parts = min(sio._usable_cores(), n_boot)
         cuts = [k * n_boot // parts for k in range(parts + 1)]
-        tasks = [(cols, seeds[a:b], mean_block_len, levels) for a, b in zip(cuts, cuts[1:])]
-        blocks = pool.submit(_replicates, tasks)
+
+        def replicates(block) -> tuple[np.ndarray, np.ndarray]:
+            """chi and chibar, each (levels x replicates x C x C), of the
+            bootstrap replicates that draw from the seed sequences of
+            ``block``, one each."""
+            joint = [
+                _exceedance_counts(
+                    cols, _bootstrap_weights(n, mean_block_len, np.random.default_rng(ss)), levels
+                )
+                for ss in block
+            ]
+            return _chi_arrays(np.stack(joint, axis=1), n)
+
+        blocks = pool.submit(replicates, [seeds[a:b] for a, b in zip(cuts, cuts[1:])])
     joint = _exceedance_counts(cols, np.ones(n, dtype=np.intp), levels)
     points = list(zip(joint, *_chi_arrays(joint, n)))
 
@@ -365,19 +378,6 @@ def _submit_chi_matrices(
         )
 
     return finish
-
-
-def _replicates(task) -> tuple[np.ndarray, np.ndarray]:
-    """chi and chibar, each (levels x replicates x C x C), of the
-    bootstrap replicates that ``task`` = (sorted columns, seed sequences,
-    mean block length, levels) names, one replicate per seed sequence."""
-    cols, seeds, mean_block_len, levels = task
-    n = cols[0][0].size
-    joint = []
-    for ss in seeds:
-        weights = _bootstrap_weights(n, mean_block_len, np.random.default_rng(ss))
-        joint.append(_exceedance_counts(cols, weights, levels))
-    return _chi_arrays(np.stack(joint, axis=1), n)
 
 
 def _interval(reps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

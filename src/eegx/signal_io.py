@@ -353,7 +353,7 @@ def save_recording(rec: EegRecording, path: str | Path) -> Path:
     atomically. Floats are written with ``repr``, so load -> save -> load
     is exact; channel names must pass ``_header``."""
     p = Path(path)
-    _write_csv((p, rec.channels, rec.data))
+    _write_csv(p, rec.channels, rec.data)
     meta = {"fs": rec.fs, "onset_index": rec.onset_index}
     with write_text_atomic(sidecar_path(p)) as (fh,):
         fh.write(json.dumps(meta, sort_keys=True) + "\n")
@@ -642,16 +642,13 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _write_csv(task) -> Path:
-    """Write ``task`` = (path, channels, matrix) as CSV, the table
-    ``_table_text`` makes of the matrix's columns, through
-    ``write_text_atomic``; the names are checked before the file is
-    opened."""
-    path, channels, matrix = task
+def _write_csv(path: Path, channels, matrix: np.ndarray) -> None:
+    """Write ``matrix`` as CSV, the table ``_table_text`` makes of its
+    columns named by ``channels``, through ``write_text_atomic``; the
+    names are checked before the file is opened."""
     text = _table_text(list(zip(channels, matrix.T)))
     with write_text_atomic(path) as (fh,):
         fh.writelines(text)
-    return path
 
 
 #: The batches submitted to each open ``_Pool``, by ``id`` of the pool: a

@@ -177,6 +177,10 @@ class TestValidationFirst:
             ["chi", "--seed", "-1"],
             ["chi", "--n-boot", "-1"],
             ["ht-sim", "--cond-channel", "T3", "--seed", "-1"],
+            # a repeated level or channel would write the same file twice
+            ["chi", "--u", "0.9", "--u", "0.9"],
+            ["report", "--u", "0.9", "--u", "0.9"],
+            ["fit-gpd", "--channel", "T3", "--channel", "T3"],
         ],
         ids=lambda argv: " ".join(argv),
     )
@@ -274,6 +278,22 @@ class TestValidationFirst:
         assert rc == 2
         # a flag in seconds is checked in samples, and its message says so
         assert re.search(rf"error: {flag}( in samples at fs=100 Hz)? must", capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["chi", "--u", "0.95", "--u", "0.9", "--u", "0.95"], "--u 0.95 is given twice"),
+            (["report", "--u=0.9", "--u=.90"], "--u 0.9 is given twice"),
+            (["fit-gpd", "--channel", "Fp1", "--channel", "T3", "--channel", "Fp1"],
+             "--channel 'Fp1' is given twice"),
+        ],
+        ids=["chi", "report", "fit-gpd"],
+    )
+    def test_repeat_is_named(self, rec_csv, tmp_path, capsys, argv, message):
+        out = tmp_path / "out"
+        assert run([*argv, "--input", rec_csv, "--outdir", out]) == 2
+        assert capsys.readouterr().err == f"eegx {argv[0]}: error: {message}\n"
         assert not out.exists()
 
     def test_onset_seconds_message_prints_a_float(self, rec_csv, tmp_path, capsys):
@@ -472,6 +492,15 @@ class TestSubcommands:
         assert len(lines) == 1 + 6  # C(4,2) pairs
         svg = (tmp_path / "rec.chi.post.u0.95.svg").read_text()
         assert svg.startswith("<svg") and "T3" in svg
+
+    def test_chi_names_each_level_by_repr(self, rec_csv, tmp_path):
+        # both levels print as 0.95 with :g, so one name would hold both
+        rc = run(["chi", "--input", rec_csv, "--u", "0.95", "--u", "0.9500001",
+                  "--n-boot", "0", "--outdir", tmp_path])
+        assert rc == 0
+        assert _files(tmp_path) == ["rec.chi.csv", "rec.chi.u0.95.svg", "rec.chi.u0.9500001.svg"]
+        titles = [(tmp_path / f"rec.chi.u{u}.svg").read_text() for u in ("0.95", "0.9500001")]
+        assert "chi(u=0.95)" in titles[0] and "chi(u=0.9500001)" in titles[1]
 
     def test_ht_fit(self, rec_csv, tmp_path):
         rc = run(["ht-fit", "--input", rec_csv, "--cond-channel", "T3",

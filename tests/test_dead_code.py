@@ -4,11 +4,10 @@ module-level import that its module never uses, and no module-level
 private name that the package never uses outside its definition (a
 private helper kept alive only by its tests). One more rule keeps the
 promise that every output is written atomically: no function but
-``signal_io.write_text_atomic`` makes a call that can write a file. And
-one keeps scipy out of every process that does not need it: the only
-scipy import is ``scipy.special`` inside
-``oracle_sim.gen_gaussian_copula_pair``. The last keeps ``signal_io._Pool``
-the package's one process pool: no other module imports
+``signal_io.write_text_atomic`` makes a call that can write a file. One
+keeps the package on numpy alone: no module imports scipy, which the
+tests use only as a reference. The last keeps ``signal_io._Pool`` the
+package's one process pool: no other module imports
 ``multiprocessing`` or ``concurrent.futures``."""
 
 import ast
@@ -176,12 +175,8 @@ def test_only_write_text_atomic_writes_files(path):
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
-def test_scipy_is_imported_only_by_the_copula_generator(path):
-    found = _imports(ast.parse(path.read_text(), str(path)), {"scipy"})
-    if path.name == "oracle_sim.py":
-        found = [f for f in found if not (f.startswith("gen_gaussian_copula_pair:")
-                                          and f.endswith(": scipy.special"))]
-    assert found == []
+def test_no_module_imports_scipy(path):
+    assert _imports(ast.parse(path.read_text(), str(path)), {"scipy"}) == []
 
 
 @pytest.mark.parametrize(

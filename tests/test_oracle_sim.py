@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.signal import lfilter
+from scipy.special import ndtr
 from scipy.stats import kurtosis
 
 from eegx import (
@@ -26,6 +27,7 @@ from eegx.oracle_sim import (
     REF_LOADING,
     _AR_POLES,
     _ar2_noise,
+    _normal_cdf,
 )
 
 
@@ -107,6 +109,35 @@ class TestCopulaGenerators:
     def test_rho_domain(self):
         with pytest.raises(UsageError):
             gen_gaussian_copula_pair(10, 1.0, seed=0)
+
+
+_GRID = np.linspace(-40.0, 40.0, 400_001)
+
+
+class TestNormalCdf:
+    """The copula generator's stdlib normal CDF, with
+    ``scipy.special.ndtr`` as the reference."""
+
+    @pytest.mark.parametrize("points", ["grid", "draws"])
+    def test_matches_ndtr(self, points):
+        z = _GRID if points == "grid" else np.random.default_rng(0).standard_normal(1_000_000)
+        assert np.max(np.abs(_normal_cdf(z) - ndtr(z))) <= 2.3e-16
+
+    def test_nondecreasing(self):
+        assert np.all(np.diff(_normal_cdf(_GRID)) >= 0.0)
+
+    def test_edges(self):
+        phi = _normal_cdf(np.array([0.0, -0.0, -np.inf, np.inf]))
+        assert phi.tolist() == [0.5, 0.5, 0.0, 1.0]
+        assert _normal_cdf(np.empty(0)).shape == (0,)
+
+    def test_pair_is_ndtr_of_its_normals(self):
+        u, v = gen_gaussian_copula_pair(10_000, 0.6, seed=3)
+        rng = np.random.default_rng(3)
+        z1 = rng.standard_normal(10_000)
+        z2 = 0.6 * z1 + np.sqrt(1.0 - 0.6**2) * rng.standard_normal(10_000)
+        assert np.max(np.abs(u - ndtr(z1))) <= 2.3e-16
+        assert np.max(np.abs(v - ndtr(z2))) <= 2.3e-16
 
 
 class TestSyntheticEeg:
