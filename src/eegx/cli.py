@@ -147,9 +147,12 @@ def _write_bands(
     ``fit(channel)`` of each of the band's channels, in channel order. The
     files are renamed into place once every band is written, so a failed
     band leaves none. ``fit`` should return what it raises: an exception
-    it lets out fails the band."""
+    it lets out fails the band. The returned function keeps the band ids,
+    not the plan, so collecting the tasks, which releases their batch,
+    frees the plan."""
     plan = pp._plan_bands(rec, order)[0]
-    paths = [directory / f"{stem}{band_id}.csv" for band_id in plan.specs]
+    band_ids = tuple(plan.specs)
+    paths = [directory / f"{stem}{band_id}.csv" for band_id in band_ids]
 
     def write(task):
         band_id, fh = task
@@ -161,7 +164,7 @@ def _write_bands(
 
     with contextlib.ExitStack() as stack:
         files = stack.enter_context(sio.write_text_atomic(*paths))
-        written = pool.submit(write, list(zip(plan.specs, files)))
+        written = pool.submit(write, list(zip(band_ids, files)))
         staged = stack.pop_all()  # closed by finish
 
     def finish():
@@ -169,7 +172,7 @@ def _write_bands(
             results = written()
         for p in paths:
             print(f"wrote {p}")
-        return dict(zip(plan.specs, results)), paths
+        return dict(zip(band_ids, results)), paths
 
     return finish
 

@@ -14,11 +14,14 @@ Filtering runs in two steps, with one code path for every caller. A
 plan (``_plan_filters``; ``_plan_bands`` for a recording's detrended
 channels) is made once: the rFFT of the padded channels at each FFT
 length its filters need, and the last rows of the padding that the
-end correction reads. It holds no band. ``_FilterPlan.band`` then makes
-one band from it and checks that it is finite. ``decompose_bands``
-makes every band of a plan; the CLI makes each band once, in the pool
-worker that writes its file, which in ``report`` also fits the band's
-tails.
+end correction reads. The padded channels are built in one
+preallocated matrix: each channel is copied, or detrended, into its
+interior and the ends are reflected in place. The plan holds no band.
+``_FilterPlan.band`` then makes one band from it and checks that it is
+finite. ``decompose_bands`` makes every band of a plan; the CLI makes
+each band once, in the pool worker that writes its file, which in
+``report`` also fits the band's tails, and its parent lets go of the
+plan once the bands are collected.
 """
 
 from __future__ import annotations
@@ -196,12 +199,19 @@ def detrend(x: np.ndarray) -> np.ndarray:
     n = x.size
     if n < 2:
         raise SizeError(f"detrend needs at least 2 samples, got {n}")
-    t = np.arange(n, dtype=float)
+    return _detrend_into(np.empty(n), x)
+
+
+def _detrend_into(out: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Write :func:`detrend` of ``x``, a finite series of at least 2
+    samples, into ``out``, which may be a column of a matrix; returns
+    ``out``. Its arguments are ``np.copyto``'s."""
+    t = np.arange(x.size, dtype=float)
     t_c = t - t.mean()
     # np.sum, not a BLAS dot product: its order of summation, and so the
     # last bits, must not depend on how many threads the BLAS runs
     slope = np.sum(t_c * (x - x.mean())) / np.sum(t_c * t_c)
-    return x - (x.mean() + slope * t_c)
+    return np.subtract(x, x.mean() + slope * t_c, out=out)
 
 
 def _impulse_response(sos: np.ndarray, n: int) -> np.ndarray:
@@ -278,7 +288,9 @@ class _FilterPlan:
     reads ``tail``, the last rows of ext). A filter's output does not
     depend on the other filters of the plan, so each band can be made on
     its own, by the process that uses it: the CLI's band tasks make one
-    band each, and a parent with a worker pool makes none.
+    band each, and a parent with a worker pool makes none. There the plan
+    lives as long as the pool's band batch: collecting the batch releases
+    it, and with it the parent's last reference to the plan.
     """
 
     specs: dict[str, FilterSpec]
@@ -302,18 +314,35 @@ class _FilterPlan:
         return check_floats(y[pad : pad + self.rows], f"band {band_id!r}", finite=True)
 
 
-def _plan_filters(x: np.ndarray, specs: dict[str, FilterSpec]) -> _FilterPlan:
+def _padded(x: np.ndarray, pad: int, fill) -> np.ndarray:
+    """ext: ``x`` (T x C, T > ``pad``) with even reflections of ``pad``
+    samples at both ends, ``np.concatenate((x[pad:0:-1], x,
+    x[-2:-pad-2:-1]))``, built in one (T + 2 pad) x C matrix and no
+    other: ``fill(out, column)`` writes each column of ``x`` into the
+    interior (``_detrend_into`` writes it detrended), and the ends are
+    reflected from it in place."""
+    rows = x.shape[0]
+    ext = np.empty((rows + 2 * pad, x.shape[1]))
+    for c in range(x.shape[1]):
+        fill(ext[pad : pad + rows, c], x[:, c])
+    ext[:pad] = ext[2 * pad : pad : -1]
+    ext[pad + rows :] = ext[pad + rows - 2 : rows - 2 : -1]
+    return ext
+
+
+def _plan_filters(x: np.ndarray, specs: dict[str, FilterSpec], fill) -> _FilterPlan:
     """The :class:`_FilterPlan` of ``x`` (T x C) through ``specs``, which
-    share an order and so a padding: ext, x with even reflections of
-    ``padlen`` samples at both ends, is transformed once per FFT length
-    and kept only as those transforms and its last rows."""
+    share an order and so a padding: ext, :func:`_padded` of x with
+    ``fill`` (``np.copyto``, or ``_detrend_into`` for a recording's
+    channels), is transformed once per FFT length and kept only as those
+    transforms and its last rows."""
     pad = next(iter(specs.values())).padlen
     if x.shape[0] <= pad:
         raise SizeError(
             f"signal too short for zero-phase filtering: need > {pad} samples, "
             f"got {x.shape[0]}"
         )
-    ext = np.concatenate((x[pad:0:-1], x, x[-2 : -pad - 2 : -1]))
+    ext = _padded(x, pad, fill)
     m = ext.shape[0]
     responses = {band_id: _impulse_response(spec.sos, m) for band_id, spec in specs.items()}
     sizes = {_fft_size(m + h.size - 1) for h in responses.values()}
@@ -341,7 +370,7 @@ def apply_zero_phase(x: np.ndarray, spec: FilterSpec) -> np.ndarray:
     a series near the largest float overflows, is a ``DataError``.
     """
     x = check_floats(x, "series", ndim=1, finite=True)
-    return _plan_filters(x[:, None], {spec.band.id: spec}).band(spec.band.id)[:, 0]
+    return _plan_filters(x[:, None], {spec.band.id: spec}, np.copyto).band(spec.band.id)[:, 0]
 
 
 @dataclass(frozen=True)
@@ -372,7 +401,9 @@ def _plan_bands(
     """The :class:`_FilterPlan` of ``rec``'s detrended channels through
     each band feasible at its sampling rate, and the ids of the bands
     omitted (with a warning) as infeasible; if none is feasible, a
-    ``DesignError``. The plan holds no band and no detrended copy."""
+    ``DesignError``. Each channel is detrended straight into the padded
+    matrix the plan transforms, so no detrended copy is made, and the
+    plan holds no band."""
     specs: dict[str, FilterSpec] = {}
     omitted: list[str] = []
     for band in bands:
@@ -386,8 +417,7 @@ def _plan_bands(
         warnings.warn(
             f"bands omitted at fs={rec.fs:g} Hz: {omitted}", stacklevel=3
         )
-    detrended = np.column_stack([detrend(rec.data[:, c]) for c in range(rec.n_channels)])
-    return _plan_filters(detrended, specs), tuple(omitted)
+    return _plan_filters(rec.data, specs, _detrend_into), tuple(omitted)
 
 
 def decompose_bands(

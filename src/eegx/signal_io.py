@@ -653,6 +653,7 @@ def _write_csv(path: Path, channels, matrix: np.ndarray) -> None:
 
 #: The batches submitted to each open ``_Pool``, by ``id`` of the pool: a
 #: worker finds ``fn`` and its item in its forked copy of the parent's memory.
+#: A collected batch's slot is None.
 _FORKED: dict[int, list] = {}
 
 
@@ -706,6 +707,12 @@ class _Pool:
     collecting issues them in item order, through the parent's filters
     and each raising module's once per location registry: the lines an
     in-process run prints, on any number of cores.
+
+    A batch is collected once, and its collect releases it, whether it
+    returns or raises: its slot in ``_FORKED`` becomes None, so the
+    parent holds neither ``fn``, its items nor their results' futures,
+    and every other batch keeps its index. Collecting it again is a
+    ``UsageError``.
     """
 
     def __enter__(self) -> _Pool:
@@ -720,7 +727,7 @@ class _Pool:
 
     def submit(self, fn, items: list):
         """Queue ``fn(item)`` for every item; returns a function that waits
-        for the results and returns them in order. When one item fails,
+        for the results and returns them in order, once. When one item fails,
         collecting raises its exception and cancels the items not yet
         started."""
         if self._futures is not None:
@@ -731,9 +738,12 @@ class _Pool:
         def collect():
             if self._futures is None:
                 self._start()
+            if self._batches[batch] is None:
+                raise UsageError("a pool collects each batch once")
+            (fn, items), self._batches[batch] = self._batches[batch], None
             if self._executor is None:
                 return list(map(fn, items))
-            futures = self._futures[batch]
+            futures, self._futures[batch] = self._futures[batch], None
             try:
                 results = []
                 for f in futures:

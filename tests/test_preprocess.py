@@ -6,6 +6,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import signal as sps
 from scipy.signal import sosfilt
 
@@ -23,6 +26,7 @@ from eegx import (
     design_bandpass,
     detrend,
 )
+from eegx import preprocess as pp
 from eegx.preprocess import FilterSpec, band_by_id, effective_high_edge
 
 
@@ -257,8 +261,11 @@ class TestZeroPhase:
         assert np.abs(lhs - rhs).max() <= 1e-9 * scale
 
     def test_too_short(self):
-        with pytest.raises(SizeError):
+        with pytest.raises(SizeError) as failure:
             apply_zero_phase(np.zeros(self.spec.padlen), self.spec)
+        assert str(failure.value) == (
+            "signal too short for zero-phase filtering: need > 15 samples, got 15"
+        )
 
     def test_overflow_is_data_error(self):
         # a finite series whose transform overflows gives no NaN output
@@ -315,6 +322,14 @@ class TestDecompose:
         with pytest.raises(DesignError, match="no band"):
             decompose_bands(rec)
 
+    def test_too_short(self):
+        rec = EegRecording(channels=("A", "B"), fs=1000.0, data=np.ones((15, 2)))
+        with pytest.raises(SizeError) as failure:
+            decompose_bands(rec)
+        assert str(failure.value) == (
+            "signal too short for zero-phase filtering: need > 15 samples, got 15"
+        )
+
     def test_detrends_before_filtering(self):
         # a pure trend contributes nothing to any band
         t = np.arange(4000, dtype=float)
@@ -346,3 +361,27 @@ class TestDecompose:
             assert done.returncode == 0, done.stderr
             digests.add(done.stdout)
         assert len(digests) == 1
+
+
+class TestPadded:
+    """A filter plan's padded matrix is built in place, each channel copied
+    or detrended into its interior and the ends reflected from it: bit for
+    bit the matrix that was concatenated from copies."""
+
+    @given(st.data())
+    def test_equals_the_concatenated_reflections(self, data):
+        pad = 3 * (data.draw(st.sampled_from([2, 4, 6, 8]), label="order") + 1)
+        rows = data.draw(st.integers(pad + 1, pad + 64), label="T")
+        cols = data.draw(st.integers(1, 5), label="C")
+        x = data.draw(hnp.arrays(float, (rows, cols), elements=st.floats(-1e100, 1e100)))
+
+        def reflected(m):  # the reference: reflections concatenated from copies
+            return np.concatenate((m[pad:0:-1], m, m[-2 : -pad - 2 : -1]))
+
+        detrended = np.column_stack([detrend(x[:, c]) for c in range(cols)])
+        for built, old in [
+            (pp._padded(x, pad, np.copyto), reflected(x)),
+            (pp._padded(x, pad, pp._detrend_into), reflected(detrended)),
+        ]:
+            assert built.shape == old.shape == (rows + 2 * pad, cols)
+            assert built.tobytes() == old.tobytes()

@@ -761,6 +761,32 @@ class TestPool:
         assert [str(w.message) for w in caught] == ["parity 1", "parity 0", "negative"]
         assert {(w.filename, w.category) for w in caught} == {(__file__, UserWarning)}
 
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_a_batch_is_collected_once_and_released(self, cores, monkeypatch):
+        # a second collect neither reruns the items nor issues their
+        # warnings again; a collected batch's slot stays, so the others
+        # keep their indices
+        monkeypatch.setattr(sio, "_usable_cores", lambda: cores)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with sio._Pool() as pool:
+                numbers = pool.submit(_warn_parity, [1, 2])
+                failing = pool.submit(_warn_parity, [-1])
+                doubling = pool.submit(_double, [3, 4])
+                batches = sio._FORKED[id(pool)]
+                assert numbers() == [1, 2]
+                assert batches[0] is None
+                with pytest.raises(ValueError, match="negative: -1"):
+                    failing()
+                assert batches[:2] == [None, None]
+                assert batches[2] == (_double, [3, 4])
+                for collect in (numbers, failing):
+                    with pytest.raises(UsageError, match="collects each batch once"):
+                        collect()
+                assert doubling() == [6, 8]
+                assert batches == [None, None, None]
+        assert [str(w.message) for w in caught] == ["parity 1", "parity 0", "negative"]
+
     def test_uncollected_work_is_cancelled_on_exit(self, tmp_path, monkeypatch):
         monkeypatch.setattr(sio, "_usable_cores", lambda: 2)
         paths = [tmp_path / f"{k}" for k in range(40)]  # 2 s of work on two workers
