@@ -21,7 +21,7 @@ anti-correlated pair fits alpha = -1.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -340,28 +340,37 @@ def conditional_model(
     Returns one :class:`HtFit` per dependent channel (keyed by label)
     plus the per-channel transforms, all sharing the same conditioning
     exceedance set so residuals stay aligned across channels.
+
+    A fit reads only the rows where the conditioner exceeds its level,
+    so each dependent channel is transformed at those rows alone;
+    :func:`to_laplace` is elementwise, so every fit is the one the full
+    series gives, with ``exceed_indices`` mapped back to epoch rows.
     """
     if rec.n_channels < 2:
         raise ValidationError("need at least 2 channels for a conditional model")
     rec.index_of(cond_channel)  # an unknown channel is a ChannelLookupError
-    transforms: dict[str, MarginalTransform] = {}
-    laplace: dict[str, np.ndarray] = {}
-    for name in rec.channels:
-        mt = fit_marginal(rec.channel(name), marginal_quantile, channel=name)
-        transforms[name] = mt
-        laplace[name] = to_laplace(rec.channel(name), mt)
+    transforms = {
+        name: fit_marginal(rec.channel(name), marginal_quantile, channel=name)
+        for name in rec.channels
+    }
+    # fit_ht's check, made before laplace_quantile reads the level
+    check_real(cond_quantile, "conditioning quantile", COND_QUANTILES)
+    y_cond = to_laplace(rec.channel(cond_channel), transforms[cond_channel])
+    rows = np.flatnonzero(y_cond > laplace_quantile(cond_quantile))
+    y_cond = y_cond[rows]
 
     fits: dict[str, HtFit] = {}
     for name in rec.channels:
         if name == cond_channel:
             continue
-        fits[name] = fit_ht(
-            laplace[cond_channel],
-            laplace[name],
+        fit = fit_ht(
+            y_cond,
+            to_laplace(rec.channel(name)[rows], transforms[name]),
             cond_quantile,
             cond_channel=cond_channel,
             dep_channel=name,
         )
+        fits[name] = replace(fit, exceed_indices=rows)
     return fits, transforms
 
 

@@ -10,6 +10,9 @@ from pathlib import Path
 
 import pytest
 
+from eegx import cond_extremes as ce
+from eegx import gen_synthetic_eeg
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
@@ -45,3 +48,16 @@ def test_cohort_pass_meets_its_checks(tmp_path):
     assert [c.name for c in checks] == ["post_exceeds_pre", "expected_gpd", "expected_ht"]
     bad = [(o.name, o.detail) for o in outcomes + checks if not o.ok]
     assert len(outcomes) == cohort.n_recordings and not bad
+
+
+def test_tracer_sees_every_transform_and_fit():
+    # the tracer wraps to_laplace and fit_ht by module attribute, so
+    # conditional_model must call them through the module: one transform
+    # per channel and one fit per dependent channel
+    tracer = _load("tracer").Tracer()
+    rec = gen_synthetic_eeg(3, 6_000, 0.5, seed=1)
+    with tracer.traced_pass():
+        ce.conditional_model(rec, "T3")
+    values = tracer.layer_values()
+    assert values["cond_extremes.fit_ht_calls"] == 2
+    assert values["cond_extremes.to_laplace_calls"] == 3

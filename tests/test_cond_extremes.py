@@ -1,5 +1,6 @@
+import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from eegx import (
     from_laplace,
     gen_gaussian_copula_pair,
     gen_independent_pair,
+    gen_synthetic_eeg,
     laplace_cdf,
     laplace_quantile,
     simulate_conditional,
@@ -328,6 +330,152 @@ class TestFitHt:
         f1 = fit_ht(ya, yb, 0.95)
         f2 = fit_ht(ya, yb, 0.95)
         assert (f1.alpha, f1.beta, f1.nll) == (f2.alpha, f2.beta, f2.nll)
+
+
+def _conditional_model_full(rec, cond_channel, cond_quantile, marginal_quantile):
+    """The conditional model with every channel Laplace-transformed in
+    full and each fit made on the full series: the reference the
+    exceedance-rows-only form must equal."""
+    transforms, laplace = {}, {}
+    for name in rec.channels:
+        mt = fit_marginal(rec.channel(name), marginal_quantile, channel=name)
+        transforms[name] = mt
+        laplace[name] = to_laplace(rec.channel(name), mt)
+    fits = {
+        name: fit_ht(laplace[cond_channel], laplace[name], cond_quantile,
+                     cond_channel=cond_channel, dep_channel=name)
+        for name in rec.channels
+        if name != cond_channel
+    }
+    return fits, transforms
+
+
+def _outcome(fn, *args):
+    """(result, or the exception's type and message; every warning's
+    category and message, in order)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = fn(*args)
+        except Exception as exc:  # compared with the reference's, not handled
+            result = (type(exc), str(exc))
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+def _assert_same(got, want, where="result"):
+    """Equal bit for bit: dataclasses field by field, arrays and floats by
+    their bytes, anything else by ==."""
+    assert type(got) is type(want), where
+    if is_dataclass(got):
+        for f in fields(got):
+            _assert_same(getattr(got, f.name), getattr(want, f.name), f"{where}.{f.name}")
+    elif isinstance(got, dict):
+        assert list(got) == list(want), where
+        for key in got:
+            _assert_same(got[key], want[key], f"{where}[{key!r}]")
+    elif isinstance(got, tuple):
+        assert len(got) == len(want), where
+        for k, (a, b) in enumerate(zip(got, want)):
+            _assert_same(a, b, f"{where}[{k}]")
+    elif isinstance(got, (np.ndarray, float)):
+        assert _same_floats(got, want), where
+    else:
+        assert got == want, where
+
+
+class TestConditionalModelRows:
+    """``conditional_model`` Laplace-transforms each dependent channel only
+    at the conditioning exceedance rows; every fit, error and warning must
+    be the one the full-series loop gives."""
+
+    @given(
+        seed=st.integers(0, 10_000),
+        n_channels=st.integers(2, 5),
+        cond_index=st.integers(0, 4),
+        n=st.sampled_from([300, 1_999, 3_000]),
+        step=st.sampled_from([0.0, 0.1, 1.0]),
+        cond_quantile=st.sampled_from([0.9, 0.95, 0.99]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_equals_full_series_loop(self, seed, n_channels, cond_index, n, step,
+                                     cond_quantile):
+        # channels share a heavy-tailed factor; a step > 0 rounds them to
+        # its multiples, which leaves many tied values. At n = 1 999 the
+        # 1 800th order statistic maps to the 0.9 Laplace level exactly,
+        # which is not an exceedance
+        rng = np.random.default_rng(seed)
+        x = rng.standard_t(4, (n, 1)) * rng.uniform(0.0, 1.0, n_channels)
+        x = x + rng.standard_t(5, (n, n_channels))
+        if step:
+            x = np.round(x / step) * step
+        rec = EegRecording(channels=tuple(f"C{k}" for k in range(n_channels)), fs=100.0, data=x)
+        cond = rec.channels[cond_index % n_channels]
+        args = (rec, cond, cond_quantile, 0.95)
+        got, got_warnings = _outcome(conditional_model, *args)
+        want, want_warnings = _outcome(_conditional_model_full, *args)
+        _assert_same(got, want)
+        assert got_warnings == want_warnings
+
+    def test_too_few_exceedances_raises_as_before(self):
+        # n = 50 clamps every probability to at most 1 - 1/100, so no value
+        # exceeds the 0.99 Laplace level
+        x = np.random.default_rng(9).standard_normal((50, 3))
+        rec = EegRecording(channels=("A", "B", "C"), fs=100.0, data=x)
+        got = _outcome(conditional_model, rec, "B", 0.99, 0.8)
+        assert got[0] == (SizeError, "only 0 conditioning exceedances above the "
+                                     "0.99 Laplace quantile; need >= 30")
+        assert got == _outcome(_conditional_model_full, rec, "B", 0.99, 0.8)
+
+    @given(
+        seed=st.integers(0, 10_000),
+        bounded=st.booleans(),
+        decimals=st.sampled_from([None, 1, 2]),
+        n_idx=st.integers(0, 300),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_to_laplace_is_elementwise(self, seed, bounded, decimals, n_idx):
+        # to_laplace(x, mt)[idx] is to_laplace(x[idx], mt), bit for bit; a
+        # bounded (Beta) sample fits xi < 0, and values past its upper
+        # endpoint take the clamp path
+        rng = np.random.default_rng(seed)
+        sample = rng.beta(2.0, 4.0, 2_000) if bounded else rng.standard_t(4, 2_000)
+        if decimals is not None:
+            sample = np.round(sample, decimals)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a fit on a parameter bound
+            try:
+                mt = fit_marginal(sample, 0.9)
+            except SizeError:  # too few excesses above a tied threshold
+                reject()
+        x = np.concatenate([sample, rng.uniform(sample.min() - 1.0, sample.max() + 1.0, 200)])
+        if bounded:
+            if mt.gpd.xi >= 0:
+                reject()
+            endpoint = mt.u - mt.gpd.sigma / mt.gpd.xi
+            x = np.concatenate([x, endpoint + np.array([0.0, 1e-9, 0.5, 3.0])])
+        idx = rng.integers(0, x.size, n_idx)  # unsorted, with repeats
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            full = to_laplace(x, mt)
+        if bounded:
+            assert any("clamped" in str(w.message) for w in caught)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the clamp, when idx holds such a value
+            assert _same_floats(to_laplace(x[idx], mt), full[idx])
+
+    def test_peak_memory(self):
+        # 8 x 20 000: the full-series loop held every channel's Laplace
+        # series until the last fit and peaked at 3.72x the matrix; reading
+        # only the exceedance rows peaks at 2.69x, and 2.88x is a 7 % margin
+        rec = gen_synthetic_eeg(8, 20_000, 0.5, seed=5)
+        conditional_model(rec, "T3")  # first-call costs are not the model's
+        tracemalloc.start()
+        try:
+            conditional_model(rec, "T3")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.88 * rec.data.nbytes
 
 
 class TestSimulation:
