@@ -455,20 +455,12 @@ def decluster_runs(
     check_real(threshold_u, "threshold")
     x = check_floats(data, "data", finite=True).ravel()
     exc_idx = np.flatnonzero(x > threshold_u)
-    if exc_idx.size == 0:
-        return ClusterSet(
-            run_length_r=r,
-            threshold_u=float(threshold_u),
-            peak_indices=np.empty(0, dtype=int),
-            peak_values=np.empty(0, dtype=float),
-            n_clusters=0,
-        )
-    new = np.diff(exc_idx) > r
-    cluster = np.concatenate(([0], np.cumsum(new)))  # of each exceedance
+    start = np.diff(exc_idx, prepend=-r - 1) > r  # the first exceedance starts one
+    cluster = np.cumsum(start) - 1  # of each exceedance
     values = x[exc_idx]
-    peaks = np.maximum.reduceat(values, np.concatenate(([0], np.flatnonzero(new) + 1)))
+    peaks = np.maximum.reduceat(values, np.flatnonzero(start))
     hits = np.flatnonzero(values == peaks[cluster])
-    first = hits[np.concatenate(([True], np.diff(cluster[hits]) > 0))]  # earliest on ties
+    first = hits[np.diff(cluster[hits], prepend=-1) > 0]  # earliest on ties
     peaks_i = exc_idx[first]
     return ClusterSet(
         run_length_r=r,

@@ -184,10 +184,6 @@ def design_bandpass(
             f"at fs={fs:g}",
             stacklevel=2,
         )
-    if band.low_hz >= high:
-        raise DesignError(
-            f"band {band.id!r}: lower edge {band.low_hz:g} >= capped upper edge {high:g}"
-        )
 
     sos = _butter_bandpass_sos(order // 2, band.low_hz, high, fs)
     return FilterSpec(band=band, order=order, fs=fs, sos=sos, high_hz_effective=high)

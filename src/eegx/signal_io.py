@@ -23,12 +23,12 @@ whitespace, as a space is, and inside one a ``DataError`` naming the row
 and column. Lines of only whitespace and ``#`` comments are skipped.
 
 One rule (``_header``) decides which names a header may hold, for the
-writer and for ``load_recording`` alike: every name is a nonempty
+writer and for every ``EegRecording`` alike: every name is a nonempty
 string with no ',', '\r', '\n', '/' or NUL, no leading or trailing
 whitespace, and an encoding in UTF-8; the names are distinct, the first
 does not start with U+FEFF (read back as a byte-order mark), and not
-all of them parse as numbers. So no name read in can steer an output
-path out of its directory, and every header written loads back.
+all of them parse as numbers. So no name can steer an output path out
+of its directory, and every recording can be written and loaded back.
 
 One writer (``_table_text``) turns a table, (name, column) pairs, into
 CSV text ``CSV_CHUNK_ROWS`` rows at a time: recordings, band matrices
@@ -99,7 +99,7 @@ class EegRecording:
     Parameters
     ----------
     channels : list of str
-        Channel labels, unique and nonempty, one per data column.
+        Channel labels (``str`` of each) by the header rule, one per column.
     fs : float
         Sampling rate in Hz, finite and positive.
     data : ndarray, shape (T, C)
@@ -118,13 +118,7 @@ class EegRecording:
     def __post_init__(self):
         chans = tuple(str(c) for c in self.channels)
         object.__setattr__(self, "channels", chans)
-        if not chans:
-            raise ValidationError("recording must have at least one channel")
-        if any(not c for c in chans):
-            raise ValidationError("channel names must be nonempty")
-        if len(set(chans)) != len(chans):
-            dupes = sorted({c for c in chans if chans.count(c) > 1})
-            raise ValidationError(f"duplicate channel names: {dupes}")
+        _header(chans)  # so every recording can be written and read back
         object.__setattr__(self, "fs", check_real(self.fs, "sampling rate", FS_RANGE))
 
         data = check_floats(self.data, "data", ndim=2)
@@ -473,13 +467,8 @@ def _shortest_digits(bits: np.ndarray):
         zero = rest % 10 == 0
         sub, rest = sub[zero], rest[zero] // 10
         n_sig[sub] -= 1
-    # 10**17 rolls over into the next decade (e stays <= 15: 1e16 is a
-    # double, so no value below it can round to it)
-    roll = digits == 10**17
-    if roll.any():
-        digits[roll] = 10**16
-        e += roll
-        n_sig[roll] = 1
+    # no roll-over to 10**17: hi_b, at most a + ulp/2, lies below 10**(e + 1),
+    # which is a double above a, or else nearer to _TENS[e + 5] than to a
     return digits, e, n_sig
 
 
@@ -572,9 +561,9 @@ def _table_text(columns) -> Iterable[str]:
 def _header(channels: tuple[ChannelLabel, ...]) -> str:
     """The CSV header line naming ``channels``, or a ``ValidationError``
     if they break the header rule (see the module docstring), which
-    ``load_recording`` applies to the names it reads."""
+    every ``EegRecording`` applies to its names."""
     if not channels:
-        raise ValidationError("a CSV matrix needs at least one channel")
+        raise ValidationError("need at least one channel")
     for name in channels:
         if not isinstance(name, str) or not name:
             raise ValidationError(f"channel name {name!r} is not a nonempty string")

@@ -47,10 +47,6 @@ class SpectrumEstimate:
         object.__setattr__(self, "freqs_hz", f)
         object.__setattr__(self, "power", p)
 
-    @property
-    def df(self) -> float:
-        return float(self.freqs_hz[1] - self.freqs_hz[0])
-
 
 def periodogram(x: np.ndarray, fs: float) -> SpectrumEstimate:
     """One-sided periodogram of a mean-centered series.

@@ -469,6 +469,24 @@ class TestSubcommands:
         assert bp[0] == "channel,delta,theta,alpha,beta,gamma"
         assert len(bp) == 5
 
+    def test_spectrum_gives_nan_for_bands_above_nyquist(self, small_csv, tmp_path):
+        # at fs=5 Hz only delta overlaps [0, 2.5] Hz
+        rc = run(["spectrum", "--input", small_csv, "--fs", "5", "--outdir", tmp_path])
+        assert rc == 0
+        rows = (tmp_path / "rec.bandpower.csv").read_text().splitlines()
+        assert rows[0] == "channel,delta,theta,alpha,beta,gamma"
+        assert [r.split(",")[0] for r in rows[1:]] == ["T3", "Fp1", "Fp2"]
+        for row in rows[1:]:
+            delta, *rest = row.split(",")[1:]
+            assert 0.0 < float(delta) <= 1.0 and rest == ["nan"] * 4
+
+    def test_fit_gpd_unknown_band_exits_2(self, small_csv, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = run(["fit-gpd", "--input", small_csv, "--band", "nope", "--outdir", out])
+        assert rc == 2
+        assert "unknown band 'nope'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_fit_gpd(self, rec_csv, tmp_path):
         rc = run(["fit-gpd", "--input", rec_csv, "--channel", "T3",
                   "--threshold-quantile", "0.95", "--outdir", tmp_path])

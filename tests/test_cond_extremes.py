@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 
 from eegx import (
     ChannelLookupError,
+    ConditionalSample,
     DataError,
     DomainError,
     EegRecording,
+    HtFit,
     SizeError,
     UsageError,
     ValidationError,
@@ -142,6 +144,10 @@ class TestMarginalTransform:
     def test_too_small(self):
         with pytest.raises(SizeError):
             fit_marginal(np.arange(10.0), 0.95)
+
+    def test_decreasing_sample_rejected(self):
+        with pytest.raises(ValidationError, match="sorted_sample must be nondecreasing"):
+            replace(self.mt, sorted_sample=self.mt.sorted_sample[::-1])
 
 
 def _ecdf_interp_unsorted(xs, x):
@@ -478,6 +484,14 @@ class TestConditionalModelRows:
         assert peak <= 2.88 * rec.data.nbytes
 
 
+#: a hand-built fit of B on A over three exceedances
+_HT_FIT = HtFit(
+    cond_channel="A", dep_channel="B", alpha=0.5, beta=0.1, mu=0.0, s=1.0,
+    residuals_z=np.array([-1.0, 0.0, 1.0]), cond_threshold_laplace=1.0, n_exceed=3, nll=0.0,
+    exceed_indices=np.arange(3),
+)
+
+
 class TestSimulation:
     def make_fits(self, rho=0.6, n=50_000, seed=41, q=0.95, channels=3):
         rng = np.random.default_rng(seed)
@@ -571,6 +585,29 @@ class TestSimulation:
         with pytest.raises(UsageError):
             simulate_conditional([fits_a["D1"], fits_b["D2"]], 0.99, 10, seed=0)
 
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            (None, "need at least one fitted pair to simulate"),
+            ({"cond_channel": "C"}, "all fits must share the conditioning channel"),
+            ({"exceed_indices": np.arange(1, 4)}, "fits were made on different exceedance sets"),
+        ],
+        ids=["no-fits", "two-conditioning-channels", "two-exceedance-sets"],
+    )
+    def test_fit_set_rejected(self, changes, message):
+        fits = [] if changes is None else [_HT_FIT, replace(_HT_FIT, dep_channel="D", **changes)]
+        with pytest.raises(UsageError, match=message):
+            simulate_conditional(fits, 0.99, 10, seed=0)
+
+    def test_empty_residual_set_rejected(self):
+        fit = replace(_HT_FIT, residuals_z=np.empty(0), n_exceed=0, exceed_indices=None)
+        with pytest.raises(UsageError, match="empty residual set"):
+            simulate_conditional([fit], 0.99, 10, seed=0)
+
+    def test_missing_dependent_transform(self):
+        with pytest.raises(UsageError, match="missing marginal transform for 'B'"):
+            simulate_conditional([_HT_FIT], 0.99, 10, seed=0, dep_transforms={})
+
     def test_deterministic(self):
         fits, _ = self.make_fits()
         flist = list(fits.values())
@@ -580,6 +617,15 @@ class TestSimulation:
 
 
 class TestSummary:
+    def test_draw_at_the_level_rejected(self):
+        with pytest.raises(ValidationError, match="every conditioning draw must exceed"):
+            ConditionalSample("A", ("B",), 1.0, np.array([1.0, 2.0]), np.zeros((2, 1)))
+
+    def test_empty_sample_rejected(self):
+        sample = ConditionalSample("A", ("B",), 1.0, np.empty(0), np.empty((0, 1)))
+        with pytest.raises(UsageError, match="cannot summarize an empty sample"):
+            conditional_summary(sample)
+
     def test_degenerate_constant(self):
         x = np.random.default_rng(51).standard_normal(30_000)
         y = laplace_quantile(uniform_scores(x))

@@ -1,14 +1,15 @@
 """A stdlib stand-in for a linter's dead-code rules, run over the package
 source: no function parameter that its body never reads, no
-module-level import that its module never uses, and no module-level
-private name that the package never uses outside its definition (a
-private helper kept alive only by its tests). One more rule keeps the
-promise that every output is written atomically: no function but
-``signal_io.write_text_atomic`` makes a call that can write a file. One
-keeps the package on numpy alone: no module imports scipy, which the
-tests use only as a reference. The last keeps ``signal_io._Pool`` the
-package's one process pool: no other module imports
-``multiprocessing`` or ``concurrent.futures``."""
+module-level import that its module never uses, no module-level private
+name that the package never uses outside its definition (a private
+helper kept alive only by its tests), and no public method or property
+of a class that neither the package nor its tests read as an attribute.
+One more rule keeps the promise that every output is written
+atomically: no function but ``signal_io.write_text_atomic`` makes a
+call that can write a file. One keeps the package on numpy alone: no
+module imports scipy, which the tests use only as a reference. The
+last keeps ``signal_io._Pool`` the package's one process pool: no other
+module imports ``multiprocessing`` or ``concurrent.futures``."""
 
 import ast
 from pathlib import Path
@@ -17,6 +18,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "eegx"
 MODULES = sorted(SRC.glob("*.py"))
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def _loaded(node: ast.AST) -> set[str]:
@@ -93,6 +95,27 @@ def _unused_private_names(trees: list[ast.Module]) -> list[str]:
     ]
 
 
+def _unread_public_members(defining: list[ast.Module], reading: list[ast.Module]) -> list[str]:
+    """``<class>.<name>`` for each public method or property of a class in
+    ``defining`` whose name no tree of ``reading`` reads as an attribute."""
+    read = {
+        n.attr
+        for tree in reading
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+    }
+    return [
+        f"{cls.name}.{fn.name}"
+        for tree in defining
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not fn.name.startswith("_")
+        and fn.name not in read
+    ]
+
+
 #: (module, function) calls that write a file; ``open`` and the
 #: ``write_text``/``write_bytes`` methods are checked apart
 _WRITE_CALLS = {("os", "fdopen"), ("tempfile", "mkstemp"), ("os", "replace"), ("os", "rename")}
@@ -166,6 +189,12 @@ def test_every_private_name_is_used():
     assert _unused_private_names(trees) == []
 
 
+def test_every_public_member_is_read():
+    trees = [ast.parse(path.read_text(), str(path)) for path in MODULES]
+    tests = [ast.parse(path.read_text(), str(path)) for path in TESTS]
+    assert _unread_public_members(trees, trees + tests) == []
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_only_write_text_atomic_writes_files(path):
     found = _file_writes(ast.parse(path.read_text(), str(path)))
@@ -217,6 +246,34 @@ def test_the_guard_finds_unused_private_names():
         ast.parse("from a import _helper\nimport a\nprint(a._TABLE)\n"),
     ]
     assert _unused_private_names(trees) == ["_recursive", "_Spare"]
+
+
+def test_the_guard_finds_unread_public_members():
+    defining = ast.parse(
+        "class Spectrum:\n"
+        "    def __post_init__(self):\n"
+        "        self._check()\n"
+        "    def _check(self):\n"
+        "        return self.size\n"
+        "    @property\n"
+        "    def size(self):\n"
+        "        return 1\n"
+        "    @property\n"
+        "    def df(self):\n"
+        "        return 2\n"
+        "    def band(self, b):\n"
+        "        return b\n"
+        "class _Plan:\n"
+        "    def band(self):\n"
+        "        pass\n"
+        "    def unread(self):\n"
+        "        pass\n"
+    )
+    # an assigned attribute, or a bare name, is not a read of the member
+    reading = ast.parse("s = Spectrum()\ns.df = 3\nprint(s.band(1), unread)\n")
+    assert _unread_public_members([defining], [defining, reading]) == [
+        "Spectrum.df", "_Plan.unread",
+    ]
 
 
 def test_the_guard_finds_file_writes():

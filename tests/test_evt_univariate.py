@@ -138,6 +138,9 @@ class TestDecluster:
         cs = decluster_runs(np.zeros(10), 0.5, 2)
         assert cs.n_clusters == 0
         assert cs.peak_values.size == 0
+        # the empty arrays keep the dtypes that clustered peaks have
+        assert cs.peak_indices.dtype == np.intp and cs.peak_indices.size == 0
+        assert cs.peak_values.dtype == np.float64
 
     def test_earliest_index_on_ties(self):
         x = np.zeros(10)
@@ -236,6 +239,19 @@ class TestFitGpd:
             )
             limit = gpd_nll(1.0, 0.0, y)
             assert abs(full - limit) <= 1e-6 * abs(limit)
+
+    def test_shape_estimate_near_zero_is_the_exponential_limit(self):
+        # GPD(t) quantiles: bisect t until the fitted shape lies within
+        # XI_ZERO_TOL of 0, where the fit reports exactly 0
+        p = np.arange(1, 201) / 201
+        lo, hi = -0.1, 0.2
+        for _ in range(60):
+            t = (lo + hi) / 2
+            fit = fit_gpd(np.expm1(-t * np.log1p(-p)) / t)
+            if fit.xi == 0.0:
+                break
+            lo, hi = (lo, t) if fit.xi > 0 else (t, hi)
+        assert fit.xi == 0.0 and type(fit.xi) is float
 
     def test_scale_equivariance(self):
         y = gen_gpd(2_000, 1.0, 0.15, seed=11)

@@ -406,6 +406,10 @@ class TestChiMatrix:
         with pytest.raises(ValidationError):
             chi_matrix(np.zeros((100, 1)), 0.9, n_boot=0)
 
+    def test_label_count_must_match(self):
+        with pytest.raises(ValidationError, match="channel label count must match data columns"):
+            chi_matrix(np.zeros((100, 2)), 0.9, n_boot=0, channels=("a",))
+
 
 def _matrices_equal(a, b):
     """Every chi/chibar value and interval of two ``chi_matrices`` results."""

@@ -198,6 +198,9 @@ class TestSyntheticEeg:
             gen_synthetic_eeg(3, 500, 0.5, seed=0)
         with pytest.raises(UsageError):
             gen_synthetic_eeg(3, 10_000, 1.5, seed=0)
+        # a fraction in (0, 1) can still round the onset to sample 0
+        with pytest.raises(UsageError, match=r"puts the onset at sample 0, outside \[2, 998\]"):
+            gen_synthetic_eeg(2, 1_000, 1e-4, seed=0)
 
 
 def _lfilter_ar2(n, rng):

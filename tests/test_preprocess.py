@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import signal as sps
@@ -146,6 +146,30 @@ class TestDesign:
         with pytest.raises(DesignError):
             design_bandpass(band_by_id("delta"), 0.8, 4)
 
+    @given(
+        edges=st.lists(st.floats(1e-3, 1e5), min_size=2, max_size=2, unique=True).map(sorted),
+        fs=st.floats(1e-2, 1e5),
+        order=st.sampled_from([2, 4, 6, 8]),
+    )
+    @settings(deadline=None)
+    def test_capped_upper_edge_stays_above_lower(self, edges, fs, order):
+        # a band below the cap keeps low < min(high, cap): the capped band
+        # is never empty, so only the first check can refuse its edges
+        band = BandDefinition("x", *edges)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # the cap's warning
+                spec = design_bandpass(band, fs, order)
+        except DesignError as exc:
+            if band.low_hz >= pp.NYQUIST_MARGIN * fs / 2:
+                assert "lies above the usable range" in str(exc)
+                return
+            # a band narrow against fs, or low against fs, rounds to a pole on 1
+            assert "unstable filter section" in str(exc)
+        else:
+            assert spec.high_hz_effective == effective_high_edge(band, fs)
+        assert effective_high_edge(band, fs) > band.low_hz
+
     def test_odd_or_extreme_order(self):
         alpha = band_by_id("alpha")
         for order in (3, 1, 10, 0, 4.0, "4", None):
@@ -273,6 +297,16 @@ class TestZeroPhase:
         with pytest.raises(DataError, match="band 'alpha' must be finite"):
             apply_zero_phase(1.5e308 / np.abs(x).max() * x, self.spec)
 
+    @pytest.mark.parametrize(
+        "sos, message",
+        [(np.ones((2, 5)), r"sos must be \(n, 6\), got \(2, 5\)"),
+         (np.array([[1.0, 0.0, -1.0, 2.0, 0.0, 0.0]]), "leading denominator coefficient")],
+        ids=["five-columns", "leading-two"],
+    )
+    def test_malformed_sections_rejected(self, sos, message):
+        with pytest.raises(ValidationError, match=message):
+            FilterSpec(self.spec.band, 2, self.fs, sos, self.spec.high_hz_effective)
+
     @pytest.mark.parametrize("a", [[1.0, -1.2, 0.5], [1.0, 0.0, 0.0]])
     def test_repeated_or_zero_poles_rejected(self, a):
         # partial fractions need distinct, nonzero poles
@@ -317,6 +351,11 @@ class TestDecompose:
         assert "delta" in deco.bands
         assert "gamma" in deco.omitted and "beta" in deco.omitted
 
+    def test_bands_of_two_shapes_rejected(self):
+        bands = {"delta": np.zeros((4, 1)), "theta": np.zeros((5, 1))}
+        with pytest.raises(ValidationError, match="band matrices disagree in shape"):
+            pp.BandDecomposition(("A",), 100.0, None, bands, {}, ())
+
     def test_no_feasible_band(self):
         rec = EegRecording(channels=("A",), fs=0.8, data=np.zeros((2000, 1)))
         with pytest.raises(DesignError, match="no band"):
@@ -338,6 +377,27 @@ class TestDecompose:
             deco = decompose_bands(rec)
         for m in deco.bands.values():
             assert np.abs(m).max() < 1e-6 * t.max()
+
+    @given(
+        channels=st.integers(1, 4),
+        samples=st.integers(100, 3_000),
+        fs=st.sampled_from([9.0, 37.5, 100.0, 256.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_band_independent_of_the_other_bands(self, channels, samples, fs, seed):
+        # why `fit-gpd --band` writes `report`'s bytes: a band of a plan is
+        # the band planned alone, and each column is filtered on its own
+        rec = self.make_rec(T=samples, C=channels, fs=fs, seed=seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # capped and omitted bands
+            deco = decompose_bands(rec)
+            for band_id, matrix in deco.bands.items():
+                alone = decompose_bands(rec, bands=(band_by_id(band_id),)).bands[band_id]
+                assert alone.tobytes() == matrix.tobytes()
+                for c in range(channels):
+                    column = apply_zero_phase(detrend(rec.data[:, c]), deco.specs[band_id])
+                    assert column.tobytes() == matrix[:, c].tobytes()
 
     def test_bytes_independent_of_blas_threads(self):
         # a threaded BLAS sums a dot product in another order than a serial

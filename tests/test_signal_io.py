@@ -9,6 +9,7 @@ import time
 import tracemalloc
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -289,6 +290,18 @@ class TestLoadSave:
     def test_read_sidecar_missing(self, tmp_path):
         assert read_sidecar(tmp_path / "none.csv") == {}
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [('{"fs": 100.0', "malformed sidecar"), ("[100.0]", "must hold a JSON object")],
+        ids=["not-json", "list"],
+    )
+    def test_bad_sidecar(self, text, message, tmp_path):
+        p = tmp_path / "side.csv"
+        p.write_text("A\n1\n2\n")
+        sidecar_path(p).write_text(text)
+        with pytest.raises(FormatError, match=message):
+            load_recording(p)
+
     def test_undecodable_csv(self, tmp_path):
         p = tmp_path / "utf16.csv"
         p.write_bytes(b"\xff\xfeA\x00\n\x001\x00\n\x002\x00\n\x00")
@@ -401,6 +414,12 @@ class TestHeaderRule:
         with pytest.raises(ValidationError, match="channel name"):
             sio._write_csv(tmp_path / "a.csv", channels, np.ones((3, 2)))
         assert list(tmp_path.iterdir()) == []
+        # a recording applies the same rule to str of each name
+        if channels == ("T3", 4):
+            assert EegRecording(channels, 1.0, np.ones((3, 2))).channels == ("T3", "4")
+        else:
+            with pytest.raises(ValidationError, match="channel name"):
+                EegRecording(channels, 1.0, np.ones((3, 2)))
 
 
 def _loadtxt_reads(tok: str) -> bool:
@@ -454,6 +473,16 @@ class TestSplitSelect:
         assert pair.post.n_samples == 150
         recombined = np.vstack([pair.pre.data, pair.post.data])
         assert np.array_equal(recombined, rec.data)
+
+    @pytest.mark.parametrize(
+        "other, message",
+        [({"channels": ("C0", "X")}, "share channels"), ({"fs": 50.0}, "share the sampling rate")],
+        ids=["channels", "fs"],
+    )
+    def test_epoch_pair_mismatch(self, other, message):
+        pre = make_rec(T=4, C=2)
+        with pytest.raises(ValidationError, match=message):
+            sio.EpochPair(pre, replace(pre, **other))
 
     def test_split_even(self):
         pair = split_at_onset(make_rec(T=10, onset=5))
@@ -891,6 +920,18 @@ class TestFloatText:
         assert sio._fast_path(block).all()
         want = _repr_rows(block).encode().splitlines()
         assert sio._rows_text(block).encode().splitlines() == want
+
+    def test_no_decade_roll_over(self):
+        # the 2 000 doubles below and 50 above each power of ten in the
+        # positional range: the digits never reach 10**17, the next decade
+        tens = np.array([float(f"1e{k}") for k in range(-4, 17)]).view(np.int64)
+        bits = (tens[:, None] + np.arange(-2_000, 51)).ravel()
+        bits = bits[sio._fast_path(bits.view(np.float64))]
+        assert bits.size == 41_020  # all but those below 1e-4, 1e16 and those above it
+        digits, _, _ = sio._shortest_digits(bits)
+        assert digits.max() < 10**17
+        block = bits.view(np.float64)[:, None]
+        assert sio._rows_text(block) == _repr_rows(block)
 
     def test_fast_path_covers_band_values(self, monkeypatch):
         # a kernel that sent every value to repr would pass every byte test

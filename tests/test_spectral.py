@@ -200,6 +200,23 @@ class TestBandPower:
         est = periodogram(np.zeros(100), 100.0)
         assert band_power(est, band_by_id("alpha")) == 0.0
 
+    def test_one_bin_spectrum(self):
+        est = sp.SpectrumEstimate(np.array([0.0]), np.array([1.0]), "periodogram", 100.0)
+        with pytest.raises(SizeError, match="spectrum too short for band power"):
+            band_power(est, band_by_id("alpha"))
+
+
+class TestSpectrumEstimate:
+    @pytest.mark.parametrize(
+        "freqs, power, message",
+        [([1.0, 0.5], [1.0, 1.0], "frequency grid must be strictly ascending"),
+         ([0.0, 1.0], [1.0, -1.0], "power ordinates must be nonnegative")],
+        ids=["descending", "negative-power"],
+    )
+    def test_rejected(self, freqs, power, message):
+        with pytest.raises(ValidationError, match=message):
+            sp.SpectrumEstimate(np.array(freqs), np.array(power), "welch", 100.0)
+
 
 @pytest.mark.parametrize("fs", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize(
