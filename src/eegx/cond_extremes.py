@@ -37,6 +37,7 @@ from .errors import (
     check_real,
 )
 from .evt_univariate import THRESHOLD_QUANTILES, XI_ZERO_TOL, GpdFit, _grid_brent, fit_gpd
+from .extremal_dep import _tail_windows
 from .signal_io import EegRecording
 
 S_FLOOR = 1e-8  # lower bound on the residual spread in the pseudo-likelihood
@@ -140,7 +141,10 @@ def fit_marginal(
             "quantile; need >= 10"
         )
     xs = np.sort(x)
-    zeta = 1.0 - float(_ecdf_interp(xs, u))
+    # _ecdf_interp at u, from the knots on either side of it
+    j = np.searchsorted(xs, u, "right") - 1
+    knots = np.array([j + 1, j + 2]) / (x.size + 1.0)
+    zeta = 1.0 - float(np.interp(u, xs[j:j + 2], knots[: xs[j:j + 2].size]))
     gpd = fit_gpd(excesses, threshold_u=u, zeta_u=zeta)
     return MarginalTransform(
         channel=channel, sorted_sample=xs, u=u, gpd=gpd, zeta_u=zeta
@@ -341,10 +345,16 @@ def conditional_model(
     plus the per-channel transforms, all sharing the same conditioning
     exceedance set so residuals stay aligned across channels.
 
-    A fit reads only the rows where the conditioner exceeds its level,
-    so each dependent channel is transformed at those rows alone;
-    :func:`to_laplace` is elementwise, so every fit is the one the full
-    series gives, with ``exceed_indices`` mapped back to epoch rows.
+    A fit reads only the rows where the conditioner exceeds its level.
+    :func:`to_laplace` is nondecreasing over a sample's own values, so
+    those rows hold the top of the conditioner's sorted sample: it is
+    transformed from the top down, in the windows the chi kernel scores
+    (``extremal_dep._tail_windows``), until a window's lowest value maps
+    to the level or below, and each row at or above that value reads its
+    Laplace value off the window. Each dependent channel is transformed
+    at the exceedance rows alone. ``to_laplace`` is elementwise, so every
+    fit is the one the full series gives, with ``exceed_indices`` mapped
+    back to epoch rows.
     """
     if rec.n_channels < 2:
         raise ValidationError("need at least 2 channels for a conditional model")
@@ -355,9 +365,19 @@ def conditional_model(
     }
     # fit_ht's check, made before laplace_quantile reads the level
     check_real(cond_quantile, "conditioning quantile", COND_QUANTILES)
-    y_cond = to_laplace(rec.channel(cond_channel), transforms[cond_channel])
-    rows = np.flatnonzero(y_cond > laplace_quantile(cond_quantile))
-    y_cond = y_cond[rows]
+    level = laplace_quantile(cond_quantile)
+    mt = transforms[cond_channel]
+    xs, n = mt.sorted_sample, mt.n
+    y_top = np.empty(0)  # the transform of the window, each value transformed once
+    for window in _tail_windows(n, cond_quantile):
+        y_top = np.concatenate([to_laplace(xs[n - window:n - y_top.size], mt), y_top])
+        if y_top[0] <= level:
+            break
+    x = rec.channel(cond_channel)
+    rows = np.flatnonzero(x >= xs[n - window])
+    y_cond = y_top[np.searchsorted(xs[n - window:], x[rows])]  # a tie group's one value
+    keep = y_cond > level
+    rows, y_cond = rows[keep], y_cond[keep]
 
     fits: dict[str, HtFit] = {}
     for name in rec.channels:

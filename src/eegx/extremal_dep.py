@@ -26,6 +26,9 @@ level's exceedances are a suffix of the order; the joint counts are
 multiplicity sums over those suffixes, the same integers as counting
 the scored resample. The point estimate is the same computation with
 every multiplicity 1, and every level is scored on the same resamples.
+Without replicates, the point estimate alone sorts each column only
+over the first window it scores, and in full only where that window
+does not reach below the lowest level.
 
 Replicate b draws from the b-th child of ``SeedSequence(seed).spawn``
 and depends on nothing else but the sorted columns, so the replicates
@@ -174,13 +177,46 @@ def _bootstrap_weights(n: int, mean_block: float, rng: np.random.Generator) -> n
     return np.cumsum(step[:n])
 
 
-def _sorted_columns(matrix: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+def _tail_windows(n: int, level: float):
+    """Sizes of the top window of n sorted values to search for the values
+    above ``level``, smallest first: the level's share of n plus 30 %
+    slack, which makes a second window rare, then doubled until the last
+    covers all n."""
+    window = int(1.3 * (1.0 - level) * n) + 1
+    while window < n:
+        yield window
+        window *= 2
+    yield n
+
+
+def _sorted_columns(matrix: np.ndarray, level=None) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per column, an argsort and a mask of the sorted positions where a
     tie group (a run of equal values) starts. Every count is taken over
     whole tie groups, so the order within a group does not matter, and
-    the default sort is several times faster than a stable one."""
+    the default sort is several times faster than a stable one.
+
+    With ``level``, the lowest level of a point estimate (every
+    multiplicity 1), a column is sorted only over the first window of
+    ``_tail_windows``, the one ``_exceedance_counts`` scores first, when
+    that window reaches below the level: below the window the order is
+    a partition and no position starts a group. A column is sorted in
+    full when one tie group fills the window, when its first whole group
+    still scores above the level, or when the window covers it.
+    """
+    n = matrix.shape[0]
+    q = 0 if level is None else n - next(_tail_windows(n, level))  # the window's bottom
     cols = []
     for col in matrix.T:
+        if q:
+            order = np.argpartition(col, q - 1)
+            order[q:] = order[q:][np.argsort(col[order[q:]])]
+            v = col[order[q - 1:]]
+            first = np.zeros(n, dtype=bool)
+            first[q:] = v[1:] != v[:-1]
+            g = np.append(q + np.flatnonzero(first[q:]), n)
+            if g.size > 1 and _rank_scores(g[0], g[1], n) <= level:
+                cols.append((order, first))
+                continue
         order = np.argsort(col)
         v = col[order]
         cols.append((order, np.r_[True, v[1:] != v[:-1]]))
@@ -209,18 +245,15 @@ def _exceedance_counts(cols, weights: np.ndarray, levels) -> np.ndarray:
     cuts = np.full((c, lev.size + 1), n)  # sorted position of each level's cutoff, then n
     for a, (order, first) in enumerate(cols):
         # a resample's top 1 - u share comes mostly from the column's top
-        # (1 - u) n values: 30 % slack makes a second pass rare
-        window = int(1.3 * (1.0 - lev[0]) * n) + 1
-        while True:
-            q = max(n - window, 0)
-            g = q + np.flatnonzero(first[q:])  # first positions of the groups starting here
+        # (1 - u) n values; the last window covers the column
+        for window in _tail_windows(n, lev[0]):
+            g = n - window + np.flatnonzero(first[n - window:])  # the groups starting here
             if g.size:  # else a single tie group fills the window
                 tail = np.cumsum(weights[order[g[0]:]][::-1])[::-1]
                 above = tail[g - g[0]]  # weight at or above each group's first position
                 scores = _rank_scores(n - above, n - np.append(above[1:], 0), n)
-                if g[0] == 0 or scores[0] <= lev[0]:  # reaches below every cutoff
+                if scores[0] <= lev[0]:  # reaches below every cutoff
                     break
-            window *= 2
         cuts[a, :-1] = np.append(g, n)[np.searchsorted(scores, lev, side="right")]
     depth = np.zeros((n, c), dtype=np.min_scalar_type(lev.size))  # levels exceeded
     for a, (order, _) in enumerate(cols):
@@ -343,7 +376,8 @@ def _submit_chi_matrices(
     seed = check_int(seed, "seed", 0)
 
     n, c = matrix.shape
-    cols = _sorted_columns(matrix)
+    # a replicate may score a wider window than the point estimate
+    cols = _sorted_columns(matrix, None if n_boot else np.min(levels))
     if n_boot > 0:
         check_real(mean_block_len, "mean block length", "[1, inf)")
         seeds = np.random.SeedSequence(seed).spawn(n_boot)

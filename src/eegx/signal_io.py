@@ -221,7 +221,7 @@ def read_sidecar(path: str | Path) -> dict:
 
 def _parse_header(line: str) -> tuple[ChannelLabel, ...]:
     names = [tok.strip() for tok in line.rstrip("\r\n").split(",")]
-    if not names or any(n == "" for n in names):
+    if any(n == "" for n in names):
         raise FormatError("malformed header: empty channel name")
     # reject headers that are actually a data row
     if all(_is_float(n) for n in names):

@@ -157,7 +157,7 @@ def band_power(spec: SpectrumEstimate, band: BandDefinition) -> float:
     [0, fs/2] is a domain error.
     """
     half = spec.fs / 2.0
-    if band.low_hz >= half or band.high_hz <= 0:
+    if band.low_hz >= half:
         raise DomainError(
             f"band {band.id!r} ({band.low_hz}-{band.high_hz} Hz) does not overlap "
             f"[0, {half:g}] Hz"

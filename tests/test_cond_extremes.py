@@ -28,11 +28,13 @@ from eegx import (
     laplace_cdf,
     laplace_quantile,
     simulate_conditional,
+    split_at_onset,
     to_laplace,
     uniform_scores,
 )
 from eegx import cond_extremes
 from eegx.cond_extremes import _ecdf_interp, _probability
+from eegx.extremal_dep import _tail_windows
 
 
 def laplace_margins(u):
@@ -211,6 +213,26 @@ class TestSortedEcdf:
         # the count of sample values <= x over n + 1
         xs = np.array([1.0, 2.0, 2.0, 2.0, 3.0])
         assert np.array_equal(_ecdf_interp(xs, [3.0, 2.0, 1.0]), np.array([5, 4, 1]) / 6.0)
+
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(20, 400),
+        decimals=st.integers(0, 2),
+        top=st.integers(0, 5),
+        q=st.sampled_from([0.8, 0.9, 0.95, 0.999]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_zeta_is_the_ecdf_at_u(self, seed, n, decimals, top, q):
+        # fit_marginal reads the empirical CDF at u from the two knots
+        # around it; tied samples put u on a repeated knot
+        x = _tied_sample(seed, n, decimals, top, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a fit on a parameter bound
+            try:
+                mt = fit_marginal(np.random.default_rng(seed).permutation(x), q)
+            except SizeError:  # too few excesses above a tied threshold
+                reject()
+        assert mt.zeta_u == 1.0 - float(_ecdf_interp_unsorted(x, mt.u))
 
     @given(
         seed=st.integers(0, 10_000),
@@ -482,6 +504,110 @@ class TestConditionalModelRows:
         finally:
             tracemalloc.stop()
         assert peak <= 2.88 * rec.data.nbytes
+
+
+def _conditional_model_whole_conditioner(rec, cond_channel, cond_quantile, marginal_quantile):
+    """The conditional model with the conditioning channel Laplace-transformed
+    in full and its exceedance rows taken as ``y > level``: the reference
+    the top-window form must equal (for valid arguments)."""
+    transforms = {
+        name: fit_marginal(rec.channel(name), marginal_quantile, channel=name)
+        for name in rec.channels
+    }
+    y = to_laplace(rec.channel(cond_channel), transforms[cond_channel])
+    rows = np.flatnonzero(y > laplace_quantile(cond_quantile))
+    fits = {}
+    for name in rec.channels:
+        if name != cond_channel:
+            fit = fit_ht(y[rows], to_laplace(rec.channel(name)[rows], transforms[name]),
+                         cond_quantile, cond_channel=cond_channel, dep_channel=name)
+            fits[name] = replace(fit, exceed_indices=rows)
+    return fits, transforms
+
+
+def _rounded_recording(seed, n_channels, n, step, flat):
+    """A synthetic recording rounded to multiples of ``step`` (none for 0),
+    its last channel flat after the onset when ``flat``."""
+    rec = gen_synthetic_eeg(n_channels, n, 0.5, seed=seed)
+    data = np.round(rec.data / step) * step if step else np.array(rec.data)
+    if flat:
+        data[rec.onset_index:, -1] = data[rec.onset_index, -1]
+    return EegRecording(rec.channels, rec.fs, data, onset_index=rec.onset_index)
+
+
+class TestConditionerTopWindow:
+    """``conditional_model`` Laplace-transforms the conditioning channel
+    only over the top window of its sorted sample; every fit, error and
+    warning must be the one transforming the whole channel gives."""
+
+    @given(
+        seed=st.integers(0, 10_000),
+        n_channels=st.integers(2, 4),
+        cond_index=st.integers(0, 3),
+        step=st.sampled_from([0.0, 0.5, 2.0, 4.0, 8.0]),
+        epoch=st.sampled_from(["pre", "post", "all"]),
+        flat=st.booleans(),
+        quantiles=st.sampled_from([(0.95, 0.95), (0.9, 0.95), (0.99, 0.9), (0.95, 0.8)]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_equals_whole_channel_transform(self, seed, n_channels, cond_index, step, epoch,
+                                            flat, quantiles):
+        # steps as in ROADMAP item 7: a tie group across the first
+        # window's bottom often maps over the level, so the window doubles;
+        # a flat channel has no excesses
+        rec = _rounded_recording(seed, n_channels, 4_000, step, flat)
+        if epoch != "all":
+            rec = getattr(split_at_onset(rec), epoch)
+        args = (rec, rec.channels[cond_index % n_channels], *quantiles)
+        got, got_warnings = _outcome(conditional_model, *args)
+        want, want_warnings = _outcome(_conditional_model_whole_conditioner, *args)
+        _assert_same(got, want)
+        assert got_warnings == want_warnings
+
+    def test_first_window_doubles(self):
+        # a floored Pareto sample from a seeded search: its GPD tail above
+        # the 0.8 quantile maps more values over the 0.99 Laplace level
+        # than the first window holds, so the window must double
+        rng = np.random.default_rng(530)
+        n, shape = int(rng.integers(3_000, 8_000)), rng.uniform(0.3, 3.0)  # 4 484, 0.68
+        x = np.floor(rng.pareto(shape, n))
+        rec = EegRecording(("A", "B"), 100.0, np.column_stack([x, x + rng.standard_normal(n)]))
+        got = _outcome(conditional_model, rec, "A", 0.99, 0.8)
+        xs = got[0][1]["A"].sorted_sample
+        in_first_window = np.count_nonzero(x >= xs[-next(_tail_windows(n, 0.99))])
+        assert got[0][0]["B"].n_exceed > in_first_window
+        _assert_same(got, _outcome(_conditional_model_whole_conditioner, rec, "A", 0.99, 0.8))
+
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(200, 3_000),
+        decimals=st.sampled_from([None, 0, 1]),
+        q=st.sampled_from([0.8, 0.9, 0.95]),
+        clamp=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_sorted_sample_maps_nondecreasing(self, seed, n, decimals, q, clamp):
+        # what reading the conditioner's top window relies on: over the
+        # sample's own values, tied or not, and u, where the empirical body
+        # meets the GPD tail, to_laplace never decreases; with clamp, an
+        # upper endpoint halfway between u and the maximum clamps the top
+        x = np.random.default_rng(seed).standard_t(4, n)
+        if decimals is not None:
+            x = np.round(x, decimals)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a fit on a parameter bound
+            try:
+                mt = fit_marginal(x, q)
+            except SizeError:  # too few excesses above a tied threshold
+                reject()
+        if clamp:
+            sigma = 0.25 * (mt.sorted_sample[-1] - mt.u)  # endpoint u + sigma / 0.5
+            mt = replace(mt, gpd=replace(mt.gpd, sigma=sigma, xi=-0.5))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            y = to_laplace(np.sort(np.append(mt.sorted_sample, mt.u)), mt)
+        assert np.all(np.diff(y) >= 0)
+        assert any("clamped" in str(w.message) for w in caught) == clamp
 
 
 #: a hand-built fit of B on A over three exceedances

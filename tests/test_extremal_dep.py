@@ -26,9 +26,11 @@ from eegx import (
 from eegx import signal_io as sio
 from eegx.extremal_dep import (
     _bootstrap_weights,
+    _chi_arrays,
     _exceedance_counts,
     _interval,
     _sorted_columns,
+    _tail_windows,
     stationary_bootstrap_indices,
 )
 
@@ -216,6 +218,62 @@ class TestSortFreeRanks:
         want = [(s > u).T.astype(float) @ (s > u) for u in levels]
         got = _exceedance_counts(_sorted_columns(m), np.ones(n, dtype=int), levels)
         assert np.array_equal(got, want)
+
+
+def _column(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
+    """One test column: tie-free, rounded, constant, or two-valued with a
+    top group of 3 % or 10 % of the values."""
+    if kind == "constant":
+        return np.full(n, 2.5)
+    if kind.startswith("two"):
+        return (rng.random(n) < float(kind[3:])).astype(float)
+    x = rng.standard_normal(n)
+    return np.round(x, 1) if kind == "rounded" else x
+
+
+_KINDS = ["random", "rounded", "constant", "two0.03", "two0.1"]
+
+
+class TestPointEstimateWindow:
+    """Without replicates each column is sorted only over the top window
+    the point estimate scores, or in full where that window does not
+    reach below the lowest level; the values must be the full sort's."""
+
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(2, 600),
+        kinds=st.lists(st.sampled_from(_KINDS), min_size=2, max_size=4),
+        levels=st.sampled_from([(0.5,), (0.99, 0.7), (0.95,), (0.1, 0.9)]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_equals_full_sort(self, seed, n, kinds, levels):
+        # a level of 0.1 gives a window that covers the column
+        rng = np.random.default_rng(seed)
+        m = np.column_stack([_column(kind, n, rng) for kind in kinds])
+        joint = _exceedance_counts(_sorted_columns(m), np.ones(n, dtype=np.intp), levels)
+        chi, chibar = _chi_arrays(joint, n)
+        for k, cm in enumerate(chi_matrices(m, levels, n_boot=0)):
+            assert np.array_equal(cm.chi_values, chi[k], equal_nan=True)
+            assert np.array_equal(cm.chibar_values, chibar[k], equal_nan=True)
+            i, j = np.triu_indices(len(kinds), 1)
+            assert [e.n_eff for e in cm.estimates] == list(joint[k][i, j])
+
+    @pytest.mark.parametrize("kind,level,top_only", [
+        ("random", 0.95, True),
+        ("rounded", 0.95, True),
+        ("random", 0.1, False),  # the window covers the column
+        ("constant", 0.95, False),  # one tie group fills the window
+        ("two0.1", 0.95, False),  # the top group, 10 %, fills the 6.5 % window
+        ("two0.03", 0.95, False),  # the top group, 3 %, scores above 0.95
+    ])
+    def test_sorts_in_full_where_the_window_falls_short(self, kind, level, top_only):
+        rng = np.random.default_rng(7)
+        col = _column(kind, 2_000, rng)
+        ((order, first),) = _sorted_columns(col[:, None], level)
+        q = 2_000 - next(_tail_windows(2_000, level))
+        assert bool(first[0]) is not top_only  # a full sort starts a group at 0
+        assert np.array_equal(np.sort(order), np.arange(2_000))
+        assert np.all(np.diff(col[order[q - 1 if top_only else 0:]]) >= 0)
 
 
 def _assert_same_matrix(a, b):
