@@ -20,6 +20,7 @@ anti-correlated pair fits alpha = -1.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -129,21 +130,28 @@ def fit_marginal(
     the GPD is fitted to all excesses above it (no declustering: the
     transform must preserve the sample's probability calibration).
     """
-    x = check_floats(x, "marginal sample", finite=True).ravel()
-    if x.size < 20:
-        raise SizeError(f"marginal transform needs >= 20 observations, got {x.size}")
-    check_real(threshold_quantile, "threshold quantile", THRESHOLD_QUANTILES)
-    u = float(np.quantile(x, threshold_quantile))
-    excesses = x[x > u] - u
+    x = check_floats(x, "marginal sample", finite=True)
+    n = x.size
+    if n < 20:
+        raise SizeError(f"marginal transform needs >= 20 observations, got {n}")
+    q = check_real(threshold_quantile, "threshold quantile", THRESHOLD_QUANTILES)
+    xs = np.sort(x, axis=None)
+    # np.quantile's type-7 lerp between the order statistics at (n - 1) q,
+    # read off the sorted copy instead of a partitioned one: the same float
+    h = (n - 1) * q
+    i = math.floor(h)
+    t = h - i
+    lo, hi = xs[i], xs[i + 1]
+    u = float(hi - (hi - lo) * (1 - t) if t >= 0.5 else lo + (hi - lo) * t)
+    excesses = x[x > u] - u  # in time order, which the GPD fit's sums follow
     if excesses.size < 10:
         raise SizeError(
             f"only {excesses.size} excesses above the {threshold_quantile:g} "
             "quantile; need >= 10"
         )
-    xs = np.sort(x)
     # _ecdf_interp at u, from the knots on either side of it
     j = np.searchsorted(xs, u, "right") - 1
-    knots = np.array([j + 1, j + 2]) / (x.size + 1.0)
+    knots = np.array([j + 1, j + 2]) / (n + 1.0)
     zeta = 1.0 - float(np.interp(u, xs[j:j + 2], knots[: xs[j:j + 2].size]))
     gpd = fit_gpd(excesses, threshold_u=u, zeta_u=zeta)
     return MarginalTransform(
@@ -239,32 +247,43 @@ class HtFit:
         object.__setattr__(self, "residuals_z", z)
 
 
-def _profile_beta(beta, y: np.ndarray, y_dep: np.ndarray):
-    """Pseudo-NLL with (alpha, mu, s) profiled out at each beta.
+def _profile_beta(y: np.ndarray, y_dep: np.ndarray):
+    """Pseudo-NLL with (alpha, mu, s) profiled out, as a function of beta,
+    with the per-fit constants taken once.
 
     The residual r = a - alpha*b, a = y_dep/y^beta, b = y^(1-beta), has
     variance quadratic in alpha, minimized on [-1, 1] by clipping
-    cov(a, b)/var(b); mu and s are its mean and spread. Returns
-    (nll, alpha, mu, s) arrays over ``beta``. The means are written as
-    ``np.add.reduce(...) / n``, which is what ``ndarray.mean`` computes,
-    without its per-call overhead.
+    cov(a, b)/var(b); mu and s are its mean and spread. Returns a function
+    of beta giving (nll, alpha, mu, s) arrays over beta. The means are
+    written as ``np.add.reduce(...) / n``, which is what ``ndarray.mean``
+    computes, and the clip as ``np.minimum(np.maximum(...))``, which is
+    what ``np.clip`` computes (NaN and -0.0 included), without their
+    per-call overhead. Each (beta x n) step writes into an array that no
+    later step reads, so a call makes four such arrays, not eleven.
     """
-    beta = np.atleast_1d(beta)
     n = y.size
     logy = np.log(y)
-    w = np.exp(np.multiply.outer(beta, logy))
-    a = y_dep / w
-    b = y / w
-    da = a - np.add.reduce(a, axis=-1, keepdims=True) / n
-    db = b - np.add.reduce(b, axis=-1, keepdims=True) / n
-    cov = np.add.reduce(da * db, axis=-1) / n
-    var = np.add.reduce(db * db, axis=-1) / n
-    alpha = np.clip(cov / var, -1.0, 1.0)
-    r = a - alpha[:, None] * b
-    mu = np.add.reduce(r, axis=-1) / n
-    s = np.maximum(np.sqrt(np.add.reduce((r - mu[:, None]) ** 2, axis=-1) / n), S_FLOOR)
-    nll = n * np.log(s) + beta * logy.sum() + 0.5 * n * (1.0 + np.log(2.0 * np.pi))
-    return nll, alpha, mu, s
+    sum_logy = logy.sum()
+    nll_const = 0.5 * n * (1.0 + np.log(2.0 * np.pi))
+
+    def profile(beta):
+        beta = np.atleast_1d(beta)
+        b = np.multiply.outer(beta, logy)
+        np.exp(b, out=b)
+        a = y_dep / b
+        np.divide(y, b, out=b)
+        da = a - np.add.reduce(a, axis=-1, keepdims=True) / n
+        db = b - np.add.reduce(b, axis=-1, keepdims=True) / n
+        cov = np.add.reduce(np.multiply(da, db, out=da), axis=-1) / n
+        var = np.add.reduce(np.square(db, out=db), axis=-1) / n
+        alpha = np.minimum(np.maximum(cov / var, -1.0), 1.0)
+        r = np.subtract(a, np.multiply(alpha[:, None], b, out=b), out=a)
+        mu = np.add.reduce(r, axis=-1) / n
+        r -= mu[:, None]
+        s = np.maximum(np.sqrt(np.add.reduce(np.square(r, out=r), axis=-1) / n), S_FLOOR)
+        return n * np.log(s) + beta * sum_logy + nll_const, alpha, mu, s
+
+    return profile
 
 
 def fit_ht(
@@ -300,8 +319,9 @@ def fit_ht(
     y = yc[keep]
     yd_exc = yd[keep]
 
+    profile = _profile_beta(y, yd_exc)
     beta_hat, nll = _grid_brent(
-        lambda b: _profile_beta(b, y, yd_exc)[0],
+        lambda b: profile(b)[0],
         np.linspace(BETA_MIN, BETA_MAX, _N_BETA_GRID),
         y.size,
     )
@@ -316,7 +336,7 @@ def fit_ht(
             f"({cond_channel}, {dep_channel})",
             stacklevel=2,
         )
-    nll, alpha_hat, mu_hat, s_hat = (float(v[0]) for v in _profile_beta(beta_hat, y, yd_exc))
+    nll, alpha_hat, mu_hat, s_hat = (float(v[0]) for v in profile(beta_hat))
     z = (yd_exc - alpha_hat * y) / y**beta_hat
     return HtFit(
         cond_channel=cond_channel,

@@ -165,22 +165,31 @@ def _gpd_information(sigma: float, xi: float, y: np.ndarray) -> np.ndarray:
     return np.array([[i_ss, i_sx], [i_sx, i_xx]])
 
 
-def _profile(s, y: np.ndarray):
-    """Grimshaw profile of the GPD at s = log1p(theta * y_max), theta = xi/sigma.
+def _profile(y: np.ndarray):
+    """Grimshaw profile of the GPD excesses ``y`` in s = log1p(theta * y_max),
+    theta = xi/sigma, with the per-sample constants taken once.
 
     For fixed theta the NLL falls in xi down to xi_hat = mean(log1p(theta*y))
     and rises beyond it, so the shape constrained to xi >= ``XI_LOWER`` is
     xi = max(xi_hat, XI_LOWER), with sigma = xi/theta and
-    NLL/n = log(sigma) + xi_hat * (1 + 1/xi), which is log(sigma) + xi + 1
-    off the bound; theta = 0 is the exponential limit sigma = mean(y).
-    Returns (NLL/n, xi, sigma) arrays.
+    NLL = n * (log(sigma) + xi_hat * (1 + 1/xi)), which is
+    n * (log(sigma) + xi + 1) off the bound; theta = 0 is the exponential
+    limit sigma = mean(y). Returns a function of s giving (NLL, xi, sigma)
+    arrays over s. The mean is ``np.add.reduce(...) / n``, what
+    ``ndarray.mean`` computes, without its per-call overhead.
     """
-    theta = np.expm1(np.atleast_1d(s)) / y.max()
-    xi_hat = np.log1p(np.multiply.outer(theta, y)).mean(axis=-1)
-    xi = np.maximum(xi_hat, XI_LOWER)
-    sigma = np.divide(xi, theta, out=np.full_like(xi, y.mean()), where=theta != 0)
-    ratio = np.divide(xi_hat, xi, out=np.ones_like(xi), where=xi_hat < XI_LOWER)
-    return np.log(sigma) + xi_hat + ratio, xi, sigma
+    n, y_max, y_mean = y.size, y.max(), y.mean()
+
+    def profile(s):
+        theta = np.expm1(np.atleast_1d(s)) / y_max
+        t = np.multiply.outer(theta, y)
+        xi_hat = np.add.reduce(np.log1p(t, out=t), axis=-1) / n
+        xi = np.maximum(xi_hat, XI_LOWER)
+        sigma = np.divide(xi, theta, out=np.full_like(xi, y_mean), where=theta != 0)
+        ratio = np.divide(xi_hat, xi, out=np.ones_like(xi), where=xi_hat < XI_LOWER)
+        return n * (np.log(sigma) + xi_hat + ratio), xi, sigma
+
+    return profile
 
 
 def _bounded_brent(f, lo: float, hi: float, xatol: float):
@@ -320,10 +329,11 @@ def fit_gpd(
     # capped where expm1(s) still fits a float.
     s_hi = min(np.log1p(2.0 * (float(y.mean()) / ymin - 1.0) * (ymax / ymin)), _S_CEIL)
     # the search minimizes the NLL itself, the value the fit reports
+    profile = _profile(y)
     s_hat, nll = _grid_brent(
-        lambda s: y.size * _profile(s, y)[0], np.linspace(_S_FLOOR, s_hi, _N_GRID), y.size
+        lambda s: profile(s)[0], np.linspace(_S_FLOOR, s_hi, _N_GRID), y.size
     )
-    _, xi_arr, sigma_arr = _profile(s_hat, y)
+    _, xi_arr, sigma_arr = profile(s_hat)
     sigma_hat, xi_hat = sigma_arr[0], xi_arr[0]
     if not (np.isfinite(nll) and sigma_hat > 0):
         raise FitError(f"GPD likelihood has no finite value (n={y.size})")

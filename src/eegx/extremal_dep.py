@@ -27,8 +27,9 @@ multiplicity sums over those suffixes, the same integers as counting
 the scored resample. The point estimate is the same computation with
 every multiplicity 1, and every level is scored on the same resamples.
 Without replicates, the point estimate alone sorts each column only
-over the first window it scores, and in full only where that window
-does not reach below the lowest level.
+over the first window it scores (widened to the start of a tie group
+that straddles its bottom), and in full only where that window does
+not reach below the lowest level.
 
 Replicate b draws from the b-th child of ``SeedSequence(seed).spawn``
 and depends on nothing else but the sorted columns, so the replicates
@@ -199,9 +200,11 @@ def _sorted_columns(matrix: np.ndarray, level=None) -> list[tuple[np.ndarray, np
     multiplicity 1), a column is sorted only over the first window of
     ``_tail_windows``, the one ``_exceedance_counts`` scores first, when
     that window reaches below the level: below the window the order is
-    a partition and no position starts a group. A column is sorted in
-    full when one tie group fills the window, when its first whole group
-    still scores above the level, or when the window covers it.
+    a partition and no position starts a group. A tie group that
+    straddles the window's bottom is moved whole into the window, which
+    then starts where the group does. A column is sorted in full when
+    the window's first group still scores above the level, or when the
+    window covers it.
     """
     n = matrix.shape[0]
     q = 0 if level is None else n - next(_tail_windows(n, level))  # the window's bottom
@@ -214,7 +217,15 @@ def _sorted_columns(matrix: np.ndarray, level=None) -> list[tuple[np.ndarray, np
             first = np.zeros(n, dtype=bool)
             first[q:] = v[1:] != v[:-1]
             g = np.append(q + np.flatnonzero(first[q:]), n)
-            if g.size > 1 and _rank_scores(g[0], g[1], n) <= level:
+            if not first[q]:  # the group of v[0] straddles q: it ends at g[0]
+                tied = col == v[0]
+                bottom = g[0] - np.count_nonzero(tied)
+                low = order[:q]
+                order[:bottom] = low[~tied[low]]
+                order[bottom:g[0]] = np.flatnonzero(tied)
+                first[bottom] = True
+                g = np.r_[bottom, g]
+            if _rank_scores(g[0], g[1], n) <= level:
                 cols.append((order, first))
                 continue
         order = np.argsort(col)

@@ -51,13 +51,16 @@ def test_cohort_pass_meets_its_checks(tmp_path):
 
 
 def test_tracer_sees_every_transform_and_fit():
-    # the tracer wraps to_laplace and fit_ht by module attribute, so
-    # conditional_model must call them through the module: one transform
-    # per channel and one fit per dependent channel
+    # the tracer wraps fit_marginal, fit_gpd, to_laplace and fit_ht by
+    # module attribute, so conditional_model must call them through the
+    # module: one marginal fit, GPD fit and transform per channel and one
+    # HT fit per dependent channel
     tracer = _load("tracer").Tracer()
     rec = gen_synthetic_eeg(3, 6_000, 0.5, seed=1)
     with tracer.traced_pass():
         ce.conditional_model(rec, "T3")
     values = tracer.layer_values()
+    assert values["cond_extremes.fit_marginal_calls"] == 3
+    assert values["evt_univariate.fit_gpd_calls"] == 3
     assert values["cond_extremes.fit_ht_calls"] == 2
     assert values["cond_extremes.to_laplace_calls"] == 3

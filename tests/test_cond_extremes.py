@@ -4,7 +4,7 @@ from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from eegx import (
@@ -19,6 +19,7 @@ from eegx import (
     ValidationError,
     conditional_model,
     conditional_summary,
+    fit_gpd,
     fit_ht,
     fit_marginal,
     from_laplace,
@@ -259,6 +260,130 @@ class TestSortedEcdf:
         assert (mt.u, mt.zeta_u, mt.gpd.sigma, mt.gpd.xi) == (
             mt_ref.u, mt_ref.zeta_u, mt_ref.gpd.sigma, mt_ref.gpd.xi)
         assert _same_floats(got, want)
+
+
+def _quantile_marginal(x, q):
+    """What fit_marginal computed before it read u off its sorted copy:
+    u from ``np.quantile`` over a flat copy of the sample, then the same
+    excesses, ECDF knots and GPD fit. Returns (u, zeta_u, gpd, sorted)."""
+    x = np.asarray(x, dtype=float).ravel()
+    u = float(np.quantile(x, q))
+    excesses = x[x > u] - u
+    if excesses.size < 10:
+        raise SizeError(
+            f"only {excesses.size} excesses above the {q:g} quantile; need >= 10"
+        )
+    xs = np.sort(x)
+    j = np.searchsorted(xs, u, "right") - 1
+    knots = np.array([j + 1, j + 2]) / (x.size + 1.0)
+    zeta = 1.0 - float(np.interp(u, xs[j:j + 2], knots[: xs[j:j + 2].size]))
+    return u, zeta, fit_gpd(excesses, threshold_u=u, zeta_u=zeta), xs
+
+
+_QUANTILES = (0.8, 0.9, 0.95, 0.975, 0.99, 0.999)
+
+
+def _h_cases(frac):
+    """(n, q) with q in ``_QUANTILES`` and n >= 20 whose type-7 position
+    h = (n - 1) q has fractional part ``frac``, in floating point."""
+    return [
+        (n, q) for q in _QUANTILES for n in range(20, 3_002)
+        if (n - 1) * q - np.floor((n - 1) * q) == frac
+    ]
+
+
+_WHOLE_H, _HALF_H = _h_cases(0.0), _h_cases(0.5)
+
+
+def _marginal_sample(seed, n, kind, layout):
+    rng = np.random.default_rng(seed)
+    x = 3.0 * rng.standard_normal(n)
+    if kind.startswith("step"):
+        step = float(kind[4:])
+        x = np.round(x / step) * step
+    elif kind == "two":
+        x = np.where(rng.random(n) < rng.uniform(0.01, 0.5), 2.5, -1.0)
+    elif kind == "pareto":  # far-apart top order statistics
+        x = rng.pareto(0.7, n)
+    elif kind == "straddle":  # the threshold near 0, between signs
+        x -= np.quantile(x, rng.uniform(0.8, 0.999))
+    if layout == "strided":  # a channel of a recording's matrix
+        m = rng.standard_normal((n, 3))
+        m[:, 1] = x
+        return m[:, 1]
+    if layout == "2d":
+        return x.reshape(-1, 2) if n % 2 == 0 else x[:, None]
+    if layout == "2d-fortran":
+        return np.asfortranarray(x.reshape(-1, 2) if n % 2 == 0 else x[:, None])
+    return x
+
+
+class TestThresholdFromSortedCopy:
+    """fit_marginal reads u off its sorted copy with numpy's own type-7
+    lerp; u, zeta_u and every GPD field must be what ``np.quantile``
+    gave, float for float."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_q=st.one_of(
+            st.tuples(st.integers(20, 3_000), st.sampled_from(_QUANTILES) | st.floats(0.8, 0.999)),
+            st.sampled_from(_WHOLE_H),
+            st.sampled_from(_HALF_H),
+        ),
+        kind=st.sampled_from(
+            ["raw", "step0.5", "step1", "step2", "step4", "step8", "two", "pareto", "straddle"]
+        ),
+        layout=st.sampled_from(["flat", "strided", "2d", "2d-fortran"]),
+    )
+    # samples where the lerp's two forms round apart, at t >= 0.5 and t < 0.5
+    @example(seed=56, n_q=(523, 0.9), kind="pareto", layout="flat")
+    @example(seed=383, n_q=(265, 0.95), kind="straddle", layout="strided")
+    @example(seed=1316, n_q=(1564, 0.9), kind="raw", layout="2d")
+    @example(seed=133, n_q=(2018, 0.95), kind="pareto", layout="2d-fortran")
+    @example(seed=511, n_q=(1498, 0.9), kind="raw", layout="flat")
+    @settings(max_examples=150, deadline=None)
+    def test_equals_np_quantile(self, seed, n_q, kind, layout):
+        n, q = n_q
+        x = _marginal_sample(seed, n, kind, layout)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                want = _quantile_marginal(x, q)
+            except SizeError as exc:
+                want = exc
+        with warnings.catch_warnings(record=True) as caught_now:
+            warnings.simplefilter("always")
+            try:
+                mt = fit_marginal(x, q)
+            except SizeError as exc:
+                assert isinstance(want, SizeError) and str(exc) == str(want)
+                return
+        assert [str(w.message) for w in caught_now] == [str(w.message) for w in caught]
+        u, zeta, gpd, xs = want
+        assert mt.u == u == float(np.quantile(x, q))
+        assert mt.zeta_u == zeta
+        assert np.array_equal(mt.sorted_sample, xs)
+        for f in fields(gpd):
+            a, b = getattr(mt.gpd, f.name), getattr(gpd, f.name)
+            if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+                assert np.array_equal(a, b, equal_nan=True), f.name
+            else:
+                assert a == b or (a != a and b != b), f.name
+
+    @pytest.mark.parametrize("n,q,frac", [
+        (201, 0.95, 0.0), (211, 0.95, 0.5), (2_001, 0.99, 0.0), (2_051, 0.99, 0.5),
+    ])
+    def test_whole_and_half_positions(self, n, q, frac):
+        # the lerp at t = 0, an order statistic, and at t = 0.5, where
+        # np.quantile switches to its b - (b - a)(1 - t) form
+        assert (n, q) in (_WHOLE_H if frac == 0.0 else _HALF_H)
+        x = _marginal_sample(3, n, "raw", "flat")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a fit on a parameter bound
+            u = fit_marginal(x, q).u
+        assert u == float(np.quantile(x, q))
+        a, b = np.sort(x)[int((n - 1) * q):][:2]
+        assert u == (a if frac == 0.0 else b - (b - a) * 0.5)
 
 
 class TestFitHt:

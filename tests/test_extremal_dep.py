@@ -221,13 +221,17 @@ class TestSortFreeRanks:
 
 
 def _column(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
-    """One test column: tie-free, rounded, constant, or two-valued with a
-    top group of 3 % or 10 % of the values."""
+    """One test column: tie-free, rounded, constant, two-valued with a
+    top group of 3 % or 10 % of the values, or amplitudes of spread 3
+    stored to a step of 0.5, 2 or 4 (``"step2"``)."""
     if kind == "constant":
         return np.full(n, 2.5)
     if kind.startswith("two"):
         return (rng.random(n) < float(kind[3:])).astype(float)
     x = rng.standard_normal(n)
+    if kind.startswith("step"):
+        step = float(kind[4:])
+        return np.round(3.0 * x / step) * step
     return np.round(x, 1) if kind == "rounded" else x
 
 
@@ -261,19 +265,41 @@ class TestPointEstimateWindow:
     @pytest.mark.parametrize("kind,level,top_only", [
         ("random", 0.95, True),
         ("rounded", 0.95, True),
+        # a tie group straddles the window's bottom and is taken in whole
+        ("step0.5", 0.95, True),
+        ("step2", 0.95, True),
+        ("step4", 0.95, True),
+        ("step2", 0.99, True),
         ("random", 0.1, False),  # the window covers the column
-        ("constant", 0.95, False),  # one tie group fills the window
-        ("two0.1", 0.95, False),  # the top group, 10 %, fills the 6.5 % window
+        ("constant", 0.95, False),  # one tie group fills the column
+        ("two0.1", 0.95, False),  # the top group, 10 %, scores above 0.95
         ("two0.03", 0.95, False),  # the top group, 3 %, scores above 0.95
     ])
-    def test_sorts_in_full_where_the_window_falls_short(self, kind, level, top_only):
+    def test_sorts_in_full_where_the_window_falls_short(self, kind, level, top_only, monkeypatch):
+        # numpy keeps a tie group below kth next to it, but argpartition
+        # promises only a partition: shuffle what lies below kth
+        argpartition = np.argpartition
+
+        def shuffled_below(a, kth):
+            order = argpartition(a, kth)
+            order[:kth] = np.random.default_rng(kth).permutation(order[:kth])
+            return order
+
+        monkeypatch.setattr(np, "argpartition", shuffled_below)
         rng = np.random.default_rng(7)
         col = _column(kind, 2_000, rng)
         ((order, first),) = _sorted_columns(col[:, None], level)
         q = 2_000 - next(_tail_windows(2_000, level))
         assert bool(first[0]) is not top_only  # a full sort starts a group at 0
         assert np.array_equal(np.sort(order), np.arange(2_000))
-        assert np.all(np.diff(col[order[q - 1 if top_only else 0:]]) >= 0)
+        # the sorted part starts at the first group start, at or below q,
+        # with every value under it smaller and every group start marked
+        bottom = int(np.argmax(first))
+        assert bottom <= q
+        v = col[order[bottom:]]
+        assert np.all(col[order[:bottom]] < v[0])
+        assert np.all(np.diff(v) >= 0)
+        assert np.array_equal(first[bottom + 1:], v[1:] != v[:-1])
 
 
 def _assert_same_matrix(a, b):

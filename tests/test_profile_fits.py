@@ -12,7 +12,9 @@ worse likelihood, and where both reach the same one they must agree on
 the parameters.
 
 The profile grids are evaluated in blocks of rows; the fits must be the
-same floats as one whole-grid evaluation, and hold memory in O(n).
+same floats as one whole-grid evaluation, and hold memory in O(n). The
+profile kernels, set up once per sample, must give the fits, warnings
+and errors of the per-call kernels they replaced, float for float.
 """
 
 import tracemalloc
@@ -38,6 +40,7 @@ from eegx import (
 from eegx import cond_extremes as ce
 from eegx import evt_univariate as evt
 from eegx.cond_extremes import BETA_MAX, BETA_MIN, S_FLOOR
+from eegx.errors import EegxError, FitError
 from eegx.evt_univariate import _N_GRID, _S_CEIL, _S_FLOOR, XI_LOWER, gpd_nll
 
 # the tolerances perfbench/workloads.py applies to its pinned fits
@@ -374,3 +377,187 @@ def test_fit_memory_is_o_of_n():
     assert excesses.size == 40_000
     assert _peak_bytes(lambda: fit_ht(yc, yd, 0.95)) <= 4 * 2**20
     assert _peak_bytes(lambda: fit_gpd(excesses)) <= 4 * 2**20
+
+
+# The profile kernels against the ones they replaced, which rebuilt the
+# per-sample constants at every call and clipped alpha with np.clip: each
+# fit, warning and error must be the same, float for float.
+
+
+def _reference_profile(s, y):
+    """(NLL/n, xi, sigma) of the GPD profile at s, every constant rebuilt."""
+    theta = np.expm1(np.atleast_1d(s)) / y.max()
+    xi_hat = np.log1p(np.multiply.outer(theta, y)).mean(axis=-1)
+    xi = np.maximum(xi_hat, XI_LOWER)
+    sigma = np.divide(xi, theta, out=np.full_like(xi, y.mean()), where=theta != 0)
+    ratio = np.divide(xi_hat, xi, out=np.ones_like(xi), where=xi_hat < XI_LOWER)
+    return np.log(sigma) + xi_hat + ratio, xi, sigma
+
+
+def _reference_profile_beta(beta, y, y_dep):
+    """(nll, alpha, mu, s) of the HT profile at beta, alpha by np.clip."""
+    beta = np.atleast_1d(beta)
+    n = y.size
+    logy = np.log(y)
+    w = np.exp(np.multiply.outer(beta, logy))
+    a = y_dep / w
+    b = y / w
+    da = a - np.add.reduce(a, axis=-1, keepdims=True) / n
+    db = b - np.add.reduce(b, axis=-1, keepdims=True) / n
+    cov = np.add.reduce(da * db, axis=-1) / n
+    var = np.add.reduce(db * db, axis=-1) / n
+    alpha = np.clip(cov / var, -1.0, 1.0)
+    r = a - alpha[:, None] * b
+    mu = np.add.reduce(r, axis=-1) / n
+    s = np.maximum(np.sqrt(np.add.reduce((r - mu[:, None]) ** 2, axis=-1) / n), S_FLOOR)
+    nll = n * np.log(s) + beta * logy.sum() + 0.5 * n * (1.0 + np.log(2.0 * np.pi))
+    return nll, alpha, mu, s
+
+
+def _reference_gpd_kernel(y):
+    def profile(s):
+        per_n, xi, sigma = _reference_profile(s, y)
+        return y.size * per_n, xi, sigma
+
+    return profile
+
+
+def _reference_ht_kernel(y, y_dep):
+    return lambda beta: _reference_profile_beta(beta, y, y_dep)
+
+
+def _outcome(fit, *args):
+    """The fit, or its error, with every warning it issued."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = fit(*args)
+        except EegxError as exc:
+            result = exc
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+def _assert_same_outcome(fit, module, attr, reference, *args):
+    got, got_warned = _outcome(fit, *args)
+    with mock.patch.object(module, attr, reference):
+        want, want_warned = _outcome(fit, *args)
+    assert got_warned == want_warned
+    if isinstance(want, EegxError):
+        assert type(got) is type(want) and str(got) == str(want)
+    else:
+        _assert_same_fit(got, want)
+
+
+KERNEL_GPD_CASES = [
+    pytest.param(gen_exponential(500, 2.0, seed=4), id="exponential"),
+    pytest.param(np.ones(20), id="boundary-constant-20"),
+    pytest.param(np.random.default_rng(3).uniform(0.0, 2.0, 500), id="boundary-uniform"),
+    pytest.param(np.r_[np.full(10, 1e-300), 1.0], id="spread-tiny-min"),
+    pytest.param(np.r_[np.ones(10), 1e300], id="spread-huge-max"),
+] + [
+    pytest.param(_gpd_sample(xi, n, seed), id=f"gpd-{xi}-{n}-{seed}")
+    for xi, n, seed in GPD_CASES[::3]
+] + [pytest.param(_gpd_input(n, 0), id=f"block-{n}") for n in BLOCK_NS]
+
+
+@pytest.mark.parametrize("y", KERNEL_GPD_CASES)
+def test_gpd_kernel_keeps_every_float(y):
+    _assert_same_outcome(fit_gpd, evt, "_profile", _reference_gpd_kernel, y)
+
+
+@pytest.mark.parametrize("y", KERNEL_GPD_CASES)
+def test_gpd_kernel_values_at_theta_zero_and_the_grid(y):
+    # s = 0 is theta = 0, the exponential limit sigma = mean(y); the grid
+    # also crosses the bound xi = XI_LOWER, where the ratio term enters
+    s = np.r_[np.linspace(_S_FLOOR, _S_CEIL, _N_GRID), 0.0, -0.0]
+    with np.errstate(all="ignore"):
+        got = evt._profile(y)(s)
+        want = _reference_gpd_kernel(y)(s)
+        one = [evt._profile(y)(float(x)) for x in s]  # Brent's scalar calls
+    for a, b in zip(got, want, strict=True):
+        assert np.array_equal(a, b, equal_nan=True)
+    for k, values in enumerate(one):
+        for a, b in zip(values, want, strict=True):
+            assert np.array_equal(a, b[k:k + 1], equal_nan=True)
+    assert got[2][-1] == got[2][-2] == y.mean()
+
+
+def _flat_pair(value, n):
+    """A constant conditioner: var(b) is 0 at every beta the grid takes for
+    n = 32, and at some of them for n = 40."""
+    return np.full(n, value), np.random.default_rng(0).standard_normal(n)
+
+
+def _beta_below_bound_pair(n=200):
+    """A pair whose residual spread falls like y^-4, below BETA_MIN = -3."""
+    rng = np.random.default_rng(0)
+    y = laplace_quantile(0.95) + rng.exponential(1.0, n)
+    return y, 0.5 * y + y**-4.0 * rng.standard_normal(n)
+
+
+KERNEL_HT_CASES = [
+    pytest.param(*_flat_pair(3.0, 32), id="constant-conditioner-fit-error"),
+    pytest.param(*_flat_pair(4.0, 40), id="constant-conditioner-some-nan"),
+    pytest.param(*_beta_below_bound_pair(), id="beta-min"),
+] + [pytest.param(*_ht_input(max(n, 30), 0), id=f"block-{n}") for n in BLOCK_NS] + [
+    pytest.param(
+        *(laplace_quantile(uniform_scores(u)) for u in gen_gaussian_copula_pair(5000, rho, seed=s)),
+        id=f"copula-{rho}-{s}",
+    )
+    for rho, s in [(-0.5, 1), (0.0, 2), (0.6, 4), (0.99, 16)]
+]
+
+
+@pytest.mark.parametrize("yc,yd", KERNEL_HT_CASES)
+def test_ht_kernel_keeps_every_float(yc, yd):
+    _assert_same_outcome(fit_ht, ce, "_profile_beta", _reference_ht_kernel, yc, yd)
+
+
+@pytest.mark.parametrize("yc,yd", KERNEL_HT_CASES)
+def test_ht_kernel_values_on_the_grid(yc, yd):
+    # the whole beta grid, where alpha is clipped at -1 and 1 and var(b)
+    # may be 0, then Brent's one-point calls
+    keep = yc > laplace_quantile(0.95)
+    y, y_dep = yc[keep], yd[keep]
+    beta = np.r_[np.linspace(BETA_MIN, BETA_MAX, ce._N_BETA_GRID), 0.0, -0.0]
+    profile = ce._profile_beta(y, y_dep)
+    with np.errstate(all="ignore"):
+        got = profile(beta)
+        want = _reference_profile_beta(beta, y, y_dep)
+        one = [profile(float(b)) for b in beta]
+    for a, b in zip(got, want, strict=True):
+        assert a.tobytes() == b.tobytes()
+    for k, values in enumerate(one):
+        for a, b in zip(values, want, strict=True):
+            assert a.tobytes() == b[k:k + 1].tobytes()
+
+
+def test_ht_kernel_cases_reach_their_branches():
+    (yc, yd), (yc40, yd40) = _flat_pair(3.0, 32), _flat_pair(4.0, 40)
+    with np.errstate(all="ignore"):
+        nll, alpha, _, _ = ce._profile_beta(yc, yd)(np.linspace(BETA_MIN, BETA_MAX, 41))
+        assert np.isnan(alpha).all() and not np.isfinite(nll).any()
+        assert np.isnan(ce._profile_beta(yc40, yd40)(np.linspace(BETA_MIN, BETA_MAX, 41))[1]).any()
+    with pytest.raises(FitError, match="no finite pseudo-likelihood"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            fit_ht(yc, yd)
+    with pytest.warns(UserWarning, match="lower bound"):
+        assert fit_ht(*_beta_below_bound_pair()).beta == BETA_MIN
+    # alpha is clipped at both ends somewhere on the copula cases' grids
+    clipped = set()
+    for case in KERNEL_HT_CASES[-4:]:
+        yc, yd = case.values
+        keep = yc > laplace_quantile(0.95)
+        alpha = ce._profile_beta(yc[keep], yd[keep])(np.linspace(BETA_MIN, BETA_MAX, 41))[1]
+        clipped |= set(alpha[np.abs(alpha) == 1.0])
+    assert clipped == {-1.0, 1.0}
+
+
+@pytest.mark.parametrize("c", [np.nan, -0.0, 0.0, -1.0, 1.0, -2.5, 2.5, np.inf, -np.inf])
+def test_alpha_clip_is_np_clip(c):
+    # the HT profile clips cov/var with np.minimum(np.maximum(...)); NaN
+    # stays NaN and -0.0 keeps its sign, as in np.clip
+    got = np.minimum(np.maximum(np.array([c]), -1.0), 1.0)
+    want = np.clip(np.array([c]), -1.0, 1.0)
+    assert got.tobytes() == want.tobytes()
