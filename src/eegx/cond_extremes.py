@@ -254,12 +254,15 @@ def _profile_beta(y: np.ndarray, y_dep: np.ndarray):
     The residual r = a - alpha*b, a = y_dep/y^beta, b = y^(1-beta), has
     variance quadratic in alpha, minimized on [-1, 1] by clipping
     cov(a, b)/var(b); mu and s are its mean and spread. Returns a function
-    of beta giving (nll, alpha, mu, s) arrays over beta. The means are
-    written as ``np.add.reduce(...) / n``, which is what ``ndarray.mean``
-    computes, and the clip as ``np.minimum(np.maximum(...))``, which is
-    what ``np.clip`` computes (NaN and -0.0 included), without their
-    per-call overhead. Each (beta x n) step writes into an array that no
-    later step reads, so a call makes four such arrays, not eleven.
+    of beta giving (nll, alpha, mu, s). One set of expressions serves
+    both shapes: a block of grid points gives arrays over beta, a float
+    beta gives numpy floats, the same floats its grid row would hold. The
+    means are written as ``np.add.reduce(...) / n``, which is what
+    ``ndarray.mean`` computes, and the clip as
+    ``np.minimum(np.maximum(...))``, which is what ``np.clip`` computes
+    (NaN and -0.0 included), without their per-call overhead. Each
+    (beta x n) step writes into an array that no later step reads, so a
+    call makes four such arrays, not eleven.
     """
     n = y.size
     logy = np.log(y)
@@ -267,19 +270,18 @@ def _profile_beta(y: np.ndarray, y_dep: np.ndarray):
     nll_const = 0.5 * n * (1.0 + np.log(2.0 * np.pi))
 
     def profile(beta):
-        beta = np.atleast_1d(beta)
         b = np.multiply.outer(beta, logy)
         np.exp(b, out=b)
         a = y_dep / b
         np.divide(y, b, out=b)
-        da = a - np.add.reduce(a, axis=-1, keepdims=True) / n
-        db = b - np.add.reduce(b, axis=-1, keepdims=True) / n
+        da = a - (np.add.reduce(a, axis=-1) / n)[..., None]
+        db = b - (np.add.reduce(b, axis=-1) / n)[..., None]
         cov = np.add.reduce(np.multiply(da, db, out=da), axis=-1) / n
         var = np.add.reduce(np.square(db, out=db), axis=-1) / n
         alpha = np.minimum(np.maximum(cov / var, -1.0), 1.0)
-        r = np.subtract(a, np.multiply(alpha[:, None], b, out=b), out=a)
+        r = np.subtract(a, np.multiply(alpha[..., None], b, out=b), out=a)
         mu = np.add.reduce(r, axis=-1) / n
-        r -= mu[:, None]
+        r -= mu[..., None]
         s = np.maximum(np.sqrt(np.add.reduce(np.square(r, out=r), axis=-1) / n), S_FLOOR)
         return n * np.log(s) + beta * sum_logy + nll_const, alpha, mu, s
 
@@ -301,7 +303,8 @@ def fit_ht(
     (alpha, mu, s) have closed forms (see :func:`_profile_beta`), so
     beta is found by a grid over [``BETA_MIN``, ``BETA_MAX``] and a
     bounded Brent search around its best cell. Deterministic: no
-    randomness is involved.
+    randomness is involved. Conditioning exceedances that are all equal
+    identify neither alpha nor beta and raise ``FitError``.
     """
     yc = check_floats(y_cond, "conditioning series", finite=True).ravel()
     yd = check_floats(y_dep, "dependent series", finite=True).ravel()
@@ -318,6 +321,12 @@ def fit_ht(
         )
     y = yc[keep]
     yd_exc = yd[keep]
+    failed = (
+        f"conditional-extremes fit failed for ({cond_channel}, {dep_channel}): "
+        "no finite pseudo-likelihood value"
+    )
+    if y.min() == y.max():  # var(b) is 0 at every beta, up to rounding
+        raise FitError(f"{failed}: all {n_exc} conditioning exceedances equal {y[0]:g}")
 
     profile = _profile_beta(y, yd_exc)
     beta_hat, nll = _grid_brent(
@@ -326,17 +335,14 @@ def fit_ht(
         y.size,
     )
     if not np.isfinite(nll):
-        raise FitError(
-            f"conditional-extremes fit failed for ({cond_channel}, {dep_channel}): "
-            "no finite pseudo-likelihood value"
-        )
+        raise FitError(failed)
     if beta_hat <= BETA_MIN + 1e-6:
         warnings.warn(
             f"beta estimate on the lower bound {BETA_MIN} for "
             f"({cond_channel}, {dep_channel})",
             stacklevel=2,
         )
-    nll, alpha_hat, mu_hat, s_hat = (float(v[0]) for v in profile(beta_hat))
+    nll, alpha_hat, mu_hat, s_hat = (float(v) for v in profile(beta_hat))
     z = (yd_exc - alpha_hat * y) / y**beta_hat
     return HtFit(
         cond_channel=cond_channel,
@@ -371,10 +377,13 @@ def conditional_model(
     transformed from the top down, in the windows the chi kernel scores
     (``extremal_dep._tail_windows``), until a window's lowest value maps
     to the level or below, and each row at or above that value reads its
-    Laplace value off the window. Each dependent channel is transformed
-    at the exceedance rows alone. ``to_laplace`` is elementwise, so every
-    fit is the one the full series gives, with ``exceed_indices`` mapped
-    back to epoch rows.
+    Laplace value off the window. Each window is widened to hold the
+    tie group at its bottom whole, and the next lower value, before it
+    is transformed, so a group that maps over the level needs no wider
+    window: one follows only when that lower value maps over it too.
+    Each dependent channel is transformed at the exceedance rows alone.
+    ``to_laplace`` is elementwise, so every fit is the one the full
+    series gives, with ``exceed_indices`` mapped back to epoch rows.
     """
     if rec.n_channels < 2:
         raise ValidationError("need at least 2 channels for a conditional model")
@@ -388,14 +397,18 @@ def conditional_model(
     level = laplace_quantile(cond_quantile)
     mt = transforms[cond_channel]
     xs, n = mt.sorted_sample, mt.n
-    y_top = np.empty(0)  # the transform of the window, each value transformed once
+    bottom, y_top = n, np.empty(0)  # y_top: the transform of xs[bottom:]
     for window in _tail_windows(n, cond_quantile):
-        y_top = np.concatenate([to_laplace(xs[n - window:n - y_top.size], mt), y_top])
-        if y_top[0] <= level:
-            break
+        # the tie group at the window's bottom whole, and the next lower value
+        lower = max(int(np.searchsorted(xs, xs[n - window])) - 1, 0)
+        if lower < bottom:
+            y_top = np.concatenate([to_laplace(xs[lower:bottom], mt), y_top])
+            bottom = lower
+            if y_top[0] <= level:
+                break
     x = rec.channel(cond_channel)
-    rows = np.flatnonzero(x >= xs[n - window])
-    y_cond = y_top[np.searchsorted(xs[n - window:], x[rows])]  # a tie group's one value
+    rows = np.flatnonzero(x >= xs[bottom])
+    y_cond = y_top[np.searchsorted(xs[bottom:], x[rows])]  # a tie group's one value
     keep = y_cond > level
     rows, y_cond = rows[keep], y_cond[keep]
 

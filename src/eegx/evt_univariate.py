@@ -165,28 +165,33 @@ def _gpd_information(sigma: float, xi: float, y: np.ndarray) -> np.ndarray:
     return np.array([[i_ss, i_sx], [i_sx, i_xx]])
 
 
-def _profile(y: np.ndarray):
+def _profile(y: np.ndarray, y_max: float, y_mean: float):
     """Grimshaw profile of the GPD excesses ``y`` in s = log1p(theta * y_max),
-    theta = xi/sigma, with the per-sample constants taken once.
+    theta = xi/sigma, with the per-sample constants taken once: n, and
+    the maximum and mean of ``y``, which the caller has read already.
 
     For fixed theta the NLL falls in xi down to xi_hat = mean(log1p(theta*y))
     and rises beyond it, so the shape constrained to xi >= ``XI_LOWER`` is
     xi = max(xi_hat, XI_LOWER), with sigma = xi/theta and
     NLL = n * (log(sigma) + xi_hat * (1 + 1/xi)), which is
     n * (log(sigma) + xi + 1) off the bound; theta = 0 is the exponential
-    limit sigma = mean(y). Returns a function of s giving (NLL, xi, sigma)
-    arrays over s. The mean is ``np.add.reduce(...) / n``, what
+    limit sigma = mean(y). Returns a function of s giving (NLL, xi, sigma).
+    One set of expressions serves both shapes: a block of grid points
+    gives arrays over s, a float s gives numpy floats, the same floats
+    its grid row would hold. The mean is ``np.add.reduce(...) / n``, what
     ``ndarray.mean`` computes, without its per-call overhead.
     """
-    n, y_max, y_mean = y.size, y.max(), y.mean()
+    n = y.size
 
     def profile(s):
-        theta = np.expm1(np.atleast_1d(s)) / y_max
+        theta = np.expm1(s) / y_max
         t = np.multiply.outer(theta, y)
         xi_hat = np.add.reduce(np.log1p(t, out=t), axis=-1) / n
         xi = np.maximum(xi_hat, XI_LOWER)
-        sigma = np.divide(xi, theta, out=np.full_like(xi, y_mean), where=theta != 0)
-        ratio = np.divide(xi_hat, xi, out=np.ones_like(xi), where=xi_hat < XI_LOWER)
+        zero = theta == 0  # theta + zero is theta where it is not 0, else 1
+        sigma = np.where(zero, y_mean, xi) / (theta + zero)
+        # xi_hat / xi where xi_hat < XI_LOWER (there xi is XI_LOWER), else 1
+        ratio = np.fmax(xi_hat / XI_LOWER, 1.0)
         return n * (np.log(sigma) + xi_hat + ratio), xi, sigma
 
     return profile
@@ -197,7 +202,10 @@ def _bounded_brent(f, lo: float, hi: float, xatol: float):
     golden-section steps, parabolic ones where they are acceptable.
 
     The same iteration as ``scipy.optimize.minimize_scalar(method="bounded")``,
-    step for step. Returns (x, f(x)) of the best point evaluated.
+    step for step. Returns (x, f(x)) of the best point evaluated. Its
+    steps choose a direction by comparison, not ``np.sign``, so float
+    bounds and an ``f`` that returns floats keep every iterate a Python
+    float.
     """
     sqrt_eps = math.sqrt(2.2e-16)
     golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
@@ -228,13 +236,14 @@ def _bounded_brent(f, lo: float, hi: float, xatol: float):
                 rat = (p + 0.0) / q
                 x = xf + rat
                 if (x - a) < tol2 or (b - x) < tol2:
-                    rat = tol1 * (np.sign(xm - xf) + ((xm - xf) == 0))
+                    rat = -tol1 if xm - xf < 0 else tol1
             else:
                 golden = True
         if golden:
             e = (a - xf) if xf >= xm else (b - xf)
             rat = golden_mean * e
-        x = xf + (np.sign(rat) + (rat == 0)) * max(abs(rat), tol1)
+        step = max(abs(rat), tol1)
+        x = xf + (-step if rat < 0 else step)
         fu = f(x)
         num += 1
         if fu <= fx:
@@ -264,23 +273,25 @@ def _bounded_brent(f, lo: float, hi: float, xatol: float):
 
 
 def _grid_brent(f, grid: np.ndarray, n: int) -> tuple[float, float]:
-    """Minimize a 1-D function: the best point of ``grid`` (``f`` takes
-    arrays), refined by bounded Brent between that point's neighbours.
-    ``f`` builds (points x ``n``) temporaries, so the grid goes to it in
-    blocks of at most ``_BLOCK_BYTES`` per temporary; its rows are
-    independent, so every value is the one a single call would give.
-    Returns (x, f(x)); f(x) is not finite when no grid value is."""
+    """Minimize a 1-D function: the best point of ``grid``, refined by
+    bounded Brent between that point's neighbours. ``f`` takes a block of
+    points or a single float point, and gives a point the same value
+    either way. It builds (points x ``n``) temporaries, so the grid goes
+    to it in blocks of at most ``_BLOCK_BYTES`` per temporary; its rows
+    are independent, so every value is the one a single call would give.
+    Brent's steps are Python floats throughout. Returns (x, f(x)); f(x)
+    is not finite when no grid value is."""
     rows = max(1, _BLOCK_BYTES // (8 * n))
     values = np.concatenate([f(grid[i : i + rows]) for i in range(0, grid.size, rows)])
     k = int(np.argmin(np.where(np.isfinite(values), values, np.inf)))
     x, fx = _bounded_brent(
-        lambda x: float(f(x)[0]),
-        grid[max(k - 1, 0)],
-        grid[min(k + 1, grid.size - 1)],
+        lambda x: float(f(x)),
+        float(grid[max(k - 1, 0)]),
+        float(grid[min(k + 1, grid.size - 1)]),
         xatol=1e-10,
     )
     if fx < values[k]:
-        return float(x), float(fx)
+        return x, fx
     return float(grid[k]), float(values[k])
 
 
@@ -323,18 +334,17 @@ def fit_gpd(
     if np.any(y <= 0) or not np.isfinite(y).all():
         raise UsageError("excesses must be strictly positive and finite")
 
-    ymin, ymax = float(y.min()), float(y.max())
+    ymin, ymax, ymean = float(y.min()), float(y.max()), float(y.mean())
     # Below _S_FLOOR theta is pinned within e^-30 of -1/y_max, where the
     # constrained profile only rises. Above, Grimshaw's bound on theta,
     # capped where expm1(s) still fits a float.
-    s_hi = min(np.log1p(2.0 * (float(y.mean()) / ymin - 1.0) * (ymax / ymin)), _S_CEIL)
+    s_hi = min(np.log1p(2.0 * (ymean / ymin - 1.0) * (ymax / ymin)), _S_CEIL)
     # the search minimizes the NLL itself, the value the fit reports
-    profile = _profile(y)
+    profile = _profile(y, ymax, ymean)
     s_hat, nll = _grid_brent(
         lambda s: profile(s)[0], np.linspace(_S_FLOOR, s_hi, _N_GRID), y.size
     )
-    _, xi_arr, sigma_arr = profile(s_hat)
-    sigma_hat, xi_hat = sigma_arr[0], xi_arr[0]
+    _, xi_hat, sigma_hat = profile(s_hat)
     if not (np.isfinite(nll) and sigma_hat > 0):
         raise FitError(f"GPD likelihood has no finite value (n={y.size})")
 

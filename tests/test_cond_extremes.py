@@ -1,6 +1,8 @@
+import itertools
 import tracemalloc
 import warnings
 from dataclasses import fields, is_dataclass, replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from eegx import (
     DataError,
     DomainError,
     EegRecording,
+    FitError,
     HtFit,
     SizeError,
     UsageError,
@@ -484,6 +487,22 @@ class TestFitHt:
         f2 = fit_ht(ya, yb, 0.95)
         assert (f1.alpha, f1.beta, f1.nll) == (f2.alpha, f2.beta, f2.nll)
 
+    @pytest.mark.parametrize("n", [30, 32, 40, 64, 100])
+    @pytest.mark.parametrize("value", [2.5, 3.0, 4.0, 8.0])
+    def test_equal_conditioning_exceedances(self, n, value):
+        # var(b) is 0 at every beta up to rounding, which used to leak
+        # numpy's divide warnings and, at some n, a beta of rounding noise;
+        # now the fit fails before the search, naming the pair and the cause
+        y_dep = np.random.default_rng(n).standard_normal(n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FitError) as caught:
+                fit_ht(np.full(n, value), y_dep, 0.95, cond_channel="A", dep_channel="B")
+        assert str(caught.value) == (
+            "conditional-extremes fit failed for (A, B): no finite pseudo-likelihood "
+            f"value: all {n} conditioning exceedances equal {value:g}"
+        )
+
 
 def _conditional_model_full(rec, cond_channel, cond_quantile, marginal_quantile):
     """The conditional model with every channel Laplace-transformed in
@@ -678,8 +697,8 @@ class TestConditionerTopWindow:
     def test_equals_whole_channel_transform(self, seed, n_channels, cond_index, step, epoch,
                                             flat, quantiles):
         # steps as in ROADMAP item 7: a tie group across the first
-        # window's bottom often maps over the level, so the window doubles;
-        # a flat channel has no excesses
+        # window's bottom often maps over the level, so the window takes
+        # it whole; a flat channel has no excesses
         rec = _rounded_recording(seed, n_channels, 4_000, step, flat)
         if epoch != "all":
             rec = getattr(split_at_onset(rec), epoch)
@@ -702,6 +721,42 @@ class TestConditionerTopWindow:
         in_first_window = np.count_nonzero(x >= xs[-next(_tail_windows(n, 0.99))])
         assert got[0][0]["B"].n_exceed > in_first_window
         _assert_same(got, _outcome(_conditional_model_whole_conditioner, rec, "A", 0.99, 0.8))
+
+    @pytest.mark.parametrize("step", [0.5, 2.0, 4.0, 8.0])
+    def test_tie_group_needs_no_second_call(self, step):
+        # on stepped data the tie group at the first window's bottom often
+        # maps over the level, which used to double the window; the window
+        # takes that group whole, with the next lower value, so the
+        # conditioner is transformed in one call, and every outcome is the
+        # whole channel's
+        to_laplace_calls = []
+
+        def counted(x, mt):
+            to_laplace_calls.append(mt.channel)
+            return to_laplace(x, mt)
+
+        group_over_level = 0
+        for seed, epoch, quantiles in itertools.product(
+            range(3), ["pre", "post", "all"], [(0.95, 0.95), (0.9, 0.95), (0.99, 0.9), (0.95, 0.8)]
+        ):
+            rec = _rounded_recording(seed, 3, 4_000, step, False)
+            if epoch != "all":
+                rec = getattr(split_at_onset(rec), epoch)
+            args = (rec, "T3", *quantiles)
+            to_laplace_calls.clear()
+            with mock.patch.object(cond_extremes, "to_laplace", counted):
+                got = _outcome(conditional_model, *args)
+            _assert_same(got, _outcome(_conditional_model_whole_conditioner, *args))
+            if not to_laplace_calls:  # a marginal fit had fewer than 10 excesses
+                assert got[0][0] is SizeError
+                continue
+            assert to_laplace_calls.count("T3") == 1
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # a GPD tail on the shape bound
+                mt = fit_marginal(rec.channel("T3"), quantiles[1], channel="T3")
+            bottom = mt.sorted_sample[-next(_tail_windows(mt.n, quantiles[0]))]
+            group_over_level += to_laplace(bottom, mt) > laplace_quantile(quantiles[0])
+        assert group_over_level > 0
 
     @given(
         seed=st.integers(0, 10_000),

@@ -60,6 +60,24 @@ class TestBrentPorts:
         assert _bounded_brent(f, lo, hi, xatol) == (res.x, res.fun)
 
 
+class TestBrentFloats:
+    """With float bounds and an ``f`` that returns floats, every point the
+    Brent search evaluates, and the pair it returns, is a Python float."""
+
+    @pytest.mark.parametrize("case", range(len(MINIMIZE_CASES)))
+    def test_steps_are_python_floats(self, case):
+        f, lo, hi = MINIMIZE_CASES[case]
+        points = []
+
+        def probe(x):
+            points.append(x)
+            return float(f(x))
+
+        x, fx = _bounded_brent(probe, lo, hi, 1e-10)
+        assert len(points) > 2
+        assert {type(v) for v in [*points, x, fx]} == {float}
+
+
 class TestMeanResidualLife:
     def test_exponential_flat(self):
         x = gen_exponential(100_000, 1.0, seed=1)

@@ -414,16 +414,28 @@ def _reference_profile_beta(beta, y, y_dep):
     return nll, alpha, mu, s
 
 
-def _reference_gpd_kernel(y):
+def _point_values(profile):
+    """``profile`` with a float point's (1,)-array values given as numpy
+    floats, as the fits read them."""
+
+    def kernel(x):
+        values = profile(x)
+        return values if np.ndim(x) else tuple(v[0] for v in values)
+
+    return kernel
+
+
+def _reference_gpd_kernel(y, *_constants):
+    # rebuilds every constant, so it ignores the maximum and mean handed over
     def profile(s):
         per_n, xi, sigma = _reference_profile(s, y)
         return y.size * per_n, xi, sigma
 
-    return profile
+    return _point_values(profile)
 
 
 def _reference_ht_kernel(y, y_dep):
-    return lambda beta: _reference_profile_beta(beta, y, y_dep)
+    return _point_values(lambda beta: _reference_profile_beta(beta, y, y_dep))
 
 
 def _outcome(fit, *args):
@@ -470,15 +482,16 @@ def test_gpd_kernel_values_at_theta_zero_and_the_grid(y):
     # s = 0 is theta = 0, the exponential limit sigma = mean(y); the grid
     # also crosses the bound xi = XI_LOWER, where the ratio term enters
     s = np.r_[np.linspace(_S_FLOOR, _S_CEIL, _N_GRID), 0.0, -0.0]
+    profile = evt._profile(y, float(y.max()), float(y.mean()))
     with np.errstate(all="ignore"):
-        got = evt._profile(y)(s)
+        got = profile(s)
         want = _reference_gpd_kernel(y)(s)
-        one = [evt._profile(y)(float(x)) for x in s]  # Brent's scalar calls
+        one = [profile(float(x)) for x in s]  # Brent's float calls
     for a, b in zip(got, want, strict=True):
         assert np.array_equal(a, b, equal_nan=True)
     for k, values in enumerate(one):
         for a, b in zip(values, want, strict=True):
-            assert np.array_equal(a, b[k:k + 1], equal_nan=True)
+            assert np.shape(a) == () and a.tobytes() == b[k:k + 1].tobytes()
     assert got[2][-1] == got[2][-2] == y.mean()
 
 
@@ -529,7 +542,7 @@ def test_ht_kernel_values_on_the_grid(yc, yd):
         assert a.tobytes() == b.tobytes()
     for k, values in enumerate(one):
         for a, b in zip(values, want, strict=True):
-            assert a.tobytes() == b[k:k + 1].tobytes()
+            assert np.shape(a) == () and a.tobytes() == b[k:k + 1].tobytes()
 
 
 def test_ht_kernel_cases_reach_their_branches():
@@ -561,3 +574,119 @@ def test_alpha_clip_is_np_clip(c):
     got = np.minimum(np.maximum(np.array([c]), -1.0), 1.0)
     want = np.clip(np.array([c]), -1.0, 1.0)
     assert got.tobytes() == want.tobytes()
+
+
+# A float point runs the same expressions as a block of grid points: its
+# values must be its grid row's, byte for byte, and the Brent search that
+# asks for it must run on Python floats.
+
+
+def _assert_points_are_rows(profile, points):
+    """Each float point's values are its row of one block evaluation of
+    ``points``, byte for byte; returns the rows."""
+    with np.errstate(all="ignore"):
+        rows = profile(points)
+        for k, x in enumerate(points.tolist()):
+            for a, b in zip(profile(x), rows, strict=True):
+                assert np.shape(a) == () and a.tobytes() == b[k:k + 1].tobytes()
+    return rows
+
+
+def _bound_crossing(profile, lo, hi):
+    """The adjacent floats around the s where the GPD shape leaves the
+    bound XI_LOWER, found by bisection from ``lo`` (on it) and ``hi`` (off it)."""
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if profile(mid)[1] == XI_LOWER:
+            lo = mid
+        else:
+            hi = mid
+    return [lo, hi]
+
+
+@given(
+    n=st.sampled_from(BLOCK_NS) | st.integers(10, 2_000),
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["gpd", "uniform"]),
+    xi=st.sampled_from(sorted({xi for xi, _, _ in GPD_CASES})),
+    extra=st.lists(st.floats(_S_FLOOR, _S_CEIL), max_size=4),
+)
+@example(n=BLOCK_NS[0], seed=0, kind="uniform", xi=0.0, extra=[])
+@example(n=BLOCK_NS[1], seed=1, kind="gpd", xi=0.2, extra=[])
+@example(n=BLOCK_NS[2], seed=2, kind="uniform", xi=0.0, extra=[])
+@settings(max_examples=25, deadline=None)
+def test_gpd_point_is_its_grid_row(n, seed, kind, xi, extra):
+    # s = +-0.0 is theta = 0, the exponential limit; uniform excesses
+    # (a GPD with xi = -1) put the low grid on the bound xi = XI_LOWER,
+    # and the two floats around its crossing are points too
+    if kind == "uniform":
+        y = 1e-9 + np.random.default_rng(seed).uniform(0.0, 2.0, n)
+    else:
+        y = _gpd_sample(xi, n, seed)
+    profile = evt._profile(y, float(y.max()), float(y.mean()))
+    crossing = []
+    with np.errstate(all="ignore"):
+        if profile(_S_FLOOR)[1] == XI_LOWER:
+            crossing = _bound_crossing(profile, _S_FLOOR, 0.0)
+    assert crossing or kind == "gpd"
+    points = np.r_[
+        np.linspace(_S_FLOOR, _S_CEIL, _N_GRID), np.linspace(_S_FLOOR, 5.0, 41),
+        0.0, -0.0, crossing, extra,
+    ]
+    rows = _assert_points_are_rows(profile, points)
+    assert (rows[2][points == 0.0] == y.mean()).all()  # sigma at theta = 0
+
+
+@given(
+    n=st.sampled_from(BLOCK_NS) | st.integers(30, 2_000),
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["pair", "flat", "beta-min"]),
+    slope=st.floats(-1.5, 1.5),
+    extra=st.lists(st.floats(BETA_MIN, BETA_MAX), max_size=4),
+)
+@example(n=BLOCK_NS[0], seed=0, kind="pair", slope=1.4, extra=[])
+@example(n=BLOCK_NS[1], seed=1, kind="pair", slope=-1.4, extra=[])
+@example(n=BLOCK_NS[2], seed=2, kind="pair", slope=0.5, extra=[])
+@example(n=32, seed=0, kind="flat", slope=0.0, extra=[])
+@example(n=41, seed=0, kind="flat", slope=0.0, extra=[])
+@example(n=200, seed=0, kind="beta-min", slope=0.0, extra=[])
+@settings(max_examples=25, deadline=None)
+def test_ht_point_is_its_grid_row(n, seed, kind, slope, extra):
+    # a slope beyond +-1 clips alpha there; a constant conditioner of 32
+    # or 40 values has var(b) = 0, so NaN alpha, at some beta; BETA_MIN and
+    # +-0.0 are points on every input
+    if kind == "flat":
+        y, y_dep = _flat_pair(4.0, 32 + 8 * (n % 2))
+    elif kind == "beta-min":
+        y, y_dep = _beta_below_bound_pair(n)
+    else:
+        rng = np.random.default_rng(seed)
+        y = laplace_quantile(0.95) + rng.exponential(1.0, n) + 1e-9
+        y_dep = slope * y + y**0.3 * rng.standard_normal(n)
+    points = np.r_[np.linspace(BETA_MIN, BETA_MAX, ce._N_BETA_GRID), 0.0, -0.0, extra]
+    alpha = _assert_points_are_rows(ce._profile_beta(y, y_dep), points)[1]
+    if kind == "flat":
+        assert np.isnan(alpha).any()
+    elif abs(slope) >= 1.2:
+        assert (alpha == np.sign(slope)).any()
+
+
+def test_fits_run_brent_on_python_floats(monkeypatch):
+    # every point a fit's Brent search evaluates, its value there, the
+    # bounds and the result are Python floats, not numpy scalars
+    bounded_brent = evt._bounded_brent
+    seen = []
+
+    def probed(f, lo, hi, xatol):
+        def f_probed(x):
+            fx = f(x)
+            seen.extend([x, fx])
+            return fx
+
+        result = bounded_brent(f_probed, lo, hi, xatol)
+        seen.extend([lo, hi, *result])
+        return result
+
+    monkeypatch.setattr(evt, "_bounded_brent", probed)
+    fit_gpd(_gpd_input(500, 0))
+    fit_ht(*_ht_input(500, 0))
+    assert len(seen) > 20 and {type(v) for v in seen} == {float}
